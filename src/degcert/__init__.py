@@ -6,8 +6,6 @@ prime sums, sieve experiments)."""
 from .arith import (
     FactoredInteger,
     PrimeSumResult,
-    SpfTable,
-    build_spf_table,
     euler_phi,
     factorize,
     is_prime,
@@ -60,10 +58,8 @@ __all__ = [
     "PrimePowerCertificate",
     "PrimeSumResult",
     "RationalExampleReport",
-    "SpfTable",
     "VerificationReport",
     "build_certificate",
-    "build_spf_table",
     "certificate_from_json",
     "certificate_to_json",
     "condition_holds",

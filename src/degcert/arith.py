@@ -1,9 +1,8 @@
 """Exact integer arithmetic and sieves.
 
-Smallest-prime-factor tables, deterministic factorization, largest
-prime-power extraction (scalar and bulk segmented), prime and prime-power
-counting, and reciprocal-of-primes sums with reproducible compensated
-summation.
+Deterministic factorization, exact integer roots, largest prime-power
+extraction (scalar and bulk segmented), prime and prime-power counting, and
+reciprocal-of-primes sums with reproducible compensated summation.
 
 All integer arithmetic uses Python's arbitrary-precision integers, so
 intermediate products such as q**n can never wrap.  Vectorized kernels work
@@ -25,10 +24,6 @@ from .errors import CapacityError, ParameterError
 # This is a build-time constant on purpose: threaded runs must produce
 # bit-identical results, so the work split may never depend on thread count.
 SEGMENT_SIZE = 1 << 22
-
-# Hard cap for build_spf_table.  Entries are stored as uint32, 4 bytes each,
-# so the cap corresponds to a 4 GB table.
-SPF_LIMIT_MAX = 10**9
 
 # Segmented operations refuse ranges beyond this bound.
 SIEVE_BUDGET = 10**10
@@ -62,74 +57,20 @@ class PrimeSumResult:
     prime_count: int
 
 
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest-prime-factor table for 2 <= m <= limit.
-
-    spf[m] is the smallest prime dividing m (spf[m] == m iff m is prime).
-    The array is frozen after construction and safe to share across threads.
-    """
-
-    limit: int
-    spf: np.ndarray
-
-    def smallest_factor(self, m: int) -> int:
-        if not 2 <= m <= self.limit:
-            raise ParameterError(f"m={m} outside table range [2, {self.limit}]")
-        return int(self.spf[m])
-
-    def factor(self, m: int) -> list[tuple[int, int]]:
-        """Factor m by repeated table lookups."""
-        if not 1 <= m <= self.limit:
-            raise ParameterError(f"m={m} outside table range [1, {self.limit}]")
-        out: list[tuple[int, int]] = []
-        while m > 1:
-            p = int(self.spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-
-def build_spf_table(limit: int) -> SpfTable:
-    """Sieve the smallest prime factor of every integer in [2, limit].
-
-    Memory use is 4 bytes per entry (uint32); limits above SPF_LIMIT_MAX
-    raise CapacityError rather than attempting a >4 GB allocation.
-    """
-    if limit < 2:
-        raise CapacityError(f"spf table limit must be >= 2, got {limit}")
-    if limit > SPF_LIMIT_MAX:
-        raise CapacityError(
-            f"spf table limit {limit} exceeds cap {SPF_LIMIT_MAX} "
-            f"(4 bytes/entry = {4 * (limit + 1)} bytes requested)"
-        )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            view = spf[p * p :: p]
-            view[view == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    spf[1:2] = 1
-    spf.flags.writeable = False
-    return SpfTable(limit=limit, spf=spf)
-
-
 def integer_nth_root(x: int, n: int) -> int:
     """Largest integer r with r**n <= x (exact, no float error)."""
     if x < 0 or n < 1:
         raise ParameterError(f"integer_nth_root requires x >= 0, n >= 1; got {x}, {n}")
     if n == 1 or x < 2:
         return x
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    # Integer Newton iteration from 2**ceil(bits/n) >= x**(1/n): the iterates
+    # decrease strictly until the floor root is reached.
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def is_prime(n: int) -> bool:
@@ -204,35 +145,31 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
     _factor_into(n // d, acc)
 
 
-def factorize(d: int, table: SpfTable | None = None) -> FactoredInteger:
+def factorize(d: int) -> FactoredInteger:
     """Full prime factorization of d >= 1.
 
-    Uses the spf table when one is supplied and d fits; otherwise trial
-    division by small primes followed by deterministic Miller-Rabin and
+    Trial division by small primes followed by deterministic Miller-Rabin and
     Brent's method.  Exact and deterministic for all supported d.
     """
     if d < 1:
         raise ParameterError(f"factorize requires d >= 1, got {d}")
     if d == 1:
         return FactoredInteger(value=1, factors=(), largest_prime_power=1)
-    if table is not None and d <= table.limit:
-        pairs = table.factor(d)
-    else:
-        acc: dict[int, int] = {}
-        m = d
-        for p in _SMALL_PRIMES:
-            while m % p == 0:
-                acc[p] = acc.get(p, 0) + 1
-                m //= p
-        _factor_into(m, acc)
-        pairs = sorted(acc.items())
+    acc: dict[int, int] = {}
+    m = d
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            acc[p] = acc.get(p, 0) + 1
+            m //= p
+    _factor_into(m, acc)
+    pairs = sorted(acc.items())
     q = max(p**e for p, e in pairs)
     return FactoredInteger(value=d, factors=tuple(pairs), largest_prime_power=q)
 
 
-def largest_prime_power(d: int, table: SpfTable | None = None) -> int:
+def largest_prime_power(d: int) -> int:
     """max over primes p | d of p**v_p(d); equals 1 iff d == 1."""
-    return factorize(d, table).largest_prime_power
+    return factorize(d).largest_prime_power
 
 
 def prime_power_root(q: int) -> tuple[int, int] | None:

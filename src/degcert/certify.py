@@ -121,20 +121,29 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def threshold_coefficients(n: int, mode: Mode = Mode.FULL) -> tuple[int, int, int]:
+    """(a, b, c) of the qualification inequality a*q**n + b*q**(n-1) + c <= d.
+
+    c = (2**n + 1) * n! is also the smallest degree that can qualify.
+    """
+    if n < 3:
+        raise ParameterError(f"n must be >= 3, got {n}")
+    fact = factorial(n)
+    c = (2**n + 1) * fact
+    if mode == Mode.FULL:
+        c2 = binom2(n)
+        return c2 - 1, fact - c2, c
+    return fact - 1, 0, c
+
+
 def qualification_threshold(n: int, q: int, mode: Mode = Mode.FULL) -> int:
     """Right-hand side of the qualification inequality for a given q.
 
     Exact integer arithmetic throughout; Python integers cannot overflow,
     so thresholds near and beyond 2**63 are handled without wrapping.
     """
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    fact = factorial(n)
-    tail = (2**n + 1) * fact
-    if mode == Mode.FULL:
-        c2 = binom2(n)
-        return (c2 - 1) * q**n + (fact - c2) * q ** (n - 1) + tail
-    return (fact - 1) * q**n + tail
+    a, b, c = threshold_coefficients(n, mode)
+    return a * q**n + b * q ** (n - 1) + c
 
 
 def condition_holds(n: int, d: int, mode: Mode = Mode.FULL, q: int | None = None) -> bool:
@@ -247,6 +256,17 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     )
 
 
+def _show_int(x: int) -> str:
+    """x in decimal, or its bit length when Python would refuse to print it."""
+    return str(x) if x.bit_length() < 10_000 else f"<{x.bit_length()}-bit integer>"
+
+
+def _premise_order(premise: tuple) -> tuple:
+    # a file may pair one (kind, q) with and without k; None sorts first
+    kind, q, k = premise
+    return kind, q, k is not None, k or 0
+
+
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate from scratch.
 
@@ -299,7 +319,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         add("q_divides_k", ctx, k >= 0 and k % q == 0, f"k = {k}")
         # Additivity rule: the premise degrees must sum to d exactly.
         total = i * q**n + j * q ** (n - 1) + k * fact
-        add("sum_identity", ctx, total == d, f"i*q^n + j*q^(n-1) + k*n! = {total}, d = {d}")
+        add("sum_identity", ctx, total == d, f"i*q^n + j*q^(n-1) + k*n! = {_show_int(total)}, d = {d}")
         add("premise_gcd_q_nfact", ctx, gcd(q, fact) == 1, f"gcd(q, n!) = {gcd(q, fact)}")
         if j > 0:
             # implied by gcd(q, n!) = 1 and n >= 3, checked explicitly anyway
@@ -316,7 +336,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         "entries_cover_d",
         "",
         q_product == d and len(cert.entries) > 0,
-        f"product of entry prime powers = {q_product}, d = {d}",
+        f"product of entry prime powers = {_show_int(q_product)}, d = {d}",
     )
 
     required: set[tuple] = set()
@@ -331,7 +351,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         "premise_ledger",
         "",
         required == present,
-        f"required {sorted(required)} vs present {sorted(present)}",
+        f"required {sorted(required, key=_premise_order)} vs present {sorted(present, key=_premise_order)}",
     )
 
     passed = all(c.passed for c in checks)
@@ -343,57 +363,69 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _scan_segment(args: tuple) -> np.ndarray:
-    """Qualifying degrees in [lo, hi) for (n, mode); returns int64 array."""
-    n, mode, lo, hi, base_primes = args
-    fact = factorial(n)
-    c2 = binom2(n)
-    tail = (2**n + 1) * fact
-    a = (c2 - 1) if mode == Mode.FULL else (fact - 1)
-    b = (fact - c2) if mode == Mode.FULL else 0
+def threshold_le(
+    v: np.ndarray, d: np.ndarray, n: int, a: int, b: int, c: int, m: int
+) -> np.ndarray:
+    """Exact elementwise a*v**n + b*v**(n-1) + c <= m*d for int64 arrays
+    v, d >= 1 and integers a, b, c, m >= 0.
+
+    Evaluated in int64 when the array maxima prove that no term can wrap,
+    otherwise on object arrays of Python integers.
+    """
+    if len(v) == 0:
+        return np.zeros(0, dtype=bool)
+    vmax, dmax = int(v.max()), int(d.max())
+    if a * vmax**n + b * vmax ** (n - 1) + c >= 2**62 or m * dmax >= 2**62:
+        v, d = v.astype(object), d.astype(object)
+    return np.asarray(a * v**n + b * v ** (n - 1) + c <= m * d, dtype=bool)
+
+
+def qualifying_segment(
+    lo: int,
+    hi: int,
+    base: np.ndarray,
+    n: int,
+    a: int,
+    b: int,
+    c: int,
+    m: int = 1,
+    prime_factor: bool = False,
+) -> np.ndarray:
+    """The d in [lo, hi), lo >= 1, with gcd(d, n!) = 1 and
+    a*v**n + b*v**(n-1) + c <= m*d, where v is the largest prime power of d
+    (its largest prime factor when prime_factor is set); ascending int64.
+
+    base must hold the primes up to sqrt(hi - 1).  a >= 1, so every hit has
+    v <= ((m*(hi-1) - c) // a)**(1/n), and the exact comparison runs on the
+    coprime d below that bound only.
+    """
     top = hi - 1
-    if top < tail + a + b:
+    if m * top - c < a:
         return np.empty(0, dtype=np.int64)
-    q_ub = arith.integer_nth_root((top - tail) // a, n)
-    if q_ub < 1:
-        return np.empty(0, dtype=np.int64)
-    q, _ = arith.largest_prime_power_segment(lo, hi, base_primes)
+    # v <= d <= top, so the bound can be capped to stay within int64
+    v_ub = min(arith.integer_nth_root((m * top - c) // a, n), top)
+    q, lpf = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=prime_factor)
+    v = lpf if prime_factor else q
     mask = arith.coprime_mask(lo, hi, n)
-    mask &= q <= q_ub
+    mask &= v <= v_ub
     idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return np.empty(0, dtype=np.int64)
     ds = idx.astype(np.int64) + lo
-    qs = q[idx]
-    max_thr = a * q_ub**n + b * q_ub ** (n - 1) + tail
-    if max_thr < 2**62:
-        qp = qs ** (n - 1)
-        thr = a * qp * qs + b * qp + tail
-        sel = thr <= ds
-    else:
-        sel = np.fromiter(
-            (
-                a * int(qv) ** n + b * int(qv) ** (n - 1) + tail <= int(dv)
-                for qv, dv in zip(qs, ds)
-            ),
-            dtype=bool,
-            count=len(ds),
-        )
-    return ds[sel]
+    return ds[threshold_le(v[idx], ds, n, a, b, c, m)]
 
 
 def scan_qualifying(
     n: int, lo: int, hi: int, mode: Mode = Mode.FULL, threads: int = 1
 ) -> list[np.ndarray]:
     """Per-segment arrays of qualifying degrees in [lo, hi), ascending."""
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
+    a, b, c = threshold_coefficients(n, mode)
     if hi - 1 > arith.SIEVE_BUDGET:
         raise CapacityError(f"scan bound {hi - 1} exceeds budget {arith.SIEVE_BUDGET}")
     base = arith.primes_upto(max(2, isqrt(max(hi - 1, 0))))
-    ranges = arith._segment_ranges(max(lo, 1), hi)
-    work = [(n, mode, s, e, base) for s, e in ranges]
-    return arith._map_segments(_scan_segment, work, threads)
+    return arith._map_segments(
+        lambda r: qualifying_segment(r[0], r[1], base, n, a, b, c),
+        arith._segment_ranges(max(lo, 1), hi),
+        threads,
+    )
 
 
 def enumerate_qualifying(
@@ -403,11 +435,7 @@ def enumerate_qualifying(
 
     Nothing below (2**n + 1) * n! can qualify, so scanning starts there.
     """
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    if d_max < 1:
-        return []
-    start = (2**n + 1) * factorial(n)
+    start = threshold_coefficients(n, mode)[2]
     if d_max < start:
         return []
     parts = scan_qualifying(n, start, d_max + 1, mode, threads)
@@ -429,10 +457,8 @@ def smallest_qualifying(
     its window until a hit; a CapacityError reports the searched bound when
     the budget is exhausted (the answer grows rapidly with n).
     """
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
+    lo = threshold_coefficients(n, mode)[2]
     cap = budget if budget is not None else arith.SIEVE_BUDGET
-    lo = (2**n + 1) * factorial(n)
     width = max(1 << 16, lo)
     while lo <= cap:
         hi = min(lo + width, cap + 1)
@@ -554,6 +580,12 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _require_objects(value, what: str) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise ParameterError(f"{what} must be a list of JSON objects")
+    return value
+
+
 def certificate_from_dict(data: dict) -> Certificate:
     if not isinstance(data, dict):
         raise ParameterError("certificate payload must be a JSON object")
@@ -575,7 +607,7 @@ def certificate_from_dict(data: dict) -> Certificate:
             k=_require_int(e.get("k"), "entry k"),
             mode=mode,
         )
-        for e in data.get("entries", [])
+        for e in _require_objects(data.get("entries", []), "entries")
     )
     premises = tuple(
         Premise(
@@ -583,7 +615,7 @@ def certificate_from_dict(data: dict) -> Certificate:
             q=_require_int(p.get("q"), "premise q"),
             k=_require_int(p["k"], "premise k") if "k" in p else None,
         )
-        for p in data.get("premises", [])
+        for p in _require_objects(data.get("premises", []), "premises")
     )
     return Certificate(n=n, d=d, mode=mode, entries=entries, premises=premises)
 
@@ -591,7 +623,7 @@ def certificate_from_dict(data: dict) -> Certificate:
 def certificate_from_json(text: str) -> Certificate:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to parse
         raise ParameterError(f"invalid certificate JSON: {exc}") from None
     return certificate_from_dict(data)
 

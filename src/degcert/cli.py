@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import arith, certify, density, dickman
@@ -50,11 +51,31 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers; e-notation is read exactly, so "1e8" is
+    accepted and "1.00000000001e3" is not."""
+    out = []
+    for tok in text.split(","):
+        if not tok.strip():
+            continue
+        try:
+            value = Decimal(tok)
+        except InvalidOperation:
+            raise ParameterError(f"not an integer: {tok!r} in {text!r}") from None
+        # the digit bound keeps int() from expanding an exponent such as 1e999999999
+        if not value.is_finite() or value != value.to_integral_value() or value.adjusted() > 4000:
+            raise ParameterError(f"not an integer: {tok!r} in {text!r}")
+        out.append(int(value))
+    return out
+
+
+def _thread_count(text: str) -> int:
     try:
-        return [int(float(tok)) if ("e" in tok or "E" in tok) else int(tok)
-                for tok in text.split(",") if tok.strip()]
+        value = int(text)
     except ValueError:
-        raise ParameterError(f"not a comma-separated integer list: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit_json(payload: dict) -> None:
@@ -369,7 +390,7 @@ def build_parser() -> _Parser:
     def common(p, threads=True, fmt=("text", "json")):
         p.add_argument("--format", choices=fmt, default="text")
         if threads:
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=_thread_count, default=1)
 
     p = sub.add_parser("certify", help="build and verify a certificate for one degree")
     p.add_argument("--n", type=int, required=True)

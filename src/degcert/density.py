@@ -7,11 +7,13 @@ the integral Hodge conjecture via a single large prime divisor, and tracks
 the convergence of the prime-power ratio and of reciprocal prime sums
 toward their limits.
 
-Comparisons of the form q <= lambda * d**(1/n) are evaluated without
-floating-point error: lambda enters as an exact rational (or as the exact
-rational value of lambda**n), the predicate becomes q**n * den <= num * d,
-and any case too large for int64 falls back to exact bignum arithmetic
-after a conservatively wide float screen.
+All four density modes run the qualifying-degree segment kernel of
+certify, so every predicate is one exact comparison
+a*v**n + b*v**(n-1) + c <= m*d.  Certificate qualification uses the
+coefficients of its mode and m = 1.  A comparison v <= lambda * d**(1/n)
+has lambda enter as an exact rational (or as the exact rational value
+num/den of lambda**n) and becomes den * v**n <= num * d.  No floating-point
+value takes part in any of them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial, fsum, isqrt, log
+from math import fsum, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -107,29 +109,6 @@ def _resolve_lambda(
     return None, lam_pow
 
 
-def _pow_le_scaled(v: np.ndarray, n: int, num: int, den: int, d: np.ndarray) -> np.ndarray:
-    """Exact elementwise v**n * den <= num * d for int64 arrays v, d >= 1.
-
-    Small cases are decided directly in int64 (after an exact bound check
-    proving no wrap is possible).  Larger ones are screened in log space,
-    which cannot overflow for any rational lambda, and the narrow ambiguous
-    band around equality is settled in exact bignum arithmetic.
-    """
-    if len(v) == 0:
-        return np.zeros(0, dtype=bool)
-    vmax = int(v.max())
-    dmax = int(d.max())
-    if vmax**n * den < 2**62 and num * dmax < 2**62:
-        return v**n * den <= num * d
-    log_lhs = n * np.log(v.astype(np.float64)) + log(den)
-    log_rhs = np.log(d.astype(np.float64)) + log(num)
-    out = log_lhs <= log_rhs
-    ambiguous = np.abs(log_lhs - log_rhs) <= 1e-9
-    for idx in np.flatnonzero(ambiguous):
-        out[idx] = int(v[idx]) ** n * den <= num * int(d[idx])
-    return out
-
-
 def _checkpoint_counts(d_values: np.ndarray, checkpoints: Sequence[int]) -> list[int]:
     return [int(np.searchsorted(d_values, m, side="right")) for m in checkpoints]
 
@@ -158,58 +137,45 @@ def empirical_density(
 
     if mode in (DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK):
         cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
-        start = (2**n + 1) * factorial(n)
-        count = 0
-        cp_counts = [0] * len(cps)
-        if N >= start:
-            for arr in certify.scan_qualifying(n, start, N + 1, cmode, threads):
-                count += len(arr)
-                for t, m in enumerate(cps):
-                    cp_counts[t] += int(np.searchsorted(arr, m, side="right"))
+        a, b, c = certify.threshold_coefficients(n, cmode)
+        m, lo = 1, c  # nothing below c qualifies
         lam_val = lam_pow_val = None
     else:
         lam_val, lam_pow_val = _resolve_lambda(n, lam, lam_pow)
-        num, den = lam_pow_val.numerator, lam_pow_val.denominator
-        base = arith.primes_upto(max(2, isqrt(N)))
-        want_lpf = mode == DensityMode.LAMBDA_PRIME
+        # v <= lam * d**(1/n)  <=>  den * v**n <= num * d, for lam**n = num/den
+        a, b, c, m, lo = lam_pow_val.denominator, 0, 0, lam_pow_val.numerator, 1
+    base = arith.primes_upto(max(2, isqrt(N)))
+    prime_factor = mode == DensityMode.LAMBDA_PRIME
 
-        def work(r: tuple[int, int]) -> tuple[int, list[int]]:
-            lo, hi = r
-            q, lpf = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=want_lpf)
-            v = lpf if want_lpf else q
-            mask = arith.coprime_mask(lo, hi, n)
-            d_arr = np.arange(lo, hi, dtype=np.int64)
-            mask &= _pow_le_scaled(v, n, num, den, d_arr)
-            hits = d_arr[mask]
-            return len(hits), _checkpoint_counts(hits, cps)
+    def work(r: tuple[int, int]) -> tuple[int, list[int]]:
+        hits = certify.qualifying_segment(r[0], r[1], base, n, a, b, c, m, prime_factor)
+        return len(hits), _checkpoint_counts(hits, cps)
 
-        parts = arith._map_segments(work, arith._segment_ranges(1, N + 1), threads)
-        count = sum(p[0] for p in parts)
-        cp_counts = [sum(p[1][t] for p in parts) for t in range(len(cps))]
+    parts = arith._map_segments(work, arith._segment_ranges(lo, N + 1), threads)
+    count = sum(p[0] for p in parts)
+    cp_counts = [sum(p[1][t] for p in parts) for t in range(len(cps))]
 
     theoretical = theoretical_density(n, tol) if n <= 10 else None
     return DensityReport(
         n=n,
         N=N,
         mode=mode,
-        lam=lam_val if mode in (DensityMode.LAMBDA_PRIMEPOWER, DensityMode.LAMBDA_PRIME) else None,
-        lam_pow=lam_pow_val if mode in (DensityMode.LAMBDA_PRIMEPOWER, DensityMode.LAMBDA_PRIME) else None,
+        lam=lam_val,
+        lam_pow=lam_pow_val,
         count=count,
         empirical=count / N,
         theoretical=theoretical,
-        theoretical_is_heuristic=mode in (DensityMode.LAMBDA_PRIMEPOWER, DensityMode.LAMBDA_PRIME),
+        theoretical_is_heuristic=lam_pow_val is not None,
         samples=tuple(zip(cps, cp_counts)) if cps else None,
     )
 
 
 def _ihc_primes(n: int, N: int) -> list[tuple[int, int]]:
     """(p, threshold) for primes p > n whose qualification threshold fits below N."""
-    fact = factorial(n)
-    c2 = certify.binom2(n)
-    tail = (2**n + 1) * fact
-    if N <= tail:
+    a, _, c = certify.threshold_coefficients(n)
+    if N <= c:
         return []
-    p_max = arith.integer_nth_root((N - tail) // (c2 - 1), n)
+    p_max = arith.integer_nth_root((N - c) // a, n)
     out = []
     for p in arith.primes_upto(max(2, p_max)):
         p = int(p)

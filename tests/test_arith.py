@@ -37,55 +37,6 @@ def brute_factorize(d):
     return out
 
 
-# --- spf table ---------------------------------------------------------------
-
-
-def test_spf_small_table():
-    t = arith.build_spf_table(10)
-    assert list(t.spf[2:11]) == [2, 3, 2, 5, 2, 7, 2, 3, 2]
-
-
-def test_spf_smallest_table():
-    t = arith.build_spf_table(2)
-    assert t.smallest_factor(2) == 2
-
-
-def test_spf_against_independent_sieve():
-    limit = 10**6
-    t = arith.build_spf_table(limit)
-    oracle = simple_prime_sieve(limit)
-    n_primes_oracle = sum(oracle[2:])
-    fixed_points = int(np.count_nonzero(t.spf[2:] == np.arange(2, limit + 1)))
-    assert n_primes_oracle == fixed_points == 78498
-    # spot-check actual spf values against trial division
-    rng = random.Random(7)
-    for _ in range(300):
-        m = rng.randrange(2, limit + 1)
-        assert t.smallest_factor(m) == brute_factorize(m)[0][0]
-
-
-def test_spf_invariants_every_entry_small():
-    t = arith.build_spf_table(500)
-    for m in range(2, 501):
-        p = t.smallest_factor(m)
-        assert m % p == 0
-        assert arith.is_prime(p)
-        assert (p == m) == arith.is_prime(m)
-
-
-def test_spf_capacity_errors():
-    with pytest.raises(CapacityError):
-        arith.build_spf_table(1)
-    with pytest.raises(CapacityError):
-        arith.build_spf_table(arith.SPF_LIMIT_MAX + 1)
-
-
-def test_spf_table_is_frozen():
-    t = arith.build_spf_table(100)
-    with pytest.raises(ValueError):
-        t.spf[10] = 1
-
-
 # --- factorization -----------------------------------------------------------
 
 
@@ -105,12 +56,6 @@ def test_factorize_720():
     fi = arith.factorize(720)
     assert fi.factors == ((2, 4), (3, 2), (5, 1))
     assert fi.largest_prime_power == 16
-
-
-def test_factorize_table_and_direct_agree():
-    t = arith.build_spf_table(5000)
-    for d in range(1, 2001):
-        assert arith.factorize(d, t).factors == arith.factorize(d).factors
 
 
 def test_largest_prime_power_examples():
@@ -187,6 +132,22 @@ def test_integer_nth_root(x, n):
     r = arith.integer_nth_root(x, n)
     assert r**n <= x
     assert (r + 1) ** n > x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**400), st.integers(min_value=1, max_value=12))
+def test_integer_nth_root_beyond_float_range(x, n):
+    # no float seed: x past 1e308 must not overflow, and a large x with a
+    # small n must converge (10**60 + 7 with n = 2 used to stall)
+    r = arith.integer_nth_root(x, n)
+    assert r**n <= x < (r + 1) ** n
+
+
+def test_integer_nth_root_exact_powers():
+    for r, n in [(10**30, 2), (10**30 + 1, 2), (7**100, 3), (2, 1000), (3**50, 12)]:
+        assert arith.integer_nth_root(r**n, n) == r
+        assert arith.integer_nth_root(r**n - 1, n) == r - 1
+    assert arith.integer_nth_root(10**60 + 7, 2) == 10**30
 
 
 # --- totient -----------------------------------------------------------------

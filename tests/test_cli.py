@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degcert import cli
+from degcert import certify, cli
 
 
 def run(capsys, *argv):
@@ -96,6 +100,81 @@ def test_check_missing_file_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+def _check_payload(tmp_path, capsys, payload):
+    cert_file = tmp_path / "c.json"
+    cert_file.write_text(json.dumps(payload))
+    return run(capsys, "check", "--cert", str(cert_file))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("entries", [1]), ("entries", {"q": 13}), ("premises", "x"), ("premises", [None])],
+)
+def test_check_malformed_shape_is_usage_error(tmp_path, capsys, field, value):
+    payload = certify.certificate_to_dict(certify.build_certificate(3, 5005))
+    payload[field] = value
+    code, _, err = _check_payload(tmp_path, capsys, payload)
+    assert code == 1
+    assert "list of JSON objects" in err
+
+
+@pytest.mark.parametrize("q", [10**60 + 7, 10**309])
+def test_check_huge_entry_fails_verification(tmp_path, capsys, q):
+    # exact integer roots: no float overflow near 1e308, no stall for a
+    # large q with a small exponent
+    payload = certify.certificate_to_dict(certify.build_certificate(3, 5005))
+    payload["entries"][0]["q"] = q
+    code, out, _ = _check_payload(tmp_path, capsys, payload)
+    assert code == 2
+    assert "FAIL" in out
+
+
+_INT = st.integers(min_value=-(10**400), max_value=10**400)
+# prime powers up to 400 digits, so that entries get past the prime-power check
+_Q = st.builds(pow, st.sampled_from([2, 5, 7, 13, 10**9 + 7]), st.integers(1, 1300)).filter(
+    lambda q: q < 10**400
+) | _INT
+_CERT = st.fixed_dictionaries(
+    {
+        "schema_version": st.just(1),
+        "kind": st.just("certificate"),
+        "mode": st.sampled_from(["FULL", "WEAK"]),
+        "n": st.integers(-5, 1000),
+        "d": st.integers(-5, 10**400),
+        "entries": st.lists(st.fixed_dictionaries({"q": _Q, "i": _INT, "j": _INT, "k": _INT}), max_size=4),
+        "premises": st.lists(
+            st.fixed_dictionaries(
+                {"kind": st.sampled_from(["KOLLAR_QN", "KOLLAR_BINOM", "ABELIAN_FACTORIAL", "X"]), "q": _Q},
+                optional={"k": _INT},
+            ),
+            max_size=6,
+        ),
+    }
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INT | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CERT, st.sampled_from([None, "schema_version", "kind", "mode", "n", "d", "entries", "premises"]), _JSON)
+def test_check_is_total_on_fuzzed_files(payload, field, junk):
+    # the exit-code contract holds for any certificate file: no exception
+    # escapes cli.main.  Most files are well-formed with arbitrary values;
+    # the rest have one field replaced by arbitrary JSON.
+    if field is not None:
+        payload[field] = junk
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh)
+        assert cli.main(["check", "--cert", path]) in (0, 1, 2, 3)
+    finally:
+        os.unlink(path)
+
+
 # --- enumerate / smallest -------------------------------------------------------
 
 
@@ -184,6 +263,28 @@ def test_density_json(capsys):
     assert payload["count"] == 1
     assert payload["samples"] == [[5004, 0], [5005, 1], [6000, 1]]
     assert payload["mode"] == "PROP16_FULL"
+
+
+def test_checkpoints_e_notation_is_exact(capsys):
+    code, payload = run_json(
+        capsys, "density", "--n", "3", "--N", "6000", "--checkpoints", "5.005e3,6E3", "--format", "json"
+    )
+    assert code == 0
+    assert payload["samples"] == [[5005, 1], [6000, 1]]
+
+
+@pytest.mark.parametrize("token", ["1.00000000001e3", "5004.5", "1e-3", "10/2", "inf", "1e999999999"])
+def test_checkpoints_non_integer_exit1(capsys, token):
+    code, _, err = run(capsys, "density", "--n", "3", "--N", "6000", "--checkpoints", token)
+    assert code == 1
+    assert "not an integer" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_exit1(capsys, threads):
+    code, _, err = run(capsys, "smallest", "--n", "3", "--threads", threads)
+    assert code == 1
+    assert "--threads" in err
 
 
 def test_density_csv_trajectory(capsys):

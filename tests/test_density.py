@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degcert import arith, certify, density
+from degcert import arith, certify
 from degcert.density import DensityMode, convergence_diagnostics, empirical_density, ihc_fraction
 from degcert.errors import CapacityError, ParameterError
 
@@ -135,22 +135,28 @@ def test_density_threads_bit_identical():
     assert a.empirical == b.empirical
 
 
-# --- exact lambda comparator ------------------------------------------------------
+# --- exact threshold comparator ---------------------------------------------------
+# certify.threshold_le decides a*v**n + b*v**(n-1) + c <= m*d; the LAMBDA modes
+# call it with (a, b, c, m) = (den, 0, 0, num) for lambda**n = num/den.
+
+
+def le(v, d, n, a, b, c, m):
+    return certify.threshold_le(
+        np.array(v, dtype=np.int64), np.array(d, dtype=np.int64), n, a, b, c, m
+    )
 
 
 def test_pow_le_scaled_exact_tie_int64_path():
-    v = np.array([10**6], dtype=np.int64)
-    d_tie = np.array([(10**18) // 8], dtype=np.int64)
-    assert density._pow_le_scaled(v, 3, 8, 1, d_tie)[0]
-    assert not density._pow_le_scaled(v, 3, 8, 1, d_tie - 1)[0]
+    d_tie = (10**18) // 8
+    assert le([10**6], [d_tie], 3, 1, 0, 0, 8)[0]
+    assert not le([10**6], [d_tie - 1], 3, 1, 0, 0, 8)[0]
 
 
-def test_pow_le_scaled_exact_tie_float_path():
-    # v**3 = 2.7e19 > 2^62 forces the float screen; the tie must still be exact
-    v = np.array([3 * 10**6], dtype=np.int64)
-    d_tie = np.array([9 * 10**18], dtype=np.int64)
-    assert density._pow_le_scaled(v, 3, 3, 1, d_tie)[0]
-    assert not density._pow_le_scaled(v, 3, 3, 1, d_tie - 1)[0]
+def test_pow_le_scaled_exact_tie_object_path():
+    # v**3 = 2.7e19 > 2^62 leaves int64; the tie must still be exact
+    d_tie = 9 * 10**18
+    assert le([3 * 10**6], [d_tie], 3, 1, 0, 0, 3)[0]
+    assert not le([3 * 10**6], [d_tie - 1], 3, 1, 0, 0, 3)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,29 +164,32 @@ def test_pow_le_scaled_exact_tie_float_path():
     st.integers(min_value=1, max_value=10**9),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=0, max_value=1000),
+    st.integers(min_value=0, max_value=10**20),
     st.integers(min_value=1, max_value=1000),
     st.integers(min_value=1, max_value=10**9),
 )
-def test_pow_le_scaled_matches_fraction_oracle(v, n, num, den, d):
-    got = density._pow_le_scaled(
-        np.array([v], dtype=np.int64), n, num, den, np.array([d], dtype=np.int64)
-    )[0]
-    assert bool(got) == (Fraction(v) ** n * den <= Fraction(num) * d)
+def test_pow_le_scaled_matches_fraction_oracle(v, n, a, b, c, m, d):
+    got = le([v], [d], n, a, b, c, m)[0]
+    assert bool(got) == (a * Fraction(v) ** n + b * Fraction(v) ** (n - 1) + c <= Fraction(m) * d)
 
 
 def test_pow_le_scaled_astronomical_rationals():
     # numerator/denominator far beyond float range must not overflow
-    v = np.array([10**9, 2], dtype=np.int64)
-    d = np.array([10**18, 3], dtype=np.int64)
+    v, d = [10**9, 2], [10**18, 3]
     big = 10**400
-    assert not density._pow_le_scaled(v, 3, 1, big, d).any()  # lambda**n ~ 1e-400
-    assert density._pow_le_scaled(v, 3, big, 1, d).all()  # lambda**n ~ 1e400
+    assert not le(v, d, 3, big, 0, 0, 1).any()  # lambda**n ~ 1e-400
+    assert le(v, d, 3, 1, 0, 0, big).all()  # lambda**n ~ 1e400
     # exact tie with big scale factors on both sides
     scale = 10**360
-    got = density._pow_le_scaled(
-        np.array([7], dtype=np.int64), 3, 343 * scale, scale, np.array([1], dtype=np.int64)
-    )
-    assert got[0]
+    assert le([7], [1], 3, scale, 0, 0, 343 * scale)[0]
+
+
+def test_lambda_beyond_int64_keeps_every_coprime_degree():
+    # lambda**3 = 10**400: the bound on v exceeds the segment and every
+    # comparison runs on Python integers; each d coprime to 6 qualifies
+    r = empirical_density(3, 3000, DensityMode.LAMBDA_PRIME, lam_pow=Fraction(10**400))
+    assert r.count == sum(1 for d in range(1, 3001) if gcd(d, 6) == 1)
 
 
 # --- ihc fraction ---------------------------------------------------------------
