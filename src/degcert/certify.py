@@ -24,6 +24,10 @@ The builder constructs decompositions by unique residue arithmetic; the
 verifier re-checks everything from scratch using only multiplication,
 addition, divisibility and primality (no shared decomposition logic), so a
 buggy builder cannot validate itself.
+
+The bulk search screens each sieve segment with float32 sums of log p over
+small prime powers (the log-sieve smoothness test of the quadratic sieve),
+then factors the few candidates exactly and compares them exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, log
 
 import numpy as np
 
@@ -286,6 +290,9 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     add("d_positive", "", d >= 1, f"d = {d}")
     if n < 3 or d < 1:
         return VerificationReport(n=n, d=d, mode=mode, passed=False, checks=tuple(checks))
+    if n - 1 > d.bit_length():  # an entry needs d >= k*n! >= 2**(n-1); n! is never built
+        add("nfact_le_d", "", False, f"n! >= 2^(n-1) > d for n = {n}")
+        return VerificationReport(n=n, d=d, mode=mode, passed=False, checks=tuple(checks))
 
     fact = factorial(n)
     fact1 = factorial(n - 1)
@@ -313,18 +320,18 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             j_ok = 0 <= j <= fact - c2 and j % c2 == 0
             add("j_range", ctx, j_ok, f"j = {j}, binom(n,2) = {c2}")
         else:
-            add("i_range", ctx, 0 <= i <= fact - 1, f"i = {i}, range [0, {fact - 1}]")
+            add("i_range", ctx, 0 <= i <= fact - 1, f"i = {i}, range [0, {_show_int(fact - 1)}]")
             add("j_range", ctx, j == 0, f"j = {j}, must be 0 in WEAK mode")
-        add("k_lower_bound", ctx, k >= k_min, f"k = {k} < 2^n + 1 = {k_min}" if k < k_min else f"k = {k}")
+        add("k_lower_bound", ctx, k >= k_min, f"k = {k} < 2^n + 1 = {_show_int(k_min)}" if k < k_min else f"k = {k}")
         add("q_divides_k", ctx, k >= 0 and k % q == 0, f"k = {k}")
         # Additivity rule: the premise degrees must sum to d exactly.
         total = i * q**n + j * q ** (n - 1) + k * fact
         add("sum_identity", ctx, total == d, f"i*q^n + j*q^(n-1) + k*n! = {_show_int(total)}, d = {d}")
-        add("premise_gcd_q_nfact", ctx, gcd(q, fact) == 1, f"gcd(q, n!) = {gcd(q, fact)}")
+        add("premise_gcd_q_nfact", ctx, gcd(q, fact) == 1, f"gcd(q, n!) = {_show_int(gcd(q, fact))}")
         if j > 0:
             # implied by gcd(q, n!) = 1 and n >= 3, checked explicitly anyway
             add("premise_q_ge_4", ctx, q >= 4, f"q = {q}")
-        add("premise_gcd_q_n1fact", ctx, gcd(q, fact1) == 1, f"gcd(q, (n-1)!) = {gcd(q, fact1)}")
+        add("premise_gcd_q_n1fact", ctx, gcd(q, fact1) == 1, f"gcd(q, (n-1)!) = {_show_int(gcd(q, fact1))}")
 
     add(
         "entry_primes_distinct",
@@ -396,21 +403,59 @@ def qualifying_segment(
     (its largest prime factor when prime_factor is set); ascending int64.
 
     base must hold the primes up to sqrt(hi - 1).  a >= 1, so every hit has
-    v <= ((m*(hi-1) - c) // a)**(1/n), and the exact comparison runs on the
-    coprime d below that bound only.
+    v <= v_ub = ((m*(hi-1) - c) // a)**(1/n).  A log-sum screen keeps the d
+    that are nearly min(v_ub, sqrt(hi - 1))-smooth for an exact recheck.
     """
+    if lo < 1 or hi <= lo:
+        raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
     top = hi - 1
     if m * top - c < a:
         return np.empty(0, dtype=np.int64)
     # v <= d <= top, so the bound can be capped to stay within int64
     v_ub = min(arith.integer_nth_root((m * top - c) // a, n), top)
-    q, lpf = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=prime_factor)
-    v = lpf if prime_factor else q
-    mask = arith.coprime_mask(lo, hi, n)
-    mask &= v <= v_ub
-    idx = np.flatnonzero(mask)
-    ds = idx.astype(np.int64) + lo
-    return ds[threshold_le(v[idx], ds, n, a, b, c, m)]
+    bound = min(v_ub, isqrt(top))
+    primes = [int(p) for p in base[(base > n) & (base <= bound)]]  # no hit has p <= n
+    # Screen: a hit's powers p**e <= v_ub (<= top for prime factors) sum to
+    # log d, less log P for one prime P in (bound, v_ub] when bound = isqrt(top).
+    # d < 2**34 takes at most 34 float32 adds, within 1e-4; slack 0.25 covers it.
+    count, block = hi - lo, 1 << 12  # blocks: no full-length float64 temporaries
+    acc = np.zeros(-(-count // block) * block, dtype=np.float32)
+    pe_max = top if prime_factor else v_ub
+    for p in primes:
+        logp = np.float32(log(p))
+        pe = p
+        while pe <= pe_max:
+            acc[-lo % pe :: pe] += logp
+            pe *= p
+    slack = 0.25 + (log(v_ub) if v_ub > bound else 0.0)
+    # a block's start is <= each of its d, which only admits more candidates
+    floor = np.log(np.arange(lo, lo + len(acc), block, dtype=np.float64)) - slack
+    mask = (acc.reshape(-1, block) >= floor.astype(np.float32)[:, None]).ravel()[:count]
+    mask &= arith.coprime_mask(lo, hi, n)
+    offs = np.flatnonzero(mask)
+    ds = offs + lo
+    # Exact recheck.  Dividing out the primes <= bound leaves 1, one prime,
+    # or (only when bound = v_ub) a composite above v_ub, as the true v then
+    # is.  Multiples of p come from a pass over the candidates or, when that
+    # reads more, by stride through the mask.
+    rem = ds.copy()
+    v = np.ones_like(ds)
+    for p in primes:
+        if len(ds) <= count // p:
+            at = np.flatnonzero(rem % p == 0)
+        else:
+            first = -lo % p
+            at = np.searchsorted(offs, np.flatnonzero(mask[first::p]) * p + first)
+        pe = p
+        while len(at):
+            rem[at] //= p
+            v[at] = np.maximum(v[at], p if prime_factor else pe)
+            at = at[rem[at] % p == 0]
+            pe *= p
+    np.maximum(v, rem, out=v)
+    keep = v <= v_ub
+    ds, v = ds[keep], v[keep]
+    return ds[threshold_le(v, ds, n, a, b, c, m)]
 
 
 def scan_qualifying(
@@ -623,7 +668,7 @@ def certificate_from_dict(data: dict) -> Certificate:
 def certificate_from_json(text: str) -> Certificate:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
         raise ParameterError(f"invalid certificate JSON: {exc}") from None
     return certificate_from_dict(data)
 

@@ -12,8 +12,8 @@ certify, so every predicate is one exact comparison
 a*v**n + b*v**(n-1) + c <= m*d.  Certificate qualification uses the
 coefficients of its mode and m = 1.  A comparison v <= lambda * d**(1/n)
 has lambda enter as an exact rational (or as the exact rational value
-num/den of lambda**n) and becomes den * v**n <= num * d.  No floating-point
-value takes part in any of them.
+num/den of lambda**n) and becomes den * v**n <= num * d.  The kernel's
+float32 log-sum screen only drops d that fail; exact integers decide the rest.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 import dataclasses
 import json
-from math import factorial, gcd
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial, gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,6 +238,26 @@ def test_verify_is_total_on_garbage():
     assert _failing(report, "q_prime_power")
 
 
+def test_verify_reports_huge_details_for_large_n():
+    # WEAK with n = 2000: n! - 1 in the i_range detail has 5736 digits,
+    # past Python's int-to-str limit
+    weak = certify.Certificate(
+        n=2000,
+        d=10**700,
+        mode=Mode.WEAK,
+        entries=(certify.PrimePowerCertificate(q=5, i=1, j=0, k=1, mode=Mode.WEAK),),
+        premises=(),
+    )
+    report = certify.verify_certificate(weak)
+    assert not report.passed
+    (i_range,) = [c for c in report.checks if c.name == "i_range"]
+    assert "-bit integer" in i_range.detail
+    # an n whose factorial exceeds d fails at once, without building n!
+    for n in (10**8, 10**300):
+        report = certify.verify_certificate(dataclasses.replace(weak, n=n))
+        assert _failing(report, "nfact_le_d")
+
+
 def _mutants(cert):
     """All single-field mutations of every entry that keep fields nonnegative."""
     c2 = certify.binom2(cert.n)
@@ -329,6 +352,118 @@ def test_smallest_n4_frozen():
 def test_smallest_capacity():
     with pytest.raises(CapacityError, match="budget"):
         certify.smallest_qualifying(3, budget=4000)
+
+
+# --- the qualifying-degree segment kernel against a scalar oracle -------------
+
+# the two certificate modes and the two lambda predicates of density
+KERNEL_MODES = (Mode.FULL, Mode.WEAK, "lambda_primepower", "lambda_prime")
+
+
+@lru_cache(maxsize=None)
+def _factors(d):
+    return arith.factorize(d).factors
+
+
+def kernel_hits(lo, hi, n, mode, lam_pow):
+    base = arith.primes_upto(max(2, isqrt(hi - 1)))
+    if isinstance(mode, Mode):
+        args = (*certify.threshold_coefficients(n, mode), 1, False)
+    else:
+        args = (lam_pow.denominator, 0, 0, lam_pow.numerator, mode == "lambda_prime")
+    hits = certify.qualifying_segment(lo, hi, base, n, *args)
+    assert hits.dtype == np.int64
+    return hits.tolist()
+
+
+def oracle_hits(lo, hi, n, mode, lam_pow):
+    """Scalar predicate per d: condition_holds for the certificate modes,
+    v <= lambda * d**(1/n) in exact rationals for the lambda ones."""
+    out = []
+    for d in range(lo, hi):
+        fs = _factors(d)
+        if isinstance(mode, Mode):
+            ok = certify.condition_holds(n, d, mode, q=max((p**e for p, e in fs), default=1))
+        else:
+            v = max((p if mode == "lambda_prime" else p**e for p, e in fs), default=1)
+            ok = gcd(d, factorial(n)) == 1 and v**n <= lam_pow * d
+        if ok:
+            out.append(d)
+    return out
+
+
+def assert_kernel_matches_oracle(lo, hi, n, lam_pow, modes=KERNEL_MODES):
+    hit_modes = 0
+    for mode in modes:
+        got = kernel_hits(lo, hi, n, mode, lam_pow)
+        assert got == oracle_hits(lo, hi, n, mode, lam_pow), (lo, hi, n, mode, lam_pow)
+        hit_modes += bool(got)
+    return hit_modes
+
+
+def test_qualifying_segment_from_one_matches_oracle():
+    # the first segment starts at lo = 1; nothing below 5005 qualifies for
+    # a certificate, while the lambda predicates hold for d = 1 and more
+    assert assert_kernel_matches_oracle(1, 5000, 3, Fraction(1)) == 2
+    assert assert_kernel_matches_oracle(1, 6000, 3, Fraction(1, 2), (Mode.FULL,)) == 1
+
+
+def test_qualifying_segment_high_window_matches_oracle():
+    assert assert_kernel_matches_oracle(10**7, 10**7 + 2048, 3, Fraction(1, 2)) == 4
+
+
+def test_qualifying_segment_rejects_zero_lo():
+    base = arith.primes_upto(10)
+    with pytest.raises(ParameterError):
+        certify.qualifying_segment(0, 10, base, 3, *certify.threshold_coefficients(3))
+
+
+def test_qualifying_segment_across_segment_boundary():
+    lo, hi = arith.SEGMENT_SIZE - 2048, arith.SEGMENT_SIZE + 2048
+    assert assert_kernel_matches_oracle(lo, hi, 3, Fraction(1, 2)) == 4
+    # scan_qualifying splits the same range at the boundary
+    parts = certify.scan_qualifying(3, lo, hi)
+    assert len(parts) == 2
+    assert [int(d) for arr in parts for d in arr] == oracle_hits(lo, hi, 3, Mode.FULL, None)
+
+
+def test_qualifying_segment_near_sieve_budget():
+    top = arith.SIEVE_BUDGET
+    assert assert_kernel_matches_oracle(top - 2047, top + 1, 3, Fraction(1, 2)) == 4
+    assert assert_kernel_matches_oracle(top - 2047, top + 1, 4, Fraction(1)) >= 2
+
+
+@pytest.mark.parametrize(
+    "n, lam_pow", [(1, Fraction(1, 3)), (1, Fraction(1)), (2, Fraction(1)), (2, Fraction(9, 4))]
+)
+def test_qualifying_segment_small_n_matches_oracle(n, lam_pow):
+    # v_ub reaches past sqrt(hi - 1): hits may carry one prime above the
+    # screened primes, which the exact recheck takes as the cofactor
+    modes = KERNEL_MODES[2:]
+    assert assert_kernel_matches_oracle(1, 5000, n, lam_pow, modes) == 2
+    assert assert_kernel_matches_oracle(10**7, 10**7 + 2048, n, lam_pow, modes) == 2
+
+
+@pytest.mark.parametrize("lam_pow", [Fraction(10**400), Fraction(1, 10**400)])
+def test_qualifying_segment_astronomical_lambda_matches_oracle(lam_pow):
+    modes = KERNEL_MODES[2:]
+    hit_modes = assert_kernel_matches_oracle(1, 5000, 3, lam_pow, modes)
+    assert hit_modes == assert_kernel_matches_oracle(10**7, 10**7 + 2048, 3, lam_pow, modes)
+    assert hit_modes == (2 if lam_pow > 1 else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10**4) | st.integers(1, 10**9),
+    st.integers(1, 600),
+    st.integers(1, 6),
+    st.sampled_from(KERNEL_MODES),
+    st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100),
+)
+def test_qualifying_segment_matches_oracle_on_random_ranges(lo, width, n, mode, lam_pow):
+    if isinstance(mode, Mode):
+        n = max(n, 3)
+    assert_kernel_matches_oracle(lo, lo + width, n, lam_pow, (mode,))
 
 
 def test_roundtrip_over_enumeration():

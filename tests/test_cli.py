@@ -129,6 +129,24 @@ def test_check_huge_entry_fails_verification(tmp_path, capsys, q):
     assert "FAIL" in out
 
 
+def test_check_weak_certificate_with_large_n_fails_verification(tmp_path, capsys):
+    # the i_range detail shows n! - 1, which has 5736 digits for n = 2000
+    entry = {"q": 5, "i": 1, "j": 0, "k": 1}
+    payload = {"schema_version": 1, "kind": "certificate", "n": 2000, "d": 10**700,
+               "mode": "WEAK", "entries": [entry], "premises": []}
+    code, out, _ = _check_payload(tmp_path, capsys, payload)
+    assert code == 2
+    assert "-bit integer" in out
+
+
+def test_check_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    cert_file = tmp_path / "c.json"
+    cert_file.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run(capsys, "check", "--cert", str(cert_file))
+    assert code == 1
+    assert "invalid certificate JSON" in err
+
+
 _INT = st.integers(min_value=-(10**400), max_value=10**400)
 # prime powers up to 400 digits, so that entries get past the prime-power check
 _Q = st.builds(pow, st.sampled_from([2, 5, 7, 13, 10**9 + 7]), st.integers(1, 1300)).filter(
