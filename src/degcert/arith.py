@@ -1,8 +1,10 @@
 """Exact integer arithmetic and sieves.
 
-Deterministic factorization, exact integer roots, largest prime powers,
-prime and prime-power counting, reproducible compensated reciprocal-prime
-sums, and the segments and coprimality mask of certify's log-sum screen.
+Deterministic factorization, exact integer roots, largest prime powers
+(scalar, and bulk segmented for segments where certify's log-sum screen
+would keep most d), prime and prime-power counting, reproducible
+compensated reciprocal-prime sums, and the segments and coprimality mask
+of that screen.
 
 All integer arithmetic uses Python's arbitrary-precision integers, so
 intermediate products such as q**n can never wrap.  Vectorized kernels work
@@ -317,6 +319,52 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
     total = fsum(p[0] for p in parts)
     count = sum(p[1] for p in parts)
     return PrimeSumResult(x=x, n=n, sum=total, prime_count=count)
+
+
+def largest_prime_power_segment(
+    lo: int,
+    hi: int,
+    base_primes: np.ndarray,
+    want_prime_factor: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Bulk largest-prime-power extraction over [lo, hi), lo >= 1.
+
+    Returns (q, lpf) where q[t] is the largest prime power dividing lo+t and
+    lpf[t] (if requested) is its largest prime factor.  base_primes must
+    cover sqrt(hi-1).  The value for 1 is 1.
+
+    For each prime p <= sqrt(hi-1) and each power pe = p**e < hi, every
+    multiple of pe receives the candidate pe via a running maximum; the
+    winning candidate for p is exactly p**v_p.  Dividing the residue by p on
+    each pass leaves either 1 or a single prime > sqrt(hi-1), which is both
+    a maximal prime power and the largest prime factor.
+    """
+    if lo < 1 or hi <= lo:
+        raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
+    count = hi - lo
+    rem = np.arange(lo, hi, dtype=np.int64)
+    q = np.ones(count, dtype=np.int64)
+    lpf = np.ones(count, dtype=np.int64) if want_prime_factor else None
+    r = isqrt(hi - 1)
+    for p in base_primes:
+        p = int(p)
+        if p > r:
+            break
+        pe = p
+        while pe < hi:
+            start = ((lo + pe - 1) // pe) * pe
+            if start >= hi:
+                break
+            sl = slice(start - lo, count, pe)
+            np.maximum(q[sl], pe, out=q[sl])
+            rem[sl] //= p
+            if pe == p and lpf is not None:
+                np.maximum(lpf[sl], p, out=lpf[sl])
+            pe *= p
+    np.maximum(q, rem, out=q)
+    if lpf is not None:
+        np.maximum(lpf, rem, out=lpf)
+    return q, lpf
 
 
 def coprime_mask(lo: int, hi: int, n: int) -> np.ndarray:

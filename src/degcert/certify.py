@@ -403,8 +403,9 @@ def qualifying_segment(
     (its largest prime factor when prime_factor is set); ascending int64.
 
     base must hold the primes up to sqrt(hi - 1).  a >= 1, so every hit has
-    v <= v_ub = ((m*(hi-1) - c) // a)**(1/n).  A log-sum screen keeps the d
-    that are nearly min(v_ub, sqrt(hi - 1))-smooth for an exact recheck.
+    v <= v_ub = ((m*(hi-1) - c) // a)**(1/n).  For v_ub <= sqrt(hi - 1) a
+    log-sum screen keeps the d that are nearly v_ub-smooth for an exact
+    recheck; otherwise, or when candidates are dense, every d is factored.
     """
     if lo < 1 or hi <= lo:
         raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
@@ -413,48 +414,57 @@ def qualifying_segment(
         return np.empty(0, dtype=np.int64)
     # v <= d <= top, so the bound can be capped to stay within int64
     v_ub = min(arith.integer_nth_root((m * top - c) // a, n), top)
-    bound = min(v_ub, isqrt(top))
-    primes = [int(p) for p in base[(base > n) & (base <= bound)]]  # no hit has p <= n
-    # Screen: a hit's powers p**e <= v_ub (<= top for prime factors) sum to
-    # log d, less log P for one prime P in (bound, v_ub] when bound = isqrt(top).
-    # d < 2**34 takes at most 34 float32 adds, within 1e-4; slack 0.25 covers it.
-    count, block = hi - lo, 1 << 12  # blocks: no full-length float64 temporaries
-    acc = np.zeros(-(-count // block) * block, dtype=np.float32)
-    pe_max = top if prime_factor else v_ub
-    for p in primes:
-        logp = np.float32(log(p))
-        pe = p
-        while pe <= pe_max:
-            acc[-lo % pe :: pe] += logp
-            pe *= p
-    slack = 0.25 + (log(v_ub) if v_ub > bound else 0.0)
-    # a block's start is <= each of its d, which only admits more candidates
-    floor = np.log(np.arange(lo, lo + len(acc), block, dtype=np.float64)) - slack
-    mask = (acc.reshape(-1, block) >= floor.astype(np.float32)[:, None]).ravel()[:count]
-    mask &= arith.coprime_mask(lo, hi, n)
-    offs = np.flatnonzero(mask)
+    count, offs = hi - lo, None
+    if v_ub <= isqrt(top):
+        primes = [int(p) for p in base[(base > n) & (base <= v_ub)]]  # no hit has p <= n
+        # Screen: the powers p**e <= v_ub (<= top for prime factors) of a hit
+        # sum to log d.  d < 2**34 takes at most 34 float32 adds, within 1e-4;
+        # the slack 0.25 covers that.
+        block = 1 << 12  # blocks: no full-length float64 temporaries
+        acc = np.zeros(-(-count // block) * block, dtype=np.float32)
+        pe_max = top if prime_factor else v_ub
+        for p in primes:
+            logp = np.float32(log(p))
+            pe = p
+            while pe <= pe_max:
+                acc[-lo % pe :: pe] += logp
+                pe *= p
+        # a block's start is <= each of its d, which only admits more candidates
+        floor = np.log(np.arange(lo, lo + len(acc), block, dtype=np.float64)) - 0.25
+        mask = (acc.reshape(-1, block) >= floor.astype(np.float32)[:, None]).ravel()[:count]
+        mask &= arith.coprime_mask(lo, hi, n)
+        offs = np.flatnonzero(mask)
+    if offs is None or len(offs) > count // 10:
+        # Above sqrt(top) a screen could ask only for a sqrt-smooth part of
+        # d / v_ub, which most d have; and once a tenth of the segment is
+        # candidates, factoring all of it by strided division is as fast.
+        q, lpf = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=prime_factor)
+        v = lpf if prime_factor else q
+        offs = np.flatnonzero(arith.coprime_mask(lo, hi, n) & (v <= v_ub))
+        v = v[offs]
+    else:
+        # Exact recheck.  Dividing out the primes <= v_ub leaves 1, or a
+        # cofactor above v_ub, as the true v then is.  Multiples of p come
+        # from a pass over the candidates or, when that reads more, by stride
+        # through the mask.
+        rem = offs + lo
+        v = np.ones_like(rem)
+        for p in primes:
+            if len(offs) <= count // p:
+                at = np.flatnonzero(rem % p == 0)
+            else:
+                first = -lo % p
+                at = np.searchsorted(offs, np.flatnonzero(mask[first::p]) * p + first)
+            pe = p
+            while len(at):
+                rem[at] //= p
+                v[at] = np.maximum(v[at], p if prime_factor else pe)
+                at = at[rem[at] % p == 0]
+                pe *= p
+        np.maximum(v, rem, out=v)
+        keep = v <= v_ub
+        offs, v = offs[keep], v[keep]
     ds = offs + lo
-    # Exact recheck.  Dividing out the primes <= bound leaves 1, one prime,
-    # or (only when bound = v_ub) a composite above v_ub, as the true v then
-    # is.  Multiples of p come from a pass over the candidates or, when that
-    # reads more, by stride through the mask.
-    rem = ds.copy()
-    v = np.ones_like(ds)
-    for p in primes:
-        if len(ds) <= count // p:
-            at = np.flatnonzero(rem % p == 0)
-        else:
-            first = -lo % p
-            at = np.searchsorted(offs, np.flatnonzero(mask[first::p]) * p + first)
-        pe = p
-        while len(at):
-            rem[at] //= p
-            v[at] = np.maximum(v[at], p if prime_factor else pe)
-            at = at[rem[at] % p == 0]
-            pe *= p
-    np.maximum(v, rem, out=v)
-    keep = v <= v_ub
-    ds, v = ds[keep], v[keep]
     return ds[threshold_le(v, ds, n, a, b, c, m)]
 
 
@@ -687,7 +697,3 @@ def report_to_dict(report: VerificationReport) -> dict:
             for c in report.checks
         ],
     }
-
-
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"

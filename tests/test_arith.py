@@ -272,6 +272,33 @@ def test_mertens_validation():
 # --- segmented kernels --------------------------------------------------------
 
 
+def brute_lpp(d):
+    return max((p**e for p, e in brute_factorize(d)), default=1)
+
+
+def test_largest_prime_power_segment_low():
+    base = arith.primes_upto(100)
+    q, lpf = arith.largest_prime_power_segment(1, 5000, base, want_prime_factor=True)
+    for d in range(1, 5000):
+        fs = brute_factorize(d)
+        assert q[d - 1] == brute_lpp(d)
+        assert lpf[d - 1] == (max(p for p, _ in fs) if fs else 1)
+
+
+def test_largest_prime_power_segment_high_window():
+    lo, hi = 10**7, 10**7 + 2048
+    base = arith.primes_upto(isqrt(hi - 1))
+    q, _ = arith.largest_prime_power_segment(lo, hi, base)
+    for off in range(0, 2048, 97):
+        assert q[off] == brute_lpp(lo + off)
+
+
+def test_largest_prime_power_segment_rejects_zero_lo():
+    base = arith.primes_upto(10)
+    with pytest.raises(ParameterError):
+        arith.largest_prime_power_segment(0, 10, base)
+
+
 def test_coprime_mask_matches_gcd():
     from math import factorial
 

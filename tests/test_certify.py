@@ -434,11 +434,13 @@ def test_qualifying_segment_near_sieve_budget():
 
 
 @pytest.mark.parametrize(
-    "n, lam_pow", [(1, Fraction(1, 3)), (1, Fraction(1)), (2, Fraction(1)), (2, Fraction(9, 4))]
+    "n, lam_pow",
+    [(1, Fraction(1, 3)), (1, Fraction(1)), (2, Fraction(1)), (2, Fraction(9, 4)), (2, Fraction(1, 4))],
 )
 def test_qualifying_segment_small_n_matches_oracle(n, lam_pow):
-    # v_ub reaches past sqrt(hi - 1): hits may carry one prime above the
-    # screened primes, which the exact recheck takes as the cofactor
+    # v_ub at or past sqrt(hi - 1): most d are candidates and the kernel
+    # factors the whole segment, except lambda**2 = 1/4 near 1e7, where the
+    # screen keeps few enough for the candidate recheck
     modes = KERNEL_MODES[2:]
     assert assert_kernel_matches_oracle(1, 5000, n, lam_pow, modes) == 2
     assert assert_kernel_matches_oracle(10**7, 10**7 + 2048, n, lam_pow, modes) == 2
