@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -467,3 +468,43 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5005"
+
+
+# --- byte-exact JSON output ---------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# (golden file stem, expected exit code, argv); "{valid}" and "{tampered}"
+# stand for certificate files written by the test.  Each golden file holds
+# the exact stdout of `degcert <argv> --format json`; when an output change
+# is intended, rewrite the file from that command and review the diff.
+GOLDEN_CASES = [
+    ("certify_5005", 0, ["certify", "--n", "3", "--d", "5005"]),
+    ("certify_4955", 2, ["certify", "--n", "3", "--d", "4955"]),
+    ("check_pass", 0, ["check", "--cert", "{valid}"]),
+    ("check_fail", 2, ["check", "--cert", "{tampered}"]),
+    ("enumerate", 0, ["enumerate", "--n", "3", "--d-max", "20000"]),
+    ("smallest", 0, ["smallest", "--n", "4"]),
+    ("dickman_u", 0, ["dickman", "--u", "2.5"]),
+    ("dickman_table", 0, ["dickman", "--table", "--u-max", "2", "--step", "0.5"]),
+    ("density_checkpoints", 0, ["density", "--n", "3", "--N", "20000", "--checkpoints", "5005,10000,20000"]),
+    ("density_lam", 0, ["density", "--n", "3", "--N", "100", "--mode", "lambda-primepower", "--lam", "10"]),
+    ("density_lam_pow", 0, ["density", "--n", "3", "--N", "20000", "--mode", "lambda-prime", "--lam-pow", "1/2"]),
+    ("ihc", 0, ["ihc", "--n", "3", "--N", "1000", "--range-lo", "100"]),
+    ("diagnostics", 0, ["diagnostics", "--n", "3", "--checkpoints", "10,100"]),
+    ("diagnostics_lam", 0, ["diagnostics", "--n", "3", "--checkpoints", "10,100", "--lam", "1"]),
+    ("verify_q_example_pass", 0, ["verify-q-example", "--d", "53599", "--qs", "7,13,19,31"]),
+    ("verify_q_example_fail", 2, ["verify-q-example", "--d", "53599", "--qs", "7,11"]),
+]
+
+
+@pytest.mark.parametrize("name,code,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_json_output_is_byte_exact(tmp_path, capsys, name, code, argv):
+    text = certify.certificate_to_json(certify.build_certificate(3, 5005))
+    files = {"{valid}": tmp_path / "valid.json", "{tampered}": tmp_path / "tampered.json"}
+    files["{valid}"].write_text(text)
+    files["{tampered}"].write_text(text.replace('"k":468', '"k":469'))
+    argv = [str(files.get(a, a)) for a in argv]
+    got_code, out, err = run(capsys, *argv, "--format", "json")
+    assert (got_code, err) == (code, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
