@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import fsum, gcd, isqrt
+from math import fsum, gcd, isqrt, log2
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,9 +65,14 @@ def integer_nth_root(x: int, n: int) -> int:
         raise ParameterError(f"integer_nth_root requires x >= 0, n >= 1; got {x}, {n}")
     if n == 1 or x < 2:
         return x
-    # Integer Newton iteration from 2**ceil(bits/n) >= x**(1/n): the iterates
-    # decrease strictly until the floor root is reached.
-    r = 1 << -(-x.bit_length() // n)
+    # Seed from log2(x), which takes any int (float(x) would overflow past
+    # 1e308), scaled a little up.  One Newton step from any r > 0 lands at or
+    # above the root (AM-GM), then the iterates decrease strictly to the floor
+    # root; a seed far above it would cost about n steps.
+    lg = log2(x) / n
+    shift = max(0, int(lg) - 52)
+    r = (int(2.0 ** (lg - shift) * (1 + 2**-30)) + 1) << shift
+    r = ((n - 1) * r + x // r ** (n - 1)) // n
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n
         if s >= r:
@@ -179,13 +184,23 @@ def prime_power_root(q: int) -> tuple[int, int] | None:
     prime power.  q >= 2 required."""
     if q < 2:
         return None
-    for e in range(q.bit_length() - 1, 0, -1):
-        r = integer_nth_root(q, e)
-        if r**e == q:
-            # r is not itself a perfect power, so q is a prime power
-            # exactly when r is prime.
-            return (r, e) if is_prime(r) else None
-    return None
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+    # Every prime factor of q now exceeds 2**5, so q = r**e needs e < bits/5.
+    # Roots by prime exponents leave an r that is no perfect power, and q is
+    # a prime power exactly when that r is prime.
+    e = 1
+    for ell in range(2, q.bit_length() // 5 + 1):
+        if not is_prime(ell):
+            continue
+        while (r := integer_nth_root(q, ell)) ** ell == q:
+            q, e = r, e * ell
+    return (q, e) if is_prime(q) else None
 
 
 def euler_phi(m: int) -> int:

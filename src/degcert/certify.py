@@ -150,6 +150,20 @@ def qualification_threshold(n: int, q: int, mode: Mode = Mode.FULL) -> int:
     return a * q**n + b * q ** (n - 1) + c
 
 
+def _show_int(x: int) -> str:
+    """x in decimal, or its bit length when Python would refuse to print it."""
+    return str(x) if x.bit_length() < 10_000 else f"<{x.bit_length()}-bit integer>"
+
+
+def _require_room_for_witness(n: int, d: int) -> None:
+    # Every witness has d >= k*n! >= (2**n + 1)*n! > 2**n: refuse d < 2**n
+    # before n! is built, which for a huge n would not finish.
+    if n >= d.bit_length():
+        raise DecompositionError(
+            f"d = {_show_int(d)} < 2^n for n = {_show_int(n)}: every witness needs d >= (2^n + 1)*n!"
+        )
+
+
 def condition_holds(n: int, d: int, mode: Mode = Mode.FULL, q: int | None = None) -> bool:
     """True iff gcd(d, n!) = 1 and the mode inequality holds for the largest
     prime power q of d.
@@ -163,6 +177,8 @@ def condition_holds(n: int, d: int, mode: Mode = Mode.FULL, q: int | None = None
         raise ParameterError(f"n must be >= 3, got {n}")
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
+    if n >= d.bit_length():  # d < 2**n < (2**n + 1)*n!, the least degree that can qualify
+        return False
     if gcd(d, factorial(n)) != 1:
         return False
     if q is None:
@@ -187,6 +203,7 @@ def decompose(n: int, d: int, q: int, mode: Mode = Mode.FULL) -> PrimePowerCerti
         raise ParameterError(f"n must be >= 3, got {n}")
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
+    _require_room_for_witness(n, d)
     root = arith.prime_power_root(q)
     if root is None:
         raise DecompositionError(f"q = {q} is not a prime power")
@@ -234,9 +251,12 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
         raise ParameterError(f"n must be >= 3, got {n}")
     if d < 2:
         raise DecompositionError(f"d = {d} has no prime power divisors")
+    _require_room_for_witness(n, d)
     fact = factorial(n)
     if gcd(d, fact) != 1:
-        raise DecompositionError(f"gcd(d, n!) != 1: gcd({d}, {fact}) = {gcd(d, fact)}")
+        raise DecompositionError(
+            f"gcd(d, n!) != 1: gcd({_show_int(d)}, {_show_int(fact)}) = {_show_int(gcd(d, fact))}"
+        )
     fi = arith.factorize(d)
     q_max = fi.largest_prime_power
     thr = qualification_threshold(n, q_max, mode)
@@ -260,15 +280,11 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     )
 
 
-def _show_int(x: int) -> str:
-    """x in decimal, or its bit length when Python would refuse to print it."""
-    return str(x) if x.bit_length() < 10_000 else f"<{x.bit_length()}-bit integer>"
-
-
-def _premise_order(premise: tuple) -> tuple:
+def _show_premises(premises: set[tuple]) -> str:
     # a file may pair one (kind, q) with and without k; None sorts first
-    kind, q, k = premise
-    return kind, q, k is not None, k or 0
+    ordered = sorted(premises, key=lambda p: (p[0], p[1], p[2] is not None, p[2] or 0))
+    shown = (f"({kind!r}, {_show_int(q)}, {k if k is None else _show_int(k)})" for kind, q, k in ordered)
+    return f"[{', '.join(shown)}]"
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:
@@ -286,12 +302,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         checks.append(CheckResult(name, context, bool(passed), detail))
 
     n, d, mode = cert.n, cert.d, cert.mode
-    add("n_ge_3", "", n >= 3, f"n = {n}")
-    add("d_positive", "", d >= 1, f"d = {d}")
+    add("n_ge_3", "", n >= 3, f"n = {_show_int(n)}")
+    add("d_positive", "", d >= 1, f"d = {_show_int(d)}")
     if n < 3 or d < 1:
         return VerificationReport(n=n, d=d, mode=mode, passed=False, checks=tuple(checks))
     if n - 1 > d.bit_length():  # an entry needs d >= k*n! >= 2**(n-1); n! is never built
-        add("nfact_le_d", "", False, f"n! >= 2^(n-1) > d for n = {n}")
+        add("nfact_le_d", "", False, f"n! >= 2^(n-1) > d for n = {_show_int(n)}")
         return VerificationReport(n=n, d=d, mode=mode, passed=False, checks=tuple(checks))
 
     fact = factorial(n)
@@ -299,51 +315,54 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     c2 = binom2(n)
     k_min = 2**n + 1
     g = gcd(d, fact)
-    add("gcd_d_nfact", "", g == 1, f"gcd(d, n!) = {g}")
+    add("gcd_d_nfact", "", g == 1, f"gcd(d, n!) = {_show_int(g)}")
+    shown_d = _show_int(d)
 
     primes_seen: list[int] = []
     q_product = 1
     for entry in cert.entries:
         q, i, j, k = entry.q, entry.i, entry.j, entry.k
-        ctx = f"q={q}"
+        shown_q, shown_k = _show_int(q), f"k = {_show_int(k)}"
+        ctx = f"q={shown_q}"
         root = arith.prime_power_root(q)
-        add("q_prime_power", ctx, root is not None, f"q = {q}")
+        add("q_prime_power", ctx, root is not None, f"q = {shown_q}")
         if root is None:
             continue
         p = root[0]
         primes_seen.append(p)
         q_product *= q
         maximal = d % q == 0 and d % (q * p) != 0
-        add("q_maximal_divisor", ctx, maximal, f"q = {q}, p = {p}, d = {d}")
+        add("q_maximal_divisor", ctx, maximal, f"q = {shown_q}, p = {_show_int(p)}, d = {shown_d}")
         if mode == Mode.FULL:
-            add("i_range", ctx, 0 <= i <= c2 - 1, f"i = {i}, range [0, {c2 - 1}]")
+            add("i_range", ctx, 0 <= i <= c2 - 1, f"i = {_show_int(i)}, range [0, {c2 - 1}]")
             j_ok = 0 <= j <= fact - c2 and j % c2 == 0
-            add("j_range", ctx, j_ok, f"j = {j}, binom(n,2) = {c2}")
+            add("j_range", ctx, j_ok, f"j = {_show_int(j)}, binom(n,2) = {c2}")
         else:
-            add("i_range", ctx, 0 <= i <= fact - 1, f"i = {i}, range [0, {_show_int(fact - 1)}]")
-            add("j_range", ctx, j == 0, f"j = {j}, must be 0 in WEAK mode")
-        add("k_lower_bound", ctx, k >= k_min, f"k = {k} < 2^n + 1 = {_show_int(k_min)}" if k < k_min else f"k = {k}")
-        add("q_divides_k", ctx, k >= 0 and k % q == 0, f"k = {k}")
+            add("i_range", ctx, 0 <= i <= fact - 1, f"i = {_show_int(i)}, range [0, {_show_int(fact - 1)}]")
+            add("j_range", ctx, j == 0, f"j = {_show_int(j)}, must be 0 in WEAK mode")
+        low = f" < 2^n + 1 = {_show_int(k_min)}" if k < k_min else ""
+        add("k_lower_bound", ctx, k >= k_min, shown_k + low)
+        add("q_divides_k", ctx, k >= 0 and k % q == 0, shown_k)
         # Additivity rule: the premise degrees must sum to d exactly.
         total = i * q**n + j * q ** (n - 1) + k * fact
-        add("sum_identity", ctx, total == d, f"i*q^n + j*q^(n-1) + k*n! = {_show_int(total)}, d = {d}")
+        add("sum_identity", ctx, total == d, f"i*q^n + j*q^(n-1) + k*n! = {_show_int(total)}, d = {shown_d}")
         add("premise_gcd_q_nfact", ctx, gcd(q, fact) == 1, f"gcd(q, n!) = {_show_int(gcd(q, fact))}")
         if j > 0:
             # implied by gcd(q, n!) = 1 and n >= 3, checked explicitly anyway
-            add("premise_q_ge_4", ctx, q >= 4, f"q = {q}")
+            add("premise_q_ge_4", ctx, q >= 4, f"q = {shown_q}")
         add("premise_gcd_q_n1fact", ctx, gcd(q, fact1) == 1, f"gcd(q, (n-1)!) = {_show_int(gcd(q, fact1))}")
 
     add(
         "entry_primes_distinct",
         "",
         len(primes_seen) == len(set(primes_seen)),
-        f"primes = {primes_seen}",
+        f"primes = [{', '.join(map(_show_int, primes_seen))}]",
     )
     add(
         "entries_cover_d",
         "",
         q_product == d and len(cert.entries) > 0,
-        f"product of entry prime powers = {_show_int(q_product)}, d = {d}",
+        f"product of entry prime powers = {_show_int(q_product)}, d = {shown_d}",
     )
 
     required: set[tuple] = set()
@@ -358,7 +377,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         "premise_ledger",
         "",
         required == present,
-        f"required {sorted(required, key=_premise_order)} vs present {sorted(present, key=_premise_order)}",
+        f"required {_show_premises(required)} vs present {_show_premises(present)}",
     )
 
     passed = all(c.passed for c in checks)

@@ -9,10 +9,13 @@ is meant for trajectory plotting elsewhere.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+
+import numpy as np
 
 from . import arith, certify, density, dickman
 from .errors import CapacityError, DecompositionError, ParameterError
@@ -78,8 +81,19 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _json_default(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _emit_json(command: str, **fields) -> None:
+    """Print one command's JSON payload: the fields plus schema_version and
+    command, key-sorted; report dataclasses are passed through asdict."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
 
 
 def _mode(text: str) -> certify.Mode:
@@ -92,15 +106,7 @@ def cmd_certify(args) -> int:
     except DecompositionError as exc:
         if args.format == "json":
             _emit_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "certify",
-                    "n": args.n,
-                    "d": args.d,
-                    "mode": args.mode.upper(),
-                    "qualifies": False,
-                    "reason": str(exc),
-                }
+                "certify", n=args.n, d=args.d, mode=args.mode.upper(), qualifies=False, reason=str(exc)
             )
         else:
             print(f"degree {args.d} does not qualify: {exc}")
@@ -111,12 +117,9 @@ def cmd_certify(args) -> int:
             fh.write(certify.certificate_to_json(cert))
     if args.format == "json":
         _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "certify",
-                "certificate": certify.certificate_to_dict(cert),
-                "verification": certify.report_to_dict(report),
-            }
+            "certify",
+            certificate=certify.certificate_to_dict(cert),
+            verification=certify.report_to_dict(report),
         )
     else:
         print(f"d = {cert.d}, n = {cert.n}, mode = {cert.mode.value}")
@@ -136,13 +139,7 @@ def cmd_check(args) -> int:
         cert = certify.certificate_from_json(fh.read())
     report = certify.verify_certificate(cert)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "check",
-                "verification": certify.report_to_dict(report),
-            }
-        )
+        _emit_json("check", verification=certify.report_to_dict(report))
     else:
         status = "PASS" if report.passed else "FAIL"
         print(f"certificate for d = {cert.d} (n = {cert.n}, {cert.mode.value}): {status}")
@@ -155,15 +152,7 @@ def cmd_enumerate(args) -> int:
     ds = certify.enumerate_qualifying(args.n, args.d_max, _mode(args.mode), threads=args.threads)
     if args.format == "json":
         _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "enumerate",
-                "n": args.n,
-                "mode": args.mode.upper(),
-                "d_max": args.d_max,
-                "count": len(ds),
-                "degrees": ds,
-            }
+            "enumerate", n=args.n, mode=args.mode.upper(), d_max=args.d_max, count=len(ds), degrees=ds
         )
     elif args.format == "csv":
         print("d")
@@ -179,15 +168,7 @@ def cmd_enumerate(args) -> int:
 def cmd_smallest(args) -> int:
     d = certify.smallest_qualifying(args.n, _mode(args.mode), threads=args.threads, budget=args.budget)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "smallest",
-                "n": args.n,
-                "mode": args.mode.upper(),
-                "d": d,
-            }
-        )
+        _emit_json("smallest", n=args.n, mode=args.mode.upper(), d=d)
     else:
         print(d)
     return EXIT_OK
@@ -204,16 +185,7 @@ def cmd_dickman(args) -> int:
                 if args.out:
                     out.close()
         elif args.format == "json":
-            _emit_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "command": "dickman",
-                    "u_max": table.u_max,
-                    "step": table.step,
-                    "abs_error_bound": table.abs_error_bound,
-                    "values": [float(v) for v in table.values],
-                }
-            )
+            _emit_json("dickman", **dataclasses.asdict(table))
         else:
             for idx, v in enumerate(table.values):
                 print(f"{idx * table.step:.6f} {v!r}")
@@ -222,15 +194,7 @@ def cmd_dickman(args) -> int:
         raise ParameterError("dickman needs --u or --table")
     value = dickman.rho(args.u, args.tol)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "dickman",
-                "u": args.u,
-                "tol": args.tol,
-                "rho": value,
-            }
-        )
+        _emit_json("dickman", u=args.u, tol=args.tol, rho=value)
     else:
         print(repr(value))
     return EXIT_OK
@@ -253,22 +217,9 @@ def cmd_density(args) -> int:
         args.n, args.N, mode, lam=lam, lam_pow=lam_pow, checkpoints=cps, threads=args.threads
     )
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "density",
-                "n": report.n,
-                "N": report.N,
-                "mode": report.mode.value,
-                "lambda": str(report.lam) if report.lam is not None else None,
-                "lambda_pow": str(report.lam_pow) if report.lam_pow is not None else None,
-                "count": report.count,
-                "empirical": report.empirical,
-                "theoretical": report.theoretical,
-                "theoretical_is_heuristic": report.theoretical_is_heuristic,
-                "samples": [[m, c] for m, c in report.samples] if report.samples else None,
-            }
-        )
+        fields = dataclasses.asdict(report)
+        fields["lambda"], fields["lambda_pow"] = fields.pop("lam"), fields.pop("lam_pow")
+        _emit_json("density", **fields)
     elif args.format == "csv":
         print("m,count,empirical,theoretical")
         rows = report.samples or ((report.N, report.count),)
@@ -288,17 +239,7 @@ def cmd_density(args) -> int:
 def cmd_ihc(args) -> int:
     report = density.ihc_fraction(args.n, args.N, args.range_lo, threads=args.threads)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "ihc",
-                "n": report.n,
-                "N": report.N,
-                "range_lo": report.range_lo,
-                "count": report.count,
-                "fraction": report.fraction,
-            }
-        )
+        _emit_json("ihc", **dataclasses.asdict(report))
     else:
         print(f"count = {report.count} in [{report.range_lo}, {report.N}]")
         print(f"fraction = {report.fraction!r}")
@@ -311,24 +252,7 @@ def cmd_diagnostics(args) -> int:
         args.n, _parse_int_list(args.checkpoints), lam=lam, threads=args.threads
     )
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "diagnostics",
-                "n": args.n,
-                "rows": [
-                    {
-                        "m": r.m,
-                        "prime_power_ratio": r.prime_power_ratio,
-                        "mertens": r.mertens,
-                        "tail_small": r.tail_small,
-                        "tail_large": r.tail_large,
-                        "ratio_bound": r.ratio_bound,
-                    }
-                    for r in rows
-                ],
-            }
-        )
+        _emit_json("diagnostics", n=args.n, rows=[dataclasses.asdict(r) for r in rows])
     elif args.format == "csv":
         print("m,prime_power_ratio,mertens,tail_small,tail_large,ratio_bound")
         for r in rows:
@@ -349,30 +273,7 @@ def cmd_verify_q_example(args) -> int:
     qs = _parse_int_list(args.qs) if args.qs else [p for p, _ in arith.factorize(args.d).factors]
     report = certify.verify_rational_example(args.d, qs)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "verify-q-example",
-                "d": report.d,
-                "passed": report.passed,
-                "covers_prime_divisors": report.covers_prime_divisors,
-                "checks": [
-                    {
-                        "q": c.q,
-                        "k": c.k,
-                        "q_is_prime": c.q_is_prime,
-                        "q_mod_6_is_1": c.q_mod_6_is_1,
-                        "cube_not_above_d": c.cube_not_above_d,
-                        "difference_divisible_by_6": c.difference_divisible_by_6,
-                        "q_divides_k": c.q_divides_k,
-                        "k_ge_38": c.k_ge_38,
-                        "near_miss_k": c.near_miss_k,
-                        "passed": c.passed,
-                    }
-                    for c in report.checks
-                ],
-            }
-        )
+        _emit_json("verify-q-example", **dataclasses.asdict(report))
     else:
         print(f"d = {report.d}: {'PASS' if report.passed else 'FAIL'}")
         if not report.covers_prime_divisors:

@@ -48,9 +48,6 @@ class DickmanTable:
     values: np.ndarray
     abs_error_bound: float
 
-    def grid(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.step
-
     def write_csv(self, fileobj: IO[str]) -> None:
         writer = csv.writer(fileobj)
         writer.writerow(["u", "rho", "error_bound"])

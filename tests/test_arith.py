@@ -126,6 +126,45 @@ def test_prime_power_root():
     assert arith.prime_power_root(2**62) == (2, 62)
 
 
+def _oracle_prime_power_root(q):
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def test_prime_power_root_against_trial_division():
+    for q in range(2, 5000):
+        assert arith.prime_power_root(q) == _oracle_prime_power_root(q), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 53, 59, 61, 1009, 65537, 10**9 + 7, 2**61 - 1]),
+    st.integers(min_value=1, max_value=100),
+    st.sampled_from([1, 59, 61 * 67, 2**61 - 1]),
+)
+def test_prime_power_root_of_large_powers(p, e, cofactor):
+    expected = (p, e) if cofactor == 1 else (p, e + 1) if cofactor == p else None
+    assert arith.prime_power_root(p**e * cofactor) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**20000), st.integers(min_value=1, max_value=5000))
+def test_integer_nth_root_large_exponents(x, n):
+    r = arith.integer_nth_root(x, n)
+    assert r**n <= x < (r + 1) ** n
+
+
+def test_prime_power_root_of_huge_integers():
+    assert arith.prime_power_root(10**5000 + 1) is None  # 17 divides it
+    assert arith.prime_power_root(5**5000) == (5, 5000)
+    assert arith.prime_power_root((59 * 61) ** 1000) is None
+    assert arith.prime_power_root(59**1000) == (59, 1000)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**18), st.integers(min_value=1, max_value=20))
 def test_integer_nth_root(x, n):

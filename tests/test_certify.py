@@ -171,6 +171,31 @@ def test_build_rejects_too_small():
         certify.build_certificate(3, 35)
 
 
+def test_huge_n_fails_before_building_n_factorial():
+    # n! for n = 10**6 takes seconds; every witness needs d > 2**n anyway
+    n = 10**6
+    assert not certify.condition_holds(n, 5005)
+    with pytest.raises(DecompositionError, match="2\\^n"):
+        certify.build_certificate(n, 5005)
+    with pytest.raises(DecompositionError, match="2\\^n"):
+        certify.decompose(n, 5005, 5)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_no_degree_below_two_to_the_n_qualifies(n):
+    fact = factorial(n)
+    for d in range(1, 2**n):
+        assert not certify.condition_holds(n, d)
+        assert not certify.condition_holds(n, d, Mode.WEAK)
+    assert (2**n + 1) * fact > 2**n  # the least degree any witness allows
+
+
+def test_build_certificate_reports_huge_gcd():
+    # gcd(d, n!) and n! both have more digits than Python prints
+    with pytest.raises(DecompositionError, match="-bit integer"):
+        certify.build_certificate(2000, 2**3000)
+
+
 def test_build_with_square_factor():
     # q = 125 enters as a maximal prime power with exponent 3
     d = 5**3 * 7 * 11 * 13 * 37
@@ -256,6 +281,29 @@ def test_verify_reports_huge_details_for_large_n():
     for n in (10**8, 10**300):
         report = certify.verify_certificate(dataclasses.replace(weak, n=n))
         assert _failing(report, "nfact_le_d")
+
+
+def test_verify_reports_huge_d_and_q():
+    # d = 10**5000 and q = 10**5000 + 1 have more digits than Python prints
+    huge_d = certify.Certificate(
+        n=3,
+        d=10**5000,
+        mode=Mode.FULL,
+        entries=(certify.PrimePowerCertificate(q=5**5000, i=1, j=3, k=10**5000, mode=Mode.FULL),),
+        premises=(certify.Premise(kind=certify.PREMISE_ABELIAN_FACTORIAL, q=5**5000, k=10**5000),),
+    )
+    huge_q = certify.Certificate(
+        n=3,
+        d=5005,
+        mode=Mode.FULL,
+        entries=(certify.PrimePowerCertificate(q=10**5000 + 1, i=0, j=0, k=0, mode=Mode.FULL),),
+        premises=(),
+    )
+    for cert in (huge_d, huge_q):
+        report = certify.verify_certificate(cert)
+        assert not report.passed
+        assert any("-bit integer" in c.detail for c in report.checks)
+    assert _failing(certify.verify_certificate(huge_q), "q_prime_power")
 
 
 def _mutants(cert):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,14 @@ def test_certify_large_prime_factor_exit2(capsys):
     code, out, _ = run(capsys, "certify", "--n", "3", "--d", "4955")
     assert code == 2
     assert "991" in out  # 4955 = 5 * 991; the inequality fails for q = 991
+
+
+def test_certify_huge_n_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "--n", "100000000", "--d", "5005")
+    assert code == 2
+    assert "2^n" in out
+    assert time.perf_counter() - start < 5
 
 
 def test_certify_json_failure_payload(capsys):
