@@ -181,15 +181,6 @@ def test_huge_n_fails_before_building_n_factorial():
         certify.decompose(n, 5005, 5)
 
 
-@pytest.mark.parametrize("n", range(3, 13))
-def test_no_degree_below_two_to_the_n_qualifies(n):
-    fact = factorial(n)
-    for d in range(1, 2**n):
-        assert not certify.condition_holds(n, d)
-        assert not certify.condition_holds(n, d, Mode.WEAK)
-    assert (2**n + 1) * fact > 2**n  # the least degree any witness allows
-
-
 def test_build_certificate_reports_huge_gcd():
     # gcd(d, n!) and n! both have more digits than Python prints
     with pytest.raises(DecompositionError, match="-bit integer"):
