@@ -3,8 +3,11 @@
 Deterministic factorization, exact integer roots, largest prime powers
 (scalar, and bulk segmented for segments where certify's log-sum screen
 would keep most d), prime and prime-power counting, reproducible
-compensated reciprocal-prime sums, and the segments and coprimality mask
-of that screen.
+compensated reciprocal-prime sums, and the coprimality mask of that screen.
+
+Every segmented sieve in the package runs through one function, map_sieve:
+it alone holds a sieve range to SIEVE_BUDGET, builds the base primes, cuts
+the range into segments and maps a per-segment function over them in order.
 
 All integer arithmetic uses Python's arbitrary-precision integers, so
 intermediate products such as q**n can never wrap.  Vectorized kernels work
@@ -216,9 +219,9 @@ def euler_phi(m: int) -> int:
 # ---------------------------------------------------------------------------
 # Segmented sieves.
 #
-# Every segmented operation splits [lo, hi) at absolute multiples of
-# SEGMENT_SIZE and merges per-segment results in segment order, so the
-# output is independent of thread count and scheduling.
+# map_sieve splits [lo, hi) at absolute multiples of SEGMENT_SIZE and
+# returns the per-segment results in segment order, so the output is
+# independent of thread count and scheduling.
 # ---------------------------------------------------------------------------
 
 
@@ -236,25 +239,29 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.flatnonzero(sieve).astype(np.int64)
 
 
-def _segment_ranges(lo: int, hi: int) -> list[tuple[int, int]]:
-    """Split [lo, hi) at absolute SEGMENT_SIZE boundaries."""
-    out = []
-    k = lo // SEGMENT_SIZE
-    while k * SEGMENT_SIZE < hi:
-        s = max(lo, k * SEGMENT_SIZE)
-        e = min(hi, (k + 1) * SEGMENT_SIZE)
-        if s < e:
-            out.append((s, e))
-        k += 1
-    return out
-
-
 def _map_segments(fn: Callable, ranges: Sequence[tuple[int, int]], threads: int) -> list:
     """Apply fn to each (lo, hi) range, preserving range order in the result."""
     if threads <= 1 or len(ranges) <= 1:
         return [fn(r) for r in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, ranges))
+
+
+def map_sieve(lo: int, hi: int, fn: Callable, threads: int = 1) -> list:
+    """[fn(seg_lo, seg_hi, base) for each segment of [lo, hi)], in order.
+
+    The segments cut [lo, hi), lo >= 1, at absolute multiples of
+    SEGMENT_SIZE, and base holds the primes up to sqrt(hi - 1).  A range
+    reaching past SIEVE_BUDGET is refused even when it is empty.
+    """
+    if hi - 1 > SIEVE_BUDGET:
+        raise CapacityError(f"sieve bound {hi - 1} exceeds budget {SIEVE_BUDGET}")
+    if hi <= lo:
+        return []
+    base = primes_upto(isqrt(hi - 1))
+    starts = range(lo - lo % SEGMENT_SIZE, hi, SEGMENT_SIZE)
+    ranges = [(max(lo, s), min(hi, s + SEGMENT_SIZE)) for s in starts]
+    return _map_segments(lambda r: fn(r[0], r[1], base), ranges, threads)
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
@@ -276,14 +283,7 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
 
 def prime_count(x: int, threads: int = 1) -> int:
     """pi(x): the number of primes <= x, by segmented sieve."""
-    if x < 2:
-        return 0
-    if x > SIEVE_BUDGET:
-        raise CapacityError(f"prime_count bound {x} exceeds budget {SIEVE_BUDGET}")
-    base = primes_upto(isqrt(x))
-    ranges = _segment_ranges(2, x + 1)
-    counts = _map_segments(lambda r: len(sieve_segment(r[0], r[1], base)), ranges, threads)
-    return int(sum(counts))
+    return sum(map_sieve(2, x + 1, lambda lo, hi, base: len(sieve_segment(lo, hi, base)), threads))
 
 
 def prime_power_count(m: int, threads: int = 1) -> int:
@@ -317,20 +317,16 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
         raise ParameterError(f"mertens_sum requires x >= 2, got {x}")
     if n < 1:
         raise ParameterError(f"mertens_sum requires n >= 1, got {n}")
-    if x > SIEVE_BUDGET:
-        raise CapacityError(f"mertens_sum bound {x} exceeds budget {SIEVE_BUDGET}")
     lo_excl = integer_nth_root(x, n)
-    base = primes_upto(isqrt(x))
 
-    def work(r: tuple[int, int]) -> tuple[float, int]:
-        ps = sieve_segment(r[0], r[1], base)
-        ps = ps[(ps > lo_excl) & (ps <= x)]
+    def work(lo: int, hi: int, base: np.ndarray) -> tuple[float, int]:
+        ps = sieve_segment(lo, hi, base)
+        ps = ps[ps > lo_excl]
         if len(ps) == 0:
             return 0.0, 0
         return fsum((1.0 / ps).tolist()), len(ps)
 
-    ranges = _segment_ranges(max(2, lo_excl), x + 1)
-    parts = _map_segments(work, ranges, threads)
+    parts = map_sieve(max(2, lo_excl), x + 1, work, threads)
     total = fsum(p[0] for p in parts)
     count = sum(p[1] for p in parts)
     return PrimeSumResult(x=x, n=n, sum=total, prime_count=count)

@@ -140,6 +140,17 @@ def threshold_coefficients(n: int, mode: Mode = Mode.FULL) -> tuple[int, int, in
     return fact - 1, 0, c
 
 
+def threshold_coefficients_upto(n: int, bound: int, mode: Mode = Mode.FULL) -> tuple[int, int, int]:
+    """threshold_coefficients(n, mode), or (1, 0, bound + 1) when bound < 2**n.
+
+    Both inequalities fail for every d <= bound < 2**n < (2**n + 1) * n!, and
+    the second needs no n!, which for a huge n would take seconds to build.
+    """
+    if n >= 3 and n >= bound.bit_length():
+        return 1, 0, bound + 1
+    return threshold_coefficients(n, mode)
+
+
 def qualification_threshold(n: int, q: int, mode: Mode = Mode.FULL) -> int:
     """Right-hand side of the qualification inequality for a given q.
 
@@ -491,14 +502,9 @@ def scan_qualifying(
     n: int, lo: int, hi: int, mode: Mode = Mode.FULL, threads: int = 1
 ) -> list[np.ndarray]:
     """Per-segment arrays of qualifying degrees in [lo, hi), ascending."""
-    a, b, c = threshold_coefficients(n, mode)
-    if hi - 1 > arith.SIEVE_BUDGET:
-        raise CapacityError(f"scan bound {hi - 1} exceeds budget {arith.SIEVE_BUDGET}")
-    base = arith.primes_upto(max(2, isqrt(max(hi - 1, 0))))
-    return arith._map_segments(
-        lambda r: qualifying_segment(r[0], r[1], base, n, a, b, c),
-        arith._segment_ranges(max(lo, 1), hi),
-        threads,
+    a, b, c = threshold_coefficients_upto(n, hi - 1, mode)
+    return arith.map_sieve(
+        max(lo, 1), hi, lambda s, e, base: qualifying_segment(s, e, base, n, a, b, c), threads
     )
 
 
@@ -509,7 +515,7 @@ def enumerate_qualifying(
 
     Nothing below (2**n + 1) * n! can qualify, so scanning starts there.
     """
-    start = threshold_coefficients(n, mode)[2]
+    start = threshold_coefficients_upto(n, d_max, mode)[2]
     if d_max < start:
         return []
     parts = scan_qualifying(n, start, d_max + 1, mode, threads)
@@ -528,19 +534,21 @@ def smallest_qualifying(
     """Minimal qualifying degree for (n, mode), by windowed ascending sieve.
 
     The search begins at the forced lower bound (2**n + 1) * n! and doubles
-    its window until a hit; a CapacityError reports the searched bound when
-    the budget is exhausted (the answer grows rapidly with n).
+    its window, up to one segment per thread, until a hit; a CapacityError
+    reports the searched bound when the budget is exhausted (the answer
+    grows rapidly with n).
     """
-    lo = threshold_coefficients(n, mode)[2]
     cap = budget if budget is not None else arith.SIEVE_BUDGET
-    width = max(1 << 16, lo)
+    lo = threshold_coefficients_upto(n, cap, mode)[2]
+    widest = threads * arith.SEGMENT_SIZE
+    width = min(max(1 << 16, lo), widest)
     while lo <= cap:
         hi = min(lo + width, cap + 1)
         for arr in scan_qualifying(n, lo, hi, mode, threads):
             if len(arr):
                 return int(arr[0])
         lo = hi
-        width *= 2
+        width = min(2 * width, widest)
     raise CapacityError(
         f"no qualifying degree found for n = {n}, mode = {mode.value} up to budget {cap}"
     )

@@ -121,7 +121,6 @@ def empirical_density(
     lam_pow: Fraction | None = None,
     checkpoints: Sequence[int] | None = None,
     threads: int = 1,
-    tol: float = 1e-9,
 ) -> DensityReport:
     """Exact count of qualifying d <= N (all modes also require
     gcd(d, n!) = 1), with optional cumulative checkpoints."""
@@ -129,33 +128,30 @@ def empirical_density(
         raise ParameterError(f"n must be >= 1, got {n}")
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    if N > arith.SIEVE_BUDGET:
-        raise CapacityError(f"N = {N} exceeds sieve budget {arith.SIEVE_BUDGET}")
     cps = list(checkpoints) if checkpoints is not None else []
     if any(not 1 <= m <= N for m in cps) or cps != sorted(cps):
         raise ParameterError(f"checkpoints must be ascending within [1, {N}]")
 
     if mode in (DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK):
         cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
-        a, b, c = certify.threshold_coefficients(n, cmode)
-        m, lo = 1, c  # nothing below c qualifies
+        a, b, c = certify.threshold_coefficients_upto(n, N, cmode)
+        m, start = 1, c  # nothing below c qualifies
         lam_val = lam_pow_val = None
     else:
         lam_val, lam_pow_val = _resolve_lambda(n, lam, lam_pow)
         # v <= lam * d**(1/n)  <=>  den * v**n <= num * d, for lam**n = num/den
-        a, b, c, m, lo = lam_pow_val.denominator, 0, 0, lam_pow_val.numerator, 1
-    base = arith.primes_upto(max(2, isqrt(N)))
+        a, b, c, m, start = lam_pow_val.denominator, 0, 0, lam_pow_val.numerator, 1
     prime_factor = mode == DensityMode.LAMBDA_PRIME
 
-    def work(r: tuple[int, int]) -> tuple[int, list[int]]:
-        hits = certify.qualifying_segment(r[0], r[1], base, n, a, b, c, m, prime_factor)
+    def work(lo: int, hi: int, base: np.ndarray) -> tuple[int, list[int]]:
+        hits = certify.qualifying_segment(lo, hi, base, n, a, b, c, m, prime_factor)
         return len(hits), _checkpoint_counts(hits, cps)
 
-    parts = arith._map_segments(work, arith._segment_ranges(lo, N + 1), threads)
+    parts = arith.map_sieve(start, N + 1, work, threads)
     count = sum(p[0] for p in parts)
     cp_counts = [sum(p[1][t] for p in parts) for t in range(len(cps))]
 
-    theoretical = theoretical_density(n, tol) if n <= 10 else None
+    theoretical = theoretical_density(n) if n <= 10 else None
     return DensityReport(
         n=n,
         N=N,
@@ -170,23 +166,6 @@ def empirical_density(
     )
 
 
-def _ihc_primes(n: int, N: int) -> list[tuple[int, int]]:
-    """(p, threshold) for primes p > n whose qualification threshold fits below N."""
-    a, _, c = certify.threshold_coefficients(n)
-    if N <= c:
-        return []
-    p_max = arith.integer_nth_root((N - c) // a, n)
-    out = []
-    for p in arith.primes_upto(max(2, p_max)):
-        p = int(p)
-        if p <= n:
-            continue
-        thr = certify.qualification_threshold(n, p, certify.Mode.FULL)
-        if thr <= N:
-            out.append((p, thr))
-    return out
-
-
 def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcReport:
     """Count d in [range_lo, N] with a prime divisor p, gcd(p, n!) = 1,
     whose qualification threshold is at most d.
@@ -198,22 +177,22 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
         raise ParameterError(f"n must be >= 3, got {n}")
     if not 1 <= range_lo <= N:
         raise ParameterError(f"need 1 <= range_lo <= N, got {range_lo}, {N}")
-    if N > arith.SIEVE_BUDGET:
-        raise CapacityError(f"N = {N} exceeds sieve budget {arith.SIEVE_BUDGET}")
-    pts = _ihc_primes(n, N)
+    a, b, c = certify.threshold_coefficients_upto(n, N)
 
-    def work(r: tuple[int, int]) -> int:
-        lo, hi = r
+    def work(lo: int, hi: int, base: np.ndarray) -> int:
+        # a threshold below hi needs p**3 < hi, so base holds every such p
         marks = np.zeros(hi - lo, dtype=bool)
-        for p, thr in pts:
-            start = max(lo, thr)
-            first = ((start + p - 1) // p) * p
-            if first < hi:
+        for p in map(int, base):
+            thr = a * p**n + b * p ** (n - 1) + c  # grows with p
+            if thr >= hi:
+                break
+            first = -(-max(lo, thr) // p) * p
+            if p > n and first < hi:
                 marks[first - lo :: p] = True
         return int(np.count_nonzero(marks))
 
-    parts = arith._map_segments(work, arith._segment_ranges(range_lo, N + 1), threads)
-    count = sum(parts)
+    # every threshold exceeds c, so no d below c is counted
+    count = sum(arith.map_sieve(max(range_lo, c), N + 1, work, threads))
     return IhcReport(n=n, N=N, range_lo=range_lo, count=count, fraction=count / (N - range_lo + 1))
 
 

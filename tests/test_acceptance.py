@@ -211,8 +211,9 @@ def test_criterion_08_density_trajectory():
     # Desk-scale reality: at N = 1e8 the empirical density is a factor 3.79
     # below the asymptotic target (2.98 at 1e9, 2.53 at the 1e10 budget cap;
     # the coprimality-within-friable bias decays like 1/log of the
-    # smoothness bound, crossing factor 2 only past ~1e11.5).  The clause is
-    # asserted as stated and fails honestly; see the decisions ledger.
+    # smoothness bound; exact counts still give a factor 2.25 at 1e11 and
+    # 2.05 at 1e12).  The clause is asserted as stated and fails honestly;
+    # see the decisions ledger.
     assert within_factor_2, (
         f"empirical/theoretical = {final_ratio:.3f} at N = 1e8; still 2.53 at the "
         f"1e10 sieve budget cap, so factor-2 agreement is unreachable in budget"

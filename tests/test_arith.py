@@ -308,6 +308,27 @@ def test_mertens_validation():
         arith.mertens_sum(arith.SIEVE_BUDGET + 1, 3)
 
 
+def test_map_sieve_cuts_at_absolute_segment_multiples():
+    size = arith.SEGMENT_SIZE
+    lo, hi = size - 5, 2 * size + 7
+    base = arith.primes_upto(isqrt(hi - 1))
+    for threads in (1, 2):
+        seen = arith.map_sieve(lo, hi, lambda s, e, b: (s, e, b), threads)
+        assert [(s, e) for s, e, _ in seen] == [(lo, size), (size, 2 * size), (2 * size, hi)]
+        assert all(np.array_equal(b, base) for _, _, b in seen)
+
+
+def test_map_sieve_refuses_past_budget_even_when_empty():
+    def never(lo, hi, base):
+        raise AssertionError("no segment expected")
+
+    budget = arith.SIEVE_BUDGET
+    assert arith.map_sieve(budget + 1, budget + 1, never) == []
+    assert arith.map_sieve(10, 5, never) == []
+    with pytest.raises(CapacityError, match=f"^sieve bound {budget + 1} exceeds budget {budget}$"):
+        arith.map_sieve(budget + 2, budget + 2, never)
+
+
 # --- segmented kernels --------------------------------------------------------
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degcert import arith, certify
+from degcert import arith, certify, density
 from degcert.certify import Mode
+from degcert.density import DensityMode
 from degcert.errors import CapacityError, DecompositionError, ParameterError
 
 
@@ -179,6 +180,49 @@ def test_huge_n_fails_before_building_n_factorial():
         certify.build_certificate(n, 5005)
     with pytest.raises(DecompositionError, match="2\\^n"):
         certify.decompose(n, 5005, 5)
+
+
+# the certificate modes with the density modes that count the same degrees
+PROP16 = ((Mode.FULL, DensityMode.PROP16_FULL), (Mode.WEAK, DensityMode.PROP16_WEAK))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_no_degree_below_two_to_the_n_qualifies(n):
+    fact = factorial(n)
+    for d in range(1, 2**n):
+        assert not certify.condition_holds(n, d)
+        assert not certify.condition_holds(n, d, Mode.WEAK)
+    assert (2**n + 1) * fact > 2**n  # the least degree any witness allows
+    # the sieve entry points agree on the bound 2**n - 1
+    bound = 2**n - 1
+    for mode, dmode in PROP16:
+        assert certify.enumerate_qualifying(n, bound, mode) == []
+        with pytest.raises(CapacityError, match="budget"):
+            certify.smallest_qualifying(n, mode, budget=bound)
+        assert density.empirical_density(n, bound, dmode).count == 0
+    assert density.ihc_fraction(n, bound).count == 0
+
+
+def test_sieve_entry_points_answer_huge_n_without_n_factorial(monkeypatch):
+    # n! for n = 300000 takes seconds; every qualifying degree exceeds 2**n
+    def no_factorial(m):
+        raise AssertionError(f"built {m}!")
+
+    monkeypatch.setattr(certify, "factorial", no_factorial)
+    n = 300000
+    assert [len(arr) for arr in certify.scan_qualifying(n, 1, 10**7)] == [0, 0, 0]
+    assert certify.enumerate_qualifying(n, 10**6) == []
+    with pytest.raises(CapacityError, match="budget 10000000000"):
+        certify.smallest_qualifying(n)
+    for _, dmode in PROP16:
+        report = density.empirical_density(n, 10**6, dmode, checkpoints=[10**5])
+        assert report.count == 0 and report.samples == ((10**5, 0),)
+    assert density.ihc_fraction(n, 10**6).count == 0
+    # the budget still holds, and is checked before n! could be built
+    with pytest.raises(CapacityError, match="sieve bound 20000000000 exceeds budget"):
+        density.empirical_density(n, 2 * 10**10, DensityMode.PROP16_FULL)
+    with pytest.raises(CapacityError, match="sieve bound 20000000000 exceeds budget"):
+        density.ihc_fraction(n, 2 * 10**10)
 
 
 def test_build_certificate_reports_huge_gcd():
@@ -391,6 +435,22 @@ def test_smallest_n4_frozen():
 def test_smallest_capacity():
     with pytest.raises(CapacityError, match="budget"):
         certify.smallest_qualifying(3, budget=4000)
+
+
+def test_smallest_window_stays_within_one_segment_per_thread(monkeypatch):
+    windows = []
+    scan = certify.scan_qualifying
+
+    def recording(n, lo, hi, mode, threads):
+        windows.append((lo, hi))
+        return scan(n, lo, hi, mode, threads)
+
+    monkeypatch.setattr(certify, "scan_qualifying", recording)
+    with pytest.raises(CapacityError):
+        certify.smallest_qualifying(5, threads=1, budget=3 * 10**7)
+    assert windows[0][0] == 33 * 120 and windows[-1][1] == 3 * 10**7 + 1
+    assert all(w[1] == v[0] for w, v in zip(windows, windows[1:]))  # contiguous
+    assert all(hi - lo <= arith.SEGMENT_SIZE for lo, hi in windows)
 
 
 # --- the qualifying-degree segment kernel against a scalar oracle -------------

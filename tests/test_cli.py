@@ -233,6 +233,32 @@ def test_smallest_budget_capacity_exit3(capsys):
     assert "capacity" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (("enumerate", "--n", "300000", "--d-max", "100"), 0, "0 qualifying degrees <= 100"),
+        (("smallest", "--n", "300000"), 3, "capacity error"),
+        (("density", "--n", "300000", "--N", "1000000"), 0, "count = 0 of N = 1000000"),
+        (("ihc", "--n", "300000", "--N", "1000000"), 0, "count = 0 in [1, 1000000]"),
+        (("density", "--n", "300000", "--N", "20000000000"), 3, "capacity error"),
+    ],
+)
+def test_sieve_commands_answer_huge_n_at_once(capsys, argv, code, shown):
+    # every qualifying degree exceeds 2^n, so no command needs 300000!
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert got == code and shown in out + err
+    assert elapsed < 0.5
+
+
+def test_density_checks_lambda_before_the_sieve_budget(capsys):
+    # a malformed request is a usage error even when N is also over budget
+    code, _, err = run(capsys, "density", "--n", "3", "--N", "20000000000", "--mode", "lambda-prime")
+    assert code == 1
+    assert "lam" in err
+
+
 # --- dickman --------------------------------------------------------------------
 
 

@@ -252,6 +252,24 @@ def test_ihc_validation():
         ihc_fraction(3, arith.SIEVE_BUDGET + 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda over: arith.prime_count(over),
+        lambda over: arith.mertens_sum(over, 3),
+        lambda over: certify.scan_qualifying(3, 1, over + 1),
+        lambda over: empirical_density(3, over, DensityMode.PROP16_FULL),
+        lambda over: empirical_density(3, over, DensityMode.LAMBDA_PRIME, lam=Fraction(1)),
+        lambda over: ihc_fraction(3, over),
+    ],
+)
+def test_sieve_entry_points_share_one_budget_message(call):
+    over = arith.SIEVE_BUDGET + 1
+    with pytest.raises(CapacityError) as exc:
+        call(over)
+    assert str(exc.value) == f"sieve bound {over} exceeds budget {arith.SIEVE_BUDGET}"
+
+
 # --- diagnostics ----------------------------------------------------------------
 
 
