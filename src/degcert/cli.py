@@ -135,8 +135,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.cert) as fh:
-        cert = certify.certificate_from_json(fh.read())
+    try:
+        with open(args.cert, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"certificate file is not UTF-8: {exc}") from None
+    cert = certify.certificate_from_json(text)
     report = certify.verify_certificate(cert)
     if args.format == "json":
         _emit_json("check", verification=certify.report_to_dict(report))

@@ -4,20 +4,20 @@ rho is defined by rho(u) = 1 on [0, 1] and u * rho'(u) = -rho(u - 1) for
 u > 1; rho(u) is the asymptotic density of integers whose largest prime
 factor is at most the u-th root of the integer.
 
-Instead of integrating the delay ODE directly (which subtracts nearly equal
-quantities and destroys relative accuracy once rho is tiny), the solver uses
-the equivalent window identity
+On each piece (k, k+1], k = 1..49, rho(k + 1 - s) = sum_i c_i s^i for s in
+[0, 1) (van de Lune & Wattel, Math. Comp. 23 (1969); Marsaglia, Zaman &
+Marsaglia, Math. Comp. 53 (1989)).  With d the coefficients of piece k - 1
+(d = [1] for rho = 1 on [0, 1]), the delay equation gives
+c_{i+1} = (d_i + i * c_i) / ((k + 1) * (i + 1)), and the window identity
+u * rho(u) = integral over [u-1, u] of rho at u = k + 1 gives
+c_0 = (1/k) * sum_{i>=1} c_i / (i + 1).  Every coefficient and every Horner
+step at s >= 0 is a sum of non-negative terms, so nothing cancels and the
+relative error stays near rounding down to rho(50) ~ 7e-97.  Each piece's
+continuation is singular at s = 2 at the nearest, so the terms fall like
+2^-i and 64 of them reach double precision.
 
-    u * rho(u) = integral over [u-1, u] of rho(t) dt,
-
-whose right side is an average of positive values.  On a grid of spacing
-1/K the identity becomes an implicit composite trapezoid rule, solved point
-by point; every operation is a positive accumulation, so positivity and
-strict decrease survive down to rho(50) ~ 1e-97.  The kinks of rho at
-integer arguments always fall on grid nodes (the grid spacing divides 1),
-so the trapezoid error keeps a clean h^2 expansion and one Richardson step
-upgrades the scheme to O(h^4).  Step control halves the grid until two
-successive extrapolations agree within the requested tolerance.
+_solve_grid, a window-identity trapezoid solver, is an independent
+reference that the tests compare against; nothing else calls it.
 """
 
 from __future__ import annotations
@@ -25,18 +25,23 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial
+from functools import cache
+from math import ceil, factorial, fsum, isfinite
 from typing import IO
 
 import numpy as np
 
 from .arith import euler_phi
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 
 U_MAX_SUPPORTED = 50.0
 TOL_MIN = 1e-12
-_K_INITIAL = 64
-_K_LIMIT = 1 << 17
+# |rho(u) - true rho(u)| on [0, U_MAX_SUPPORTED]; tests/test_dickman.py checks
+# this as a relative error against a 40-digit run of the recurrence.
+ABS_ERROR_BOUND = 1e-14
+# At most this many table nodes: u_max = 50 at step 2**-16 fits.
+TABLE_NODES_MAX = 1 << 22
+_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -77,30 +82,28 @@ def _solve_grid(u_top: int, K: int) -> np.ndarray:
     return vals
 
 
-def _extrapolated_grid(u_top: int, tol: float, k_base: int) -> tuple[np.ndarray, int, float]:
-    """Richardson-extrapolated solution with measured step-halving error.
+@cache
+def _pieces() -> tuple[tuple[float, ...], ...]:
+    """Coefficients c_0..c_63 of pieces k = 1..49; entry k - 1 is piece k."""
+    pieces = []
+    d = (1.0,) + (0.0,) * (_TERMS - 1)
+    for k in range(1, int(U_MAX_SUPPORTED)):
+        c = [0.0] * _TERMS
+        for i in range(_TERMS - 1):
+            c[i + 1] = (d[i] + i * c[i]) / ((k + 1) * (i + 1))
+        c[0] = fsum(c[i] / (i + 1) for i in range(1, _TERMS)) / k
+        d = tuple(c)
+        pieces.append(d)
+    return tuple(pieces)
 
-    Returns (values on grid of spacing 1/k_fine, k_fine, error_estimate)
-    where error_estimate is the max abs change of the extrapolated values
-    under the last halving; iteration stops once it is <= tol/2.
-    """
-    k = k_base
-    coarse = _solve_grid(u_top, k)
-    fine = _solve_grid(u_top, 2 * k)
-    extrap_prev = (4.0 * fine[::2] - coarse) / 3.0
-    while True:
-        k *= 2
-        finer = _solve_grid(u_top, 2 * k)
-        extrap = (4.0 * finer[::2] - fine) / 3.0
-        err = float(np.max(np.abs(extrap[::2] - extrap_prev)))
-        if err <= tol / 2:
-            return extrap, k, err
-        if 2 * k > _K_LIMIT:
-            raise ParameterError(
-                f"tolerance {tol} not reachable within grid limit {_K_LIMIT}"
-            )
-        fine = finer
-        extrap_prev = extrap
+
+def _horner(coeffs: tuple[float, ...], s):
+    """sum c_i s^i for a float or an array s; IEEE multiply-then-add per
+    step, so an array entry equals the float result bit for bit."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
 
 
 def _validate(u: float, tol: float) -> None:
@@ -111,7 +114,7 @@ def _validate(u: float, tol: float) -> None:
 
 
 def rho(u: float, tol: float = 1e-9) -> float:
-    """Dickman rho(u) with |result - rho(u)| <= tol.
+    """Dickman rho(u) with |result - rho(u)| <= ABS_ERROR_BOUND <= tol.
 
     >>> rho(1.0)
     1.0
@@ -121,63 +124,49 @@ def rho(u: float, tol: float = 1e-9) -> float:
     _validate(u, tol)
     if u <= 1.0:
         return 1.0
-    u_top = ceil(u)
-    grid, k, _ = _extrapolated_grid(u_top, tol, _K_INITIAL)
-    pos = u * k
-    idx = round(pos)
-    if abs(pos - idx) < 1e-12 and 0 <= idx < len(grid):
-        return float(grid[idx])
-    # Off-grid: local polynomial interpolation with the stencil kept inside
-    # the unit interval containing u (rho is smooth there but not across
-    # integer arguments).
-    m = int(u)  # u > 1 and non-integer here
-    lo_idx, hi_idx = m * k, (m + 1) * k
-    first = int(pos) - 2
-    first = max(lo_idx, min(first, hi_idx - 5))
-    xs = np.arange(first, first + 6) / k
-    ys = grid[first : first + 6]
-    # Neville's scheme on 6 points: error O(h^6), far below tol here.
-    table = ys.astype(float).copy()
-    for level in range(1, 6):
-        for row in range(5 - level + 1):
-            table[row] = (
-                (u - xs[row + level]) * table[row] + (xs[row] - u) * table[row + 1]
-            ) / (xs[row] - xs[row + level])
-    return float(table[0])
+    top = ceil(u)
+    return _horner(_pieces()[top - 2], top - u)
 
 
 def rho_table(u_max: float, step: float, tol: float = 1e-9) -> DickmanTable:
     """Tabulate rho on {0, step, 2*step, ...} up to u_max.
 
-    step must divide 1 evenly so that grid nodes align with the unit shift
-    of the delayed argument.
+    step must divide 1 evenly: rho has a kink at every integer, so the nodes
+    must land on the integers for the table to resolve each kink; each value
+    equals rho at its node bit for bit.  A table of more than
+    TABLE_NODES_MAX nodes raises CapacityError before anything is allocated.
     """
     _validate(u_max, tol)
     if u_max < 1.0:
         raise ParameterError(f"u_max must be >= 1, got {u_max}")
-    if step <= 0:
-        raise ParameterError(f"step must be positive, got {step}")
+    if not (isfinite(step) and step > 0):
+        raise ParameterError(f"step must be positive and finite, got {step}")
+    # checked on the float count, so a step too small to invert stops here
+    if u_max / step + 1 > TABLE_NODES_MAX:
+        raise CapacityError(
+            f"table of u_max / step + 1 = {u_max / step + 1:.4g} nodes exceeds {TABLE_NODES_MAX}"
+        )
     k_out_f = 1.0 / step
     k_out = round(k_out_f)
     if k_out < 1 or abs(k_out_f - k_out) > 1e-9 * k_out:
         raise ParameterError(f"step = {step} does not divide 1 evenly")
-    u_top = ceil(u_max - 1e-12)
-    # the solver base resolution must be a multiple of the output resolution
-    # so that output nodes land exactly on solver nodes
-    k_base = k_out * max(1, -(-_K_INITIAL // k_out))
-    grid, k_fine, err = _extrapolated_grid(u_top, tol, k_base)
-    stride = k_fine // k_out
     n_out = int(u_max / step + 1e-9) + 1
-    values = grid[::stride][:n_out].copy()
+    u = np.arange(n_out) / k_out
+    values = np.ones(n_out)
+    # piece k holds the nodes k*k_out < idx <= (k+1)*k_out, all of whose
+    # u round to a float with ceil(u) = k + 1, as in rho
+    for k, coeffs in enumerate(_pieces()[: ceil(u[-1]) - 1], start=1):
+        nodes = slice(k * k_out + 1, (k + 1) * k_out + 1)
+        values[nodes] = _horner(coeffs, (k + 1) - u[nodes])
     # Type invariants: exactly 1 on [0, 1], then strictly decreasing and
-    # positive.  The positive-window scheme guarantees these up to rounding;
-    # fail loudly rather than return a corrupt table.
+    # positive.  The positive series guarantee these up to rounding; fail
+    # loudly rather than return a corrupt table.
     if not np.all(values[: min(k_out, n_out - 1) + 1] == 1.0):
         raise ParameterError("internal: table head is not identically 1")
     tail = values[k_out:]
     if len(tail) > 1 and (np.any(np.diff(tail) >= 0) or np.any(tail <= 0)):
         raise ParameterError("internal: table violates monotonicity/positivity")
-    return DickmanTable(step=1.0 / k_out, u_max=u_max, values=values, abs_error_bound=err)
+    return DickmanTable(step=1.0 / k_out, u_max=u_max, values=values, abs_error_bound=ABS_ERROR_BOUND)
 
 
 def theoretical_density(n: int, tol: float = 1e-9) -> float:

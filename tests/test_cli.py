@@ -110,6 +110,14 @@ def test_check_missing_file_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_check_non_utf8_file_is_usage_error(tmp_path, capsys):
+    cert_file = tmp_path / "c.json"
+    cert_file.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "check", "--cert", str(cert_file))
+    assert code == 1
+    assert "not UTF-8" in err
+
+
 def _check_payload(tmp_path, capsys, payload):
     cert_file = tmp_path / "c.json"
     cert_file.write_text(json.dumps(payload))
@@ -295,6 +303,21 @@ def test_dickman_bad_tol_usage(capsys):
 def test_dickman_missing_u_usage(capsys):
     code, _, err = run(capsys, "dickman")
     assert code == 1
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_dickman_table_non_finite_step_usage(capsys, step):
+    code, out, err = run(capsys, "dickman", "--table", "--step", step)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
+def test_dickman_table_over_node_budget_exits_3_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dickman", "--table", "--u-max", "50", "--step", "1e-9")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity error:")
 
 
 # --- density / ihc / diagnostics -------------------------------------------------

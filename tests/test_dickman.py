@@ -1,12 +1,13 @@
 import io
-from math import log
+from decimal import Decimal, localcontext
+from math import ceil, floor, log
 
 import numpy as np
 import pytest
 
 from degcert import dickman
 from degcert.dickman import rho, rho_table, theoretical_density
-from degcert.errors import ParameterError
+from degcert.errors import CapacityError, ParameterError
 
 
 def romberg(f, a, b, tol=1e-13):
@@ -181,6 +182,83 @@ def test_table_csv():
     assert float(u) == 2.0
     assert abs(float(val) - (1.0 - log(2.0))) <= 1e-9
     assert float(err) <= 1e-9
+
+
+# --- Taylor-piece evaluator --------------------------------------------------------
+
+
+def decimal_rho_pieces(terms=100):
+    """The module's coefficient recurrence in 40-digit decimal arithmetic,
+    with more terms than the library keeps."""
+    pieces = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = [Decimal(1)] + [Decimal(0)] * (terms - 1)
+        for k in range(1, 50):
+            c = [Decimal(0)] * terms
+            for i in range(terms - 1):
+                c[i + 1] = (d[i] + i * c[i]) / ((k + 1) * (i + 1))
+            c[0] = sum(c[i] / (i + 1) for i in range(1, terms)) / k
+            pieces.append(c)
+            d = c
+    return pieces
+
+
+def test_rho_relative_error_against_decimal_recurrence():
+    # backs dickman.ABS_ERROR_BOUND: rho <= 1, so this relative bound is
+    # also an absolute one
+    pieces = decimal_rho_pieces()
+    us = [1 + j / 100 for j in range(1, 4901)] + [1 + j / 64 for j in range(1, 49 * 64 + 1)]
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for u in us:
+            top = ceil(u)
+            s = Decimal(top) - Decimal(u)
+            want = Decimal(0)
+            for c in reversed(pieces[top - 2]):
+                want = want * s + c
+            worst = max(worst, float(abs(Decimal(rho(u)) - want) / want))
+    assert worst <= dickman.ABS_ERROR_BOUND
+
+
+def gauss_legendre(f, a, b, nodes=20):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * (b - a)
+    return half * sum(wi * f(a + half * (xi + 1.0)) for xi, wi in zip(x, w))
+
+
+@pytest.mark.parametrize("u", [2.5, 5.0, 5.5, 10.0, 10.25, 20.0, 20.75, 35.0, 35.5, 49.5, 50.0])
+def test_rho_window_identity(u):
+    # u * rho(u) = integral of rho over [u-1, u], split at the integer where
+    # rho has a kink; rho is smooth on each part, so Gauss-Legendre is exact
+    # far below the tolerance
+    cuts = sorted({u - 1.0, float(floor(u)), u})
+    integral = sum(gauss_legendre(rho, a, b) for a, b in zip(cuts, cuts[1:]))
+    assert integral == pytest.approx(u * rho(u), rel=1e-12, abs=0.0)
+
+
+def test_rho_matches_richardson_reference_grid():
+    k = 2048
+    coarse = dickman._solve_grid(6, k)
+    fine = dickman._solve_grid(6, 2 * k)
+    ref = (4.0 * fine[::2] - coarse) / 3.0
+    got = np.array([rho(i / k) for i in range(len(ref))])
+    assert float(np.max(np.abs(got - ref))) <= 1e-12
+
+
+def test_table_to_50_equals_pointwise_bit_for_bit():
+    table = rho_table(50.0, 1.0 / 512)  # runs the table's own checks
+    assert len(table.values) == 50 * 512 + 1
+    assert table.abs_error_bound == dickman.ABS_ERROR_BOUND
+    assert all(v == rho(i / 512) for i, v in enumerate(table.values))
+
+
+def test_table_node_budget():
+    with pytest.raises(CapacityError):
+        rho_table(50.0, 1e-9)
+    with pytest.raises(CapacityError):
+        rho_table(3.0, 5e-324)  # 1/step overflows a float
 
 
 # --- theoretical density --------------------------------------------------------
