@@ -25,14 +25,22 @@ verifier re-checks everything from scratch using only multiplication,
 addition, divisibility and primality (no shared decomposition logic), so a
 buggy builder cannot validate itself.
 
-The bulk search screens each sieve segment with float32 sums of log p over
-small prime powers (the log-sieve smoothness test of the quadratic sieve),
-then factors the few candidates exactly and compares them exactly.
+Every prime power of a qualifying d <= N is at most cap = iroot((N - c) // a, n),
+where a, b, c are the coefficients of the qualification inequality.  The
+minimum search and the enumeration therefore walk depth first over the
+products of such prime powers (the classical recursion over the largest
+prime that counts smooth numbers) and take the last prime of each degree in
+bulk, as a run of the prime list found by bisection; no integer that cannot
+qualify is visited.  The density counts scan every integer instead: each
+sieve segment is screened with float32 sums of log p over small prime
+powers (the log-sieve smoothness test of the quadratic sieve), and the few
+candidates are factored and compared exactly.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial, gcd, isqrt, log
@@ -260,8 +268,10 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
-    if d < 2:
-        raise DecompositionError(f"d = {d} has no prime power divisors")
+    if d < 1:
+        raise ParameterError(f"d must be >= 1, got {d}")
+    if d == 1:
+        raise DecompositionError("d = 1 has no prime power divisors")
     _require_room_for_witness(n, d)
     fact = factorial(n)
     if gcd(d, fact) != 1:
@@ -508,21 +518,86 @@ def scan_qualifying(
     )
 
 
+def _qualifying_runs(
+    n: int, N: int, mode: Mode = Mode.FULL
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """(P, runs): the qualifying degrees d <= N as runs of primes.
+
+    P holds the primes in (n, cap], cap = iroot((N - c) // a, n), which
+    bounds every prime power of a qualifying d.  Each qualifying d is exactly
+    one m * P[k] with (m, i, j) in runs and i <= k < j, where P[k] is the
+    largest prime of d.  The walk goes depth first over m = products of
+    prime powers <= cap, primes ascending, keeping thr(L) for the largest
+    prime power L of m.  The last prime p with exponent 1 is taken in bulk:
+    m*p - thr(max(L, p)) = min(m*p - thr(L), m*p - thr(p)) is concave in p
+    (thr is convex), so the p <= N // m that qualify form one run of P, found
+    by bisection.  A last factor p**e with e >= 2 is tested singly.  The walk
+    descends into m*p**e only while a larger prime still fits below N.
+    Exact integers throughout.
+    """
+    a, b, c = threshold_coefficients_upto(n, N, mode)
+    if N < c:
+        return [], []
+    cap = arith.integer_nth_root((N - c) // a, n)
+    P = [int(p) for p in arith.primes_upto(cap) if p > n]
+    T = [a * p**n + b * p ** (n - 1) + c for p in P]
+    runs: list[tuple[int, int, int]] = []
+
+    def first(lo: int, hi: int, pred) -> int:
+        # least k in [lo, hi) with pred(k), or hi; pred is monotone false -> true
+        return lo + bisect_left(range(lo, hi), True, key=pred)
+
+    def walk(m: int, t_l: int, s: int) -> None:
+        # every prime of m is below P[s]; t_l = thr(L)
+        hi = bisect_right(P, N // m, s)
+
+        def g(k: int) -> int:
+            return m * P[k] - max(t_l, T[k])
+
+        # differences of a concave sequence change sign once: the peak is
+        # the first k whose successor is no larger
+        peak = first(s, hi - 1, lambda k: g(k + 1) <= g(k))
+        if s < hi and g(peak) >= 0:
+            i = first(s, peak, lambda k: g(k) >= 0)
+            runs.append((m, i, first(peak + 1, hi, lambda k: g(k) < 0)))
+        for k in range(s, len(P)):
+            p = P[k]
+            if m * p * p > N:
+                break
+            q, mq = p, m * p
+            while True:
+                t_q = max(t_l, a * q**n + b * q ** (n - 1) + c)
+                if q > p and t_q <= mq:
+                    runs.append((mq // p, k, k + 1))
+                if k + 1 < len(P) and mq * P[k + 1] <= N:
+                    walk(mq, t_q, k + 1)
+                q, mq = q * p, mq * p
+                if q > cap or mq > N:
+                    break
+
+    walk(1, 0, 0)
+    return P, runs
+
+
 def enumerate_qualifying(
     n: int, d_max: int, mode: Mode = Mode.FULL, threads: int = 1
 ) -> list[int]:
     """All qualifying degrees d <= d_max, ascending.
 
-    Nothing below (2**n + 1) * n! can qualify, so scanning starts there.
+    Nothing below (2**n + 1) * n! can qualify, so a smaller d_max gives []
+    before the budget is checked.  The degrees come from the exact walk of
+    _qualifying_runs, which is sequential: threads is accepted for the
+    callers that pass it and cannot change the answer.
+
+    >>> enumerate_qualifying(3, 20000)
+    [5005, 12155, 17017, 17765, 19019]
     """
-    start = threshold_coefficients_upto(n, d_max, mode)[2]
-    if d_max < start:
+    if d_max < threshold_coefficients_upto(n, d_max, mode)[2]:
         return []
-    parts = scan_qualifying(n, start, d_max + 1, mode, threads)
-    out: list[int] = []
-    for arr in parts:
-        out.extend(int(v) for v in arr)
-    return out
+    if d_max > arith.SIEVE_BUDGET:
+        raise CapacityError(f"sieve bound {d_max} exceeds budget {arith.SIEVE_BUDGET}")
+    P, runs = _qualifying_runs(n, d_max, mode)
+    return sorted(m * P[k] for m, i, j in runs for k in range(i, j))
 
 
 def smallest_qualifying(
@@ -531,24 +606,33 @@ def smallest_qualifying(
     threads: int = 1,
     budget: int | None = None,
 ) -> int:
-    """Minimal qualifying degree for (n, mode), by windowed ascending sieve.
+    """Minimal qualifying degree for (n, mode), at most budget.
 
-    The search begins at the forced lower bound (2**n + 1) * n! and doubles
-    its window, up to one segment per thread, until a hit; a CapacityError
-    reports the searched bound when the budget is exhausted (the answer
-    grows rapidly with n).
+    Walks the bounds X = c, 2c, 4c, ... (c = (2**n + 1) * n!, the least
+    degree that can qualify) up to min(budget, SIEVE_BUDGET) and returns the
+    least degree of the first walk that finds any.  A budget below 1 is a
+    ParameterError; a CapacityError names the budget when nothing qualifies
+    within it, or SIEVE_BUDGET's excess when budget lies beyond it.  The
+    walk is sequential: threads cannot change the answer.
+
+    >>> smallest_qualifying(3)
+    5005
     """
     cap = budget if budget is not None else arith.SIEVE_BUDGET
-    lo = threshold_coefficients_upto(n, cap, mode)[2]
-    widest = threads * arith.SEGMENT_SIZE
-    width = min(max(1 << 16, lo), widest)
-    while lo <= cap:
-        hi = min(lo + width, cap + 1)
-        for arr in scan_qualifying(n, lo, hi, mode, threads):
-            if len(arr):
-                return int(arr[0])
-        lo = hi
-        width = min(2 * width, widest)
+    if cap < 1:
+        raise ParameterError(f"budget must be >= 1, got {cap}")
+    limit = min(cap, arith.SIEVE_BUDGET)
+    x = threshold_coefficients_upto(n, limit, mode)[2]
+    while True:
+        x = min(x, limit)
+        P, runs = _qualifying_runs(n, x, mode)
+        if runs:
+            return min(m * P[i] for m, i, _ in runs)
+        if x == limit:
+            break
+        x *= 2
+    if cap > arith.SIEVE_BUDGET:
+        raise CapacityError(f"sieve bound {cap} exceeds budget {arith.SIEVE_BUDGET}")
     raise CapacityError(
         f"no qualifying degree found for n = {n}, mode = {mode.value} up to budget {cap}"
     )

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import time
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, isqrt
@@ -437,20 +439,68 @@ def test_smallest_capacity():
         certify.smallest_qualifying(3, budget=4000)
 
 
-def test_smallest_window_stays_within_one_segment_per_thread(monkeypatch):
-    windows = []
-    scan = certify.scan_qualifying
+def test_smallest_and_enumerate_run_no_sieve(monkeypatch):
+    # the walk visits products of prime powers, never a sieve range, so an
+    # empty search to 3e7 for n = 5 (answer 393255863) cannot fill memory
+    def no_sieve(*args):
+        raise AssertionError("map_sieve called")
 
-    def recording(n, lo, hi, mode, threads):
-        windows.append((lo, hi))
-        return scan(n, lo, hi, mode, threads)
-
-    monkeypatch.setattr(certify, "scan_qualifying", recording)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(arith, "map_sieve", no_sieve)
+    with pytest.raises(CapacityError, match="up to budget 30000000"):
         certify.smallest_qualifying(5, threads=1, budget=3 * 10**7)
-    assert windows[0][0] == 33 * 120 and windows[-1][1] == 3 * 10**7 + 1
-    assert all(w[1] == v[0] for w, v in zip(windows, windows[1:]))  # contiguous
-    assert all(hi - lo <= arith.SEGMENT_SIZE for lo, hi in windows)
+    assert certify.smallest_qualifying(4, Mode.WEAK, threads=2) == 7436429
+    assert len(certify.enumerate_qualifying(3, 10**7, threads=2)) == 29850
+
+
+def test_smallest_budget_below_one_is_parameter_error():
+    for budget in (0, -5):
+        with pytest.raises(ParameterError, match="budget must be >= 1"):
+            certify.smallest_qualifying(3, budget=budget)
+
+
+def test_smallest_budget_beyond_sieve_budget():
+    assert certify.smallest_qualifying(3, budget=10**11) == 5005
+    with pytest.raises(CapacityError, match="^sieve bound 100000000000 exceeds budget 10000000000$"):
+        certify.smallest_qualifying(7, budget=10**11)
+
+
+# (n, mode) -> least qualifying degree; 6685349671 agrees with a sieve to 7e9
+SMALLEST = {
+    (3, Mode.FULL): 5005,
+    (3, Mode.WEAK): 46189,
+    (4, Mode.FULL): 1616615,
+    (4, Mode.WEAK): 7436429,
+    (5, Mode.FULL): 393255863,
+    (5, Mode.WEAK): 6685349671,
+}
+
+
+@pytest.mark.parametrize("n, mode", SMALLEST)
+def test_smallest_frozen_and_certified(n, mode):
+    d = certify.smallest_qualifying(n, mode)
+    assert d == SMALLEST[n, mode]
+    assert certify.verify_certificate(certify.build_certificate(n, d, mode)).passed
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_smallest_refuses_at_default_budget_at_once(n):
+    # n = 6 first qualifies at 192875738341, beyond the 1e10 budget
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="up to budget 10000000000"):
+        certify.smallest_qualifying(n)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_enumerate_frozen_counts_to_1e8():
+    ds = certify.enumerate_qualifying(3, 10**8)
+    assert [bisect_right(ds, 10**k) for k in (6, 7, 8)] == [1734, 29850, 427006]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.sampled_from(list(Mode)), st.integers(1, 3 * 10**6))
+def test_enumerate_matches_sieve(n, mode, N):
+    sieved = [int(d) for arr in certify.scan_qualifying(n, 1, N + 1, mode) for d in arr]
+    assert certify.enumerate_qualifying(n, N, mode) == sieved
 
 
 # --- the qualifying-degree segment kernel against a scalar oracle -------------

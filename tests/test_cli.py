@@ -76,6 +76,13 @@ def test_certify_huge_n_exits_2_at_once(capsys):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("d, code", [("-5005", 1), ("0", 1), ("1", 2)])
+def test_certify_d_below_two(capsys, d, code):
+    got, out, err = run(capsys, "certify", "--n", "3", "--d", d)
+    assert got == code
+    assert ("d must be >= 1" in err) if code == 1 else ("no prime power divisors" in out)
+
+
 def test_certify_json_failure_payload(capsys):
     code, payload = run_json(capsys, "certify", "--n", "3", "--d", "5004", "--format", "json")
     assert code == 2
@@ -239,6 +246,22 @@ def test_smallest_budget_capacity_exit3(capsys):
     code, _, err = run(capsys, "smallest", "--n", "3", "--budget", "100")
     assert code == 3
     assert "capacity" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (("--n", "3", "--budget", "0"), 1, "error: budget must be >= 1, got 0"),
+        (("--n", "3", "--budget", "-5"), 1, "error: budget must be >= 1, got -5"),
+        (("--n", "3", "--budget", "100000000000"), 0, "5005"),
+        (("--n", "7", "--budget", "100000000000"), 3, "sieve bound 100000000000 exceeds budget 10000000000"),
+        (("--n", "6"), 3, "no qualifying degree found for n = 6, mode = FULL up to budget 10000000000"),
+    ],
+)
+def test_smallest_budget_exit_codes(capsys, argv, code, shown):
+    got, out, err = run(capsys, "smallest", *argv)
+    assert got == code
+    assert shown in out + err
 
 
 @pytest.mark.parametrize(
