@@ -518,9 +518,7 @@ def scan_qualifying(
     )
 
 
-def _qualifying_runs(
-    n: int, N: int, mode: Mode = Mode.FULL
-) -> tuple[list[int], list[tuple[int, int, int]]]:
+def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[int, int, int]]]:
     """(P, runs): the qualifying degrees d <= N as runs of primes.
 
     P holds the primes in (n, cap], cap = iroot((N - c) // a, n), which
