@@ -3,7 +3,8 @@
 Deterministic factorization, exact integer roots, largest prime powers
 (scalar, and bulk segmented for segments where certify's log-sum screen
 would keep most d), prime and prime-power counting, reproducible
-compensated reciprocal-prime sums, and the coprimality mask of that screen.
+compensated reciprocal-prime sums, and the coprimality mask of those
+segments.
 
 Every segmented sieve in the package runs through one function, map_sieve:
 it alone holds a sieve range to SIEVE_BUDGET, builds the base primes, cuts
@@ -337,25 +338,25 @@ def largest_prime_power_segment(
     hi: int,
     base_primes: np.ndarray,
     want_prime_factor: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Bulk largest-prime-power extraction over [lo, hi), lo >= 1.
 
-    Returns (q, lpf) where q[t] is the largest prime power dividing lo+t and
-    lpf[t] (if requested) is its largest prime factor.  base_primes must
+    Returns v where v[t] is the largest prime power dividing lo+t, or its
+    largest prime factor when want_prime_factor is set.  base_primes must
     cover sqrt(hi-1).  The value for 1 is 1.
 
     For each prime p <= sqrt(hi-1) and each power pe = p**e < hi, every
-    multiple of pe receives the candidate pe via a running maximum; the
-    winning candidate for p is exactly p**v_p.  Dividing the residue by p on
-    each pass leaves either 1 or a single prime > sqrt(hi-1), which is both
-    a maximal prime power and the largest prime factor.
+    multiple of pe receives the candidate pe (p alone for prime factors) via
+    a running maximum; the winning candidate for p is exactly p**v_p.
+    Dividing the residue by p on each pass leaves either 1 or a single prime
+    > sqrt(hi-1), which is both a maximal prime power and the largest prime
+    factor.
     """
     if lo < 1 or hi <= lo:
         raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
     count = hi - lo
     rem = np.arange(lo, hi, dtype=np.int64)
-    q = np.ones(count, dtype=np.int64)
-    lpf = np.ones(count, dtype=np.int64) if want_prime_factor else None
+    v = np.ones(count, dtype=np.int64)
     r = isqrt(hi - 1)
     for p in base_primes:
         p = int(p)
@@ -367,15 +368,12 @@ def largest_prime_power_segment(
             if start >= hi:
                 break
             sl = slice(start - lo, count, pe)
-            np.maximum(q[sl], pe, out=q[sl])
+            if pe == p or not want_prime_factor:
+                np.maximum(v[sl], pe, out=v[sl])
             rem[sl] //= p
-            if pe == p and lpf is not None:
-                np.maximum(lpf[sl], p, out=lpf[sl])
             pe *= p
-    np.maximum(q, rem, out=q)
-    if lpf is not None:
-        np.maximum(lpf, rem, out=lpf)
-    return q, lpf
+    np.maximum(v, rem, out=v)
+    return v
 
 
 def coprime_mask(lo: int, hi: int, n: int) -> np.ndarray:

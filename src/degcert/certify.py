@@ -444,8 +444,8 @@ def qualifying_segment(
 
     base must hold the primes up to sqrt(hi - 1).  a >= 1, so every hit has
     v <= v_ub = ((m*(hi-1) - c) // a)**(1/n).  For v_ub <= sqrt(hi - 1) a
-    log-sum screen keeps the d that are nearly v_ub-smooth for an exact
-    recheck; otherwise, or when candidates are dense, every d is factored.
+    log-sum screen keeps exactly the v_ub-smooth d coprime to n! for an
+    exact recheck; otherwise, or when they are dense, every d is factored.
     """
     if lo < 1 or hi <= lo:
         raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
@@ -458,8 +458,9 @@ def qualifying_segment(
     if v_ub <= isqrt(top):
         primes = [int(p) for p in base[(base > n) & (base <= v_ub)]]  # no hit has p <= n
         # Screen: the powers p**e <= v_ub (<= top for prime factors) of a hit
-        # sum to log d.  d < 2**34 takes at most 34 float32 adds, within 1e-4;
-        # the slack 0.25 covers that.
+        # sum to log d; any other d misses a factor >= 2 there (a prime <= n
+        # or above v_ub, or a power above pe_max).  d < 2**34 takes at most 34
+        # float32 adds, within 1e-4 < 0.25 < log 2 - 1e-4: the screen is exact.
         block = 1 << 12  # blocks: no full-length float64 temporaries
         acc = np.zeros(-(-count // block) * block, dtype=np.float32)
         pe_max = top if prime_factor else v_ub
@@ -469,24 +470,24 @@ def qualifying_segment(
             while pe <= pe_max:
                 acc[-lo % pe :: pe] += logp
                 pe *= p
-        # a block's start is <= each of its d, which only admits more candidates
+        # block floors admit more d; each candidate is then held to its log d
         floor = np.log(np.arange(lo, lo + len(acc), block, dtype=np.float64)) - 0.25
         mask = (acc.reshape(-1, block) >= floor.astype(np.float32)[:, None]).ravel()[:count]
-        mask &= arith.coprime_mask(lo, hi, n)
         offs = np.flatnonzero(mask)
+        miss = acc[offs] < np.log(offs + lo) - 0.25
+        mask[offs[miss]] = False
+        offs = offs[~miss]
     if offs is None or len(offs) > count // 10:
         # Above sqrt(top) a screen could ask only for a sqrt-smooth part of
         # d / v_ub, which most d have; and once a tenth of the segment is
         # candidates, factoring all of it by strided division is as fast.
-        q, lpf = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=prime_factor)
-        v = lpf if prime_factor else q
+        v = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=prime_factor)
         offs = np.flatnonzero(arith.coprime_mask(lo, hi, n) & (v <= v_ub))
         v = v[offs]
     else:
-        # Exact recheck.  Dividing out the primes <= v_ub leaves 1, or a
-        # cofactor above v_ub, as the true v then is.  Multiples of p come
-        # from a pass over the candidates or, when that reads more, by stride
-        # through the mask.
+        # Exact recheck.  Dividing out the primes <= v_ub leaves 1, as every
+        # candidate is v_ub-smooth.  Multiples of p come from a pass over the
+        # candidates or, when that reads more, by stride through the mask.
         rem = offs + lo
         v = np.ones_like(rem)
         for p in primes:
@@ -501,9 +502,6 @@ def qualifying_segment(
                 v[at] = np.maximum(v[at], p if prime_factor else pe)
                 at = at[rem[at] % p == 0]
                 pe *= p
-        np.maximum(v, rem, out=v)
-        keep = v <= v_ub
-        offs, v = offs[keep], v[keep]
     ds = offs + lo
     return ds[threshold_le(v, ds, n, a, b, c, m)]
 
@@ -531,11 +529,14 @@ def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[
     (thr is convex), so the p <= N // m that qualify form one run of P, found
     by bisection.  A last factor p**e with e >= 2 is tested singly.  The walk
     descends into m*p**e only while a larger prime still fits below N.
-    Exact integers throughout.
+    Exact integers throughout.  N < c gives no runs before the budget is
+    checked; an N beyond SIEVE_BUDGET is a CapacityError.
     """
     a, b, c = threshold_coefficients_upto(n, N, mode)
     if N < c:
         return [], []
+    if N > arith.SIEVE_BUDGET:
+        raise CapacityError(f"sieve bound {N} exceeds budget {arith.SIEVE_BUDGET}")
     cap = arith.integer_nth_root((N - c) // a, n)
     P = [int(p) for p in arith.primes_upto(cap) if p > n]
     T = [a * p**n + b * p ** (n - 1) + c for p in P]
@@ -590,10 +591,6 @@ def enumerate_qualifying(
     >>> enumerate_qualifying(3, 20000)
     [5005, 12155, 17017, 17765, 19019]
     """
-    if d_max < threshold_coefficients_upto(n, d_max, mode)[2]:
-        return []
-    if d_max > arith.SIEVE_BUDGET:
-        raise CapacityError(f"sieve bound {d_max} exceeds budget {arith.SIEVE_BUDGET}")
     P, runs = _qualifying_runs(n, d_max, mode)
     return sorted(m * P[k] for m, i, j in runs for k in range(i, j))
 

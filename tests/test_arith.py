@@ -338,7 +338,8 @@ def brute_lpp(d):
 
 def test_largest_prime_power_segment_low():
     base = arith.primes_upto(100)
-    q, lpf = arith.largest_prime_power_segment(1, 5000, base, want_prime_factor=True)
+    q = arith.largest_prime_power_segment(1, 5000, base)
+    lpf = arith.largest_prime_power_segment(1, 5000, base, want_prime_factor=True)
     for d in range(1, 5000):
         fs = brute_factorize(d)
         assert q[d - 1] == brute_lpp(d)
@@ -348,7 +349,7 @@ def test_largest_prime_power_segment_low():
 def test_largest_prime_power_segment_high_window():
     lo, hi = 10**7, 10**7 + 2048
     base = arith.primes_upto(isqrt(hi - 1))
-    q, _ = arith.largest_prime_power_segment(lo, hi, base)
+    q = arith.largest_prime_power_segment(lo, hi, base)
     for off in range(0, 2048, 97):
         assert q[off] == brute_lpp(lo + off)
 

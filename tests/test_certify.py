@@ -174,6 +174,36 @@ def test_build_rejects_too_small():
         certify.build_certificate(3, 35)
 
 
+def assembled_certificate(n, d, mode):
+    """The certificate decompose gives for every maximal prime power of d,
+    with no inequality gate, or None when one of them has no witness."""
+    try:
+        entries = [certify.decompose(n, d, p**e, mode) for p, e in arith.factorize(d).factors]
+    except DecompositionError:
+        return None
+    premises = [certify.Premise(certify.PREMISE_ABELIAN_FACTORIAL, e.q, e.k) for e in entries]
+    premises += [certify.Premise(certify.PREMISE_KOLLAR_QN, e.q) for e in entries if e.i > 0]
+    premises += [certify.Premise(certify.PREMISE_KOLLAR_BINOM, e.q) for e in entries if e.j > 0]
+    return certify.Certificate(n=n, d=d, mode=mode, entries=tuple(entries), premises=tuple(premises))
+
+
+def test_build_certificate_gates_on_the_inequality():
+    # 6545 = 5*7*11*17 fails the inequality for q = 17, yet every entry has a
+    # witness and the assembled certificate verifies: build_certificate
+    # refuses some degrees that have a certificate
+    assert certify.qualification_threshold(3, 17) == 10747
+    for mode in Mode:
+        with pytest.raises(DecompositionError, match="qualification inequality fails"):
+            certify.build_certificate(3, 6545, mode)
+        assert certify.verify_certificate(assembled_certificate(3, 6545, mode)).passed
+        # no such degree lies below 5005, so 5005 stays the smallest
+        for d in range(2, 5005):
+            if gcd(d, 6) == 1:
+                assert assembled_certificate(3, d, mode) is None, (d, mode)
+    full = assembled_certificate(3, 5005, Mode.FULL)
+    assert full.entries == certify.build_certificate(3, 5005).entries
+
+
 def test_huge_n_fails_before_building_n_factorial():
     # n! for n = 10**6 takes seconds; every witness needs d > 2**n anyway
     n = 10**6

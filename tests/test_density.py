@@ -135,6 +135,18 @@ def test_density_threads_bit_identical():
     assert a.empirical == b.empirical
 
 
+def test_screen_rejects_non_coprime_degrees_without_the_mask(monkeypatch):
+    # the log-sum screen sums logs of primes above n only, so a d sharing a
+    # factor with n! falls short by at least log 2; every segment of both
+    # counts takes the screen route, which needs no coprimality mask
+    def no_mask(*args):
+        raise AssertionError("coprime_mask called")
+
+    monkeypatch.setattr(arith, "coprime_mask", no_mask)
+    assert empirical_density(3, 10**7, DensityMode.PROP16_FULL).count == 29850
+    assert empirical_density(4, 2 * 10**7, DensityMode.LAMBDA_PRIME, lam=1).count == 11478
+
+
 # --- exact threshold comparator ---------------------------------------------------
 # certify.threshold_le decides a*v**n + b*v**(n-1) + c <= m*d; the LAMBDA modes
 # call it with (a, b, c, m) = (den, 0, 0, num) for lambda**n = num/den.
