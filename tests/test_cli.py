@@ -541,6 +541,82 @@ def test_missing_required_flag_exit1(capsys):
     assert cli.main(["certify", "--n", "3"]) == 1
 
 
+# (argv, exit code, exact stdout, exact stderr) of text output that no other
+# test reads, and of usage errors, whose stderr is the usage line and the error
+_USAGE_CERTIFY = (
+    "usage: degcert certify [-h] --n N --d D [--mode {full,weak}] [--out OUT]\n"
+    "                       [--format {text,json}]\n"
+)
+_USAGE_SMALLEST = (
+    "usage: degcert smallest [-h] --n N [--mode {full,weak}] [--budget BUDGET]\n"
+    "                        [--format {text,json}] [--threads THREADS]\n"
+)
+_COMMANDS = "certify,check,enumerate,smallest,dickman,density,ihc,diagnostics,verify-q-example"
+_USAGE_TOP = f"usage: degcert [-h] [--version]\n               {{{_COMMANDS}}}\n               ...\n"
+_CHOICES = ", ".join(f"'{c}'" for c in _COMMANDS.split(","))
+TEXT_CASES = [
+    (
+        ["enumerate", "--n", "3", "--d-max", "20000"],
+        0,
+        "5 qualifying degrees <= 20000\n5005\n12155\n17017\n17765\n19019\n",
+        "",
+    ),
+    (
+        ["dickman", "--table", "--u-max", "2", "--step", "0.5"],
+        0,
+        "0.000000 np.float64(1.0)\n0.500000 np.float64(1.0)\n1.000000 np.float64(1.0)\n"
+        "1.500000 np.float64(0.5945348918918356)\n2.000000 np.float64(0.3068528194400547)\n",
+        "",
+    ),
+    (
+        ["density", "--n", "3", "--N", "20000", "--checkpoints", "5005,10000,20000"],
+        0,
+        "count = 5 of N = 20000\nempirical = 0.00025\ntheoretical = 0.016202796097043858\n"
+        "  m = 5005: count = 1, empirical = 0.0001998001998001998\n"
+        "  m = 10000: count = 1, empirical = 0.0001\n"
+        "  m = 20000: count = 5, empirical = 0.00025\n",
+        "",
+    ),
+    (
+        ["diagnostics", "--n", "3", "--checkpoints", "10,100"],
+        0,
+        "m = 10: Pi(m)/m = 0.7, mertens = 0.6761904761904762\n"
+        "m = 100: Pi(m)/m = 0.35, mertens = 0.9694838677155376\n",
+        "",
+    ),
+    (
+        ["diagnostics", "--n", "3", "--checkpoints", "10,100", "--lam", "1"],
+        0,
+        "m = 10: Pi(m)/m = 0.7, mertens = 0.6761904761904762  exp>=2 bound = 0.48611111111111105\n"
+        "m = 100: Pi(m)/m = 0.35, mertens = 0.9694838677155376  exp>=2 bound = 0.6152769904258\n",
+        "",
+    ),
+    (
+        ["certify", "--n", "3"],
+        1,
+        "",
+        _USAGE_CERTIFY + "error: the following arguments are required: --d\n",
+    ),
+    (
+        ["smallest", "--n", "3", "--threads", "0"],
+        1,
+        "",
+        _USAGE_SMALLEST + "error: argument --threads: must be >= 1, got 0\n",
+    ),
+    (
+        ["frobnicate"],
+        1,
+        "",
+        _USAGE_TOP + f"error: argument command: invalid choice: 'frobnicate' (choose from {_CHOICES})\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", TEXT_CASES, ids=[" ".join(c[0]) for c in TEXT_CASES])
+def test_text_and_usage_output_is_byte_exact(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "degcert.cli", "smallest", "--n", "3"],
