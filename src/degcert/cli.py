@@ -9,15 +9,17 @@ is meant for trajectory plotting elsewhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
-from . import arith, certify, density, dickman
+from . import __version__, arith, certify, density, dickman
 from .errors import CapacityError, DecompositionError, ParameterError
 
 EXIT_OK = 0
@@ -28,22 +30,12 @@ EXIT_CAPACITY = 3
 SCHEMA_VERSION = certify.SCHEMA_VERSION
 
 
-class _UsageExit(Exception):
-    pass
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 by default; the contract reserves 2 for
     # predicate-false, so usage problems are rerouted to exit code 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageExit(message)
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -179,15 +171,13 @@ def cmd_smallest(args) -> int:
 
 
 def cmd_dickman(args) -> int:
+    if args.out and not (args.table and args.format == "csv"):
+        raise ParameterError("--out is written only with --table --format csv")
     if args.table:
         table = dickman.rho_table(args.u_max, args.step, args.tol)
         if args.format == "csv":
-            out = open(args.out, "w", newline="") if args.out else sys.stdout
-            try:
+            with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
                 table.write_csv(out)
-            finally:
-                if args.out:
-                    out.close()
         elif args.format == "json":
             _emit_json("dickman", **dataclasses.asdict(table))
         else:
@@ -287,9 +277,10 @@ def cmd_verify_q_example(args) -> int:
     return EXIT_OK if report.passed else EXIT_PREDICATE_FALSE
 
 
+@cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="degcert", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"degcert { _version() }")
+    parser.add_argument("--version", action="version", version=f"degcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, threads=True, fmt=("text", "json")):
@@ -372,14 +363,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help / --version print and leave
-        return int(exc.code or 0)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors, --help and --version print and leave
+        return exc.code
     try:
         return args.fn(args)
     except CapacityError as exc:

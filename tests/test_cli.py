@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -318,6 +319,28 @@ def test_dickman_table_csv(capsys):
     assert all(line.split(",")[1] == "1.0" for line in lines[1:])
 
 
+def test_dickman_table_csv_out_writes_the_file(tmp_path, capsys):
+    out_file = tmp_path / "rho.csv"
+    code, out, _ = run(capsys, "dickman", "--table", "--u-max", "1.0", "--step", "0.25", "--format", "csv",
+                       "--out", str(out_file))
+    assert (code, out) == (0, "")
+    assert out_file.read_text().splitlines()[0] == "u,rho,error_bound"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--table", "--format", "json"), ("--table",), ("--u", "2"), ("--u", "2", "--format", "csv")],
+)
+def test_dickman_out_without_csv_table_is_usage_error(tmp_path, capsys, argv):
+    # --out is written only by --table --format csv; anywhere else it was
+    # once ignored without a word
+    out_file = tmp_path / "rho.out"
+    code, out, err = run(capsys, "dickman", *argv, "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--out" in err
+    assert not out_file.exists()
+
+
 def test_dickman_bad_tol_usage(capsys):
     code, _, err = run(capsys, "dickman", "--u", "2", "--tol", "1e-15")
     assert code == 1
@@ -524,6 +547,21 @@ def test_verify_q_example_incomplete_exit2(capsys):
 
 
 # --- usage behaviour ---------------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    cli.main(["smallest", "--n", "3"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["certify", "--n", "3", "--d", "5005"]) == 0
+    assert cli.main(["frobnicate"]) == 1
+    assert built == []
 
 
 def test_unknown_command_exit1(capsys):
