@@ -266,12 +266,8 @@ def map_sieve(lo: int, hi: int, fn: Callable, threads: int = 1) -> list:
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi) given base primes covering sqrt(hi-1)."""
+    """Primes in [lo, hi), lo >= 2, given base primes covering sqrt(hi-1)."""
     mask = np.ones(hi - lo, dtype=bool)
-    if lo == 0:
-        mask[: min(2, hi)] = False
-    elif lo == 1:
-        mask[0] = False
     for p in base_primes:
         p = int(p)
         if p * p >= hi:

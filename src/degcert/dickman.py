@@ -15,9 +15,6 @@ step at s >= 0 is a sum of non-negative terms, so nothing cancels and the
 relative error stays near rounding down to rho(50) ~ 7e-97.  Each piece's
 continuation is singular at s = 2 at the nearest, so the terms fall like
 2^-i and 64 of them reach double precision.
-
-_solve_grid, a window-identity trapezoid solver, is an independent
-reference that the tests compare against; nothing else calls it.
 """
 
 from __future__ import annotations
@@ -58,28 +55,6 @@ class DickmanTable:
         writer.writerow(["u", "rho", "error_bound"])
         for idx, val in enumerate(self.values):
             writer.writerow([f"{idx * self.step:.10g}", repr(float(val)), repr(self.abs_error_bound)])
-
-
-def _solve_grid(u_top: int, K: int) -> np.ndarray:
-    """Window-identity trapezoid solution on u in [0, u_top], spacing 1/K."""
-    h = 1.0 / K
-    vals = np.ones(u_top * K + 1)
-    for m in range(1, u_top):
-        base = m * K
-        prev = vals[base - K : base + 1]
-        # suffix sums over the previous interval; suf[r] = sum(prev[r:])
-        suf = np.empty(K + 2)
-        suf[K + 1] = 0.0
-        suf[: K + 1] = np.cumsum(prev[::-1])[::-1]
-        new_acc = 0.0  # h * (sum of values already computed in this interval)
-        for t in range(1, K + 1):
-            i = base + t
-            # trapezoid over [u_i - 1, u_i]:
-            #   h*(v[i-K]/2 + sum_{i-K<j<i} v[j] + v[i]/2) = u_i * v[i]
-            w_old = h * (suf[t] - 0.5 * prev[t])
-            vals[i] = (w_old + new_acc) / (i * h - 0.5 * h)
-            new_acc += h * vals[i]
-    return vals
 
 
 @cache

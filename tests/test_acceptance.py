@@ -16,6 +16,7 @@ import pytest
 from degcert import arith, certify, density, dickman
 from degcert.certify import Mode
 from degcert.density import DensityMode
+from test_dickman import solve_grid
 
 X_GRID = (10**5, 10**6, 10**7, 10**8)
 TRAJ_CHECKPOINTS = (10**6, 10**7, 10**8)
@@ -129,9 +130,9 @@ def test_criterion_04_dickman_values():
     r2 = dickman.rho(2.0, 1e-10)
     err2 = abs(r2 - (1.0 - log(2.0)))
     k = 256
-    g1 = dickman._solve_grid(3, k)
-    g2 = dickman._solve_grid(3, 2 * k)
-    g3 = dickman._solve_grid(3, 4 * k)
+    g1 = solve_grid(3, k)
+    g2 = solve_grid(3, 2 * k)
+    g3 = solve_grid(3, 4 * k)
     e1 = (4.0 * g2[::2] - g1) / 3.0
     e2 = (4.0 * g3[::2] - g2) / 3.0
     halving_change = abs(e2[2 * 3 * k] - e1[3 * k])

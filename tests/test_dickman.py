@@ -28,6 +28,29 @@ def romberg(f, a, b, tol=1e-13):
     return rows[-1][-1]
 
 
+def solve_grid(u_top: int, K: int) -> np.ndarray:
+    """Independent reference: the window-identity trapezoid solution on
+    u in [0, u_top], spacing 1/K."""
+    h = 1.0 / K
+    vals = np.ones(u_top * K + 1)
+    for m in range(1, u_top):
+        base = m * K
+        prev = vals[base - K : base + 1]
+        # suffix sums over the previous interval; suf[r] = sum(prev[r:])
+        suf = np.empty(K + 2)
+        suf[K + 1] = 0.0
+        suf[: K + 1] = np.cumsum(prev[::-1])[::-1]
+        new_acc = 0.0  # h * (sum of values already computed in this interval)
+        for t in range(1, K + 1):
+            i = base + t
+            # trapezoid over [u_i - 1, u_i]:
+            #   h*(v[i-K]/2 + sum_{i-K<j<i} v[j] + v[i]/2) = u_i * v[i]
+            w_old = h * (suf[t] - 0.5 * prev[t])
+            vals[i] = (w_old + new_acc) / (i * h - 0.5 * h)
+            new_acc += h * vals[i]
+    return vals
+
+
 def oracle_rho_23(u):
     """rho on [2, 3] from the closed-form reduction:
     rho(u) = 1 - log(u) + integral_2^u log(t-1)/t dt."""
@@ -92,9 +115,9 @@ def test_rho_validation():
 def test_rho_step_halving_stability():
     # two successive Richardson extrapolations agree to the tolerance
     k = 256
-    r1 = dickman._solve_grid(3, k)
-    r2 = dickman._solve_grid(3, 2 * k)
-    r3 = dickman._solve_grid(3, 4 * k)
+    r1 = solve_grid(3, k)
+    r2 = solve_grid(3, 2 * k)
+    r3 = solve_grid(3, 4 * k)
     e1 = (4.0 * r2[::2] - r1) / 3.0
     e2 = (4.0 * r3[::2] - r2) / 3.0
     assert abs(e2[2 * 3 * k] - e1[3 * k]) <= 1e-9
@@ -240,8 +263,8 @@ def test_rho_window_identity(u):
 
 def test_rho_matches_richardson_reference_grid():
     k = 2048
-    coarse = dickman._solve_grid(6, k)
-    fine = dickman._solve_grid(6, 2 * k)
+    coarse = solve_grid(6, k)
+    fine = solve_grid(6, 2 * k)
     ref = (4.0 * fine[::2] - coarse) / 3.0
     got = np.array([rho(i / k) for i in range(len(ref))])
     assert float(np.max(np.abs(got - ref))) <= 1e-12
