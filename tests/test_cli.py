@@ -651,7 +651,8 @@ TEXT_CASES = [
 
 
 @pytest.mark.parametrize("argv,code,out,err", TEXT_CASES, ids=[" ".join(c[0]) for c in TEXT_CASES])
-def test_text_and_usage_output_is_byte_exact(capsys, argv, code, out, err):
+def test_text_and_usage_output_is_byte_exact(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal width
     assert run(capsys, *argv) == (code, out, err)
 
 
