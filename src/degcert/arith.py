@@ -283,23 +283,23 @@ def prime_count(x: int, threads: int = 1) -> int:
     return sum(map_sieve(2, x + 1, lambda lo, hi, base: len(sieve_segment(lo, hi, base)), threads))
 
 
-def prime_power_count(m: int, threads: int = 1) -> int:
-    """Number of prime powers p**e <= m with e >= 1.
+def prime_powers_exp_ge2(limit: int) -> list[int]:
+    """All prime powers p**e <= limit with e >= 2, ascending."""
+    out = []
+    for p in map(int, primes_upto(isqrt(limit))):
+        pe = p * p
+        while pe <= limit:
+            out.append(pe)
+            pe *= p
+    return sorted(out)
 
-    Computed as sum over e of pi(floor(m**(1/e))); each exponent-e prime
-    power <= m corresponds to exactly one prime <= m**(1/e).
-    """
+
+def prime_power_count(m: int, threads: int = 1) -> int:
+    """Number of prime powers p**e <= m with e >= 1: pi(m) plus the powers
+    with e >= 2, which need only the primes up to sqrt(m)."""
     if m < 1:
         raise ParameterError(f"prime_power_count requires m >= 1, got {m}")
-    total = 0
-    e = 1
-    while True:
-        r = integer_nth_root(m, e)
-        if r < 2:
-            break
-        total += prime_count(r, threads)
-        e += 1
-    return total
+    return prime_count(m, threads) + len(prime_powers_exp_ge2(m))
 
 
 def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:

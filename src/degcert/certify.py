@@ -31,10 +31,11 @@ minimum search and the enumeration therefore walk depth first over the
 products of such prime powers (the classical recursion over the largest
 prime that counts smooth numbers) and take the last prime of each degree in
 bulk, as a run of the prime list found by bisection; no integer that cannot
-qualify is visited.  The density counts scan every integer instead: each
-sieve segment is screened with float32 sums of log p over small prime
-powers (the log-sieve smoothness test of the quadratic sieve), and the few
-candidates are factored and compared exactly.
+qualify is visited; the certificate-qualification density counts the same
+runs.  scan_qualifying, the sieve oracle of the walk, scans every integer
+instead: each sieve segment is screened with float32 sums of log p over
+small prime powers (the log-sieve smoothness test of the quadratic sieve),
+and the few candidates are factored and compared exactly.
 """
 
 from __future__ import annotations
@@ -529,14 +530,14 @@ def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[
     (thr is convex), so the p <= N // m that qualify form one run of P, found
     by bisection.  A last factor p**e with e >= 2 is tested singly.  The walk
     descends into m*p**e only while a larger prime still fits below N.
-    Exact integers throughout.  N < c gives no runs before the budget is
-    checked; an N beyond SIEVE_BUDGET is a CapacityError.
+    Exact integers throughout.  An n below 3 is a ParameterError, then an N
+    beyond SIEVE_BUDGET a CapacityError; an N below c gives no runs.
     """
     a, b, c = threshold_coefficients_upto(n, N, mode)
-    if N < c:
-        return [], []
     if N > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {N} exceeds budget {arith.SIEVE_BUDGET}")
+    if N < c:
+        return [], []
     cap = arith.integer_nth_root((N - c) // a, n)
     P = [int(p) for p in arith.primes_upto(cap) if p > n]
     T = [a * p**n + b * p ** (n - 1) + c for p in P]
@@ -583,16 +584,27 @@ def enumerate_qualifying(
 ) -> list[int]:
     """All qualifying degrees d <= d_max, ascending.
 
-    Nothing below (2**n + 1) * n! can qualify, so a smaller d_max gives []
-    before the budget is checked.  The degrees come from the exact walk of
-    _qualifying_runs, which is sequential: threads is accepted for the
-    callers that pass it and cannot change the answer.
+    The degrees come from the exact walk of _qualifying_runs, which is
+    sequential: threads is accepted for the callers that pass it and cannot
+    change the answer.
 
     >>> enumerate_qualifying(3, 20000)
     [5005, 12155, 17017, 17765, 19019]
     """
     P, runs = _qualifying_runs(n, d_max, mode)
     return sorted(m * P[k] for m, i, j in runs for k in range(i, j))
+
+
+def count_qualifying(n: int, xs: list[int], mode: Mode = Mode.FULL) -> list[int]:
+    """The number of qualifying degrees d <= x for each x of the ascending,
+    nonempty xs: one walk to xs[-1], then one bisection of P per run and x.
+
+    >>> count_qualifying(3, [10**4, 2 * 10**4])
+    [1, 5]
+    """
+    P, runs = _qualifying_runs(n, xs[-1], mode)
+    P, (m, i, j) = np.array(P, dtype=np.int64), np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    return [int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]
 
 
 def smallest_qualifying(

@@ -182,7 +182,7 @@ def cmd_dickman(args) -> int:
             _emit_json("dickman", **dataclasses.asdict(table))
         else:
             for idx, v in enumerate(table.values):
-                print(f"{idx * table.step:.6f} {v!r}")
+                print(f"{idx * table.step:.6f} {float(v)!r}")
         return EXIT_OK
     if args.u is None:
         raise ParameterError("dickman needs --u or --table")

@@ -1,19 +1,18 @@
-"""Empirical sieve densities and convergence diagnostics.
+"""Empirical densities and convergence diagnostics.
 
-Measures, by exact exhaustive sieve, how often degrees d satisfy the
-qualification predicates (certificate qualification, or largest prime
-power/factor below lambda * d**(1/n)), counts degrees certified to violate
-the integral Hodge conjecture via a single large prime divisor, and tracks
-the convergence of the prime-power ratio and of reciprocal prime sums
-toward their limits.
+Measures exactly how often degrees d satisfy the qualification predicates
+(certificate qualification, or largest prime power/factor below
+lambda * d**(1/n)), counts degrees certified to violate the integral Hodge
+conjecture via a single large prime divisor, and tracks the convergence of
+the prime-power ratio and of reciprocal prime sums toward their limits.
 
-All four density modes run the qualifying-degree segment kernel of
-certify, so every predicate is one exact comparison
-a*v**n + b*v**(n-1) + c <= m*d.  Certificate qualification uses the
-coefficients of its mode and m = 1.  A comparison v <= lambda * d**(1/n)
-has lambda enter as an exact rational (or as the exact rational value
-num/den of lambda**n) and becomes den * v**n <= num * d.  The kernel's
-float32 log-sum screen only drops d that fail; exact integers decide the rest.
+Certificate qualification is counted on certify's walk over prime powers
+(certify.count_qualifying), which sieves nothing.  The lambda modes sieve
+every d with certify's qualifying-degree segment kernel, where a comparison
+v <= lambda * d**(1/n) has lambda enter as an exact rational (or as the
+exact rational value num/den of lambda**n) and becomes den * v**n <= num * d.
+The kernel's float32 log-sum screen only drops d that fail; exact integers
+decide the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import fsum, isqrt
+from math import fsum
 from typing import Sequence
 
 import numpy as np
@@ -109,10 +108,6 @@ def _resolve_lambda(
     return None, lam_pow
 
 
-def _checkpoint_counts(d_values: np.ndarray, checkpoints: Sequence[int]) -> list[int]:
-    return [int(np.searchsorted(d_values, m, side="right")) for m in checkpoints]
-
-
 def empirical_density(
     n: int,
     N: int,
@@ -123,7 +118,8 @@ def empirical_density(
     threads: int = 1,
 ) -> DensityReport:
     """Exact count of qualifying d <= N (all modes also require
-    gcd(d, n!) = 1), with optional cumulative checkpoints."""
+    gcd(d, n!) = 1), with optional cumulative checkpoints.  Only the lambda
+    modes sieve; threads cannot reach the walk of the PROP16 modes."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if N < 1:
@@ -132,24 +128,23 @@ def empirical_density(
     if any(not 1 <= m <= N for m in cps) or cps != sorted(cps):
         raise ParameterError(f"checkpoints must be ascending within [1, {N}]")
 
+    xs = [*cps, N]
     if mode in (DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK):
         cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
-        a, b, c = certify.threshold_coefficients_upto(n, N, cmode)
-        m, start = 1, c  # nothing below c qualifies
+        counts = certify.count_qualifying(n, xs, cmode)
         lam_val = lam_pow_val = None
     else:
         lam_val, lam_pow_val = _resolve_lambda(n, lam, lam_pow)
         # v <= lam * d**(1/n)  <=>  den * v**n <= num * d, for lam**n = num/den
-        a, b, c, m, start = lam_pow_val.denominator, 0, 0, lam_pow_val.numerator, 1
-    prime_factor = mode == DensityMode.LAMBDA_PRIME
+        den, num = lam_pow_val.denominator, lam_pow_val.numerator
+        prime_factor = mode == DensityMode.LAMBDA_PRIME
 
-    def work(lo: int, hi: int, base: np.ndarray) -> tuple[int, list[int]]:
-        hits = certify.qualifying_segment(lo, hi, base, n, a, b, c, m, prime_factor)
-        return len(hits), _checkpoint_counts(hits, cps)
+        def work(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+            hits = certify.qualifying_segment(lo, hi, base, n, den, 0, 0, num, prime_factor)
+            return np.searchsorted(hits, xs, side="right")
 
-    parts = arith.map_sieve(start, N + 1, work, threads)
-    count = sum(p[0] for p in parts)
-    cp_counts = [sum(p[1][t] for p in parts) for t in range(len(cps))]
+        counts = sum(arith.map_sieve(1, N + 1, work, threads)).tolist()
+    count = counts[-1]
 
     theoretical = theoretical_density(n) if n <= 10 else None
     return DensityReport(
@@ -162,7 +157,7 @@ def empirical_density(
         empirical=count / N,
         theoretical=theoretical,
         theoretical_is_heuristic=lam_pow_val is not None,
-        samples=tuple(zip(cps, cp_counts)) if cps else None,
+        samples=tuple(zip(cps, counts)) if cps else None,
     )
 
 
@@ -196,18 +191,6 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
     return IhcReport(n=n, N=N, range_lo=range_lo, count=count, fraction=count / (N - range_lo + 1))
 
 
-def _prime_powers_exp_ge2(limit: int) -> list[int]:
-    """All prime powers p**e <= limit with e >= 2, ascending."""
-    out = []
-    for p in arith.primes_upto(isqrt(limit)):
-        pe = int(p) * int(p)
-        while pe <= limit:
-            out.append(pe)
-            pe *= int(p)
-    out.sort()
-    return out
-
-
 def convergence_diagnostics(
     n: int,
     checkpoints: Sequence[int],
@@ -232,7 +215,7 @@ def convergence_diagnostics(
         mert = arith.mertens_sum(m, n, threads).sum
         if with_tails:
             root = arith.integer_nth_root(m, n)
-            powers = _prime_powers_exp_ge2(m)
+            powers = arith.prime_powers_exp_ge2(m)
             small = sum(q ** (n - 1) for q in powers if q <= root)
             large = fsum(1.0 / q for q in powers if q > root)
             tail_small = inv_lam_pow * small

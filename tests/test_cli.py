@@ -273,6 +273,11 @@ def test_smallest_budget_exit_codes(capsys, argv, code, shown):
         (("density", "--n", "300000", "--N", "1000000"), 0, "count = 0 of N = 1000000"),
         (("ihc", "--n", "300000", "--N", "1000000"), 0, "count = 0 in [1, 1000000]"),
         (("density", "--n", "300000", "--N", "20000000000"), 3, "capacity error"),
+        # malformed input is refused before the budget, and any bound past
+        # the budget is refused before the least degree c is compared
+        (("density", "--n", "2", "--N", "20000000000"), 1, "error: n must be >= 3, got 2"),
+        (("enumerate", "--n", "2", "--d-max", "20000000000"), 1, "error: n must be >= 3, got 2"),
+        (("enumerate", "--n", "300000", "--d-max", "20000000000"), 3, "capacity error"),
     ],
 )
 def test_sieve_commands_answer_huge_n_at_once(capsys, argv, code, shown):
@@ -602,8 +607,7 @@ TEXT_CASES = [
     (
         ["dickman", "--table", "--u-max", "2", "--step", "0.5"],
         0,
-        "0.000000 np.float64(1.0)\n0.500000 np.float64(1.0)\n1.000000 np.float64(1.0)\n"
-        "1.500000 np.float64(0.5945348918918356)\n2.000000 np.float64(0.3068528194400547)\n",
+        "0.000000 1.0\n0.500000 1.0\n1.000000 1.0\n1.500000 0.5945348918918356\n2.000000 0.3068528194400547\n",
         "",
     ),
     (

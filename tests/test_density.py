@@ -127,9 +127,19 @@ def test_validation_lambda_modes():
         empirical_density(3, arith.SIEVE_BUDGET + 1, DensityMode.PROP16_FULL)
 
 
-def test_density_threads_bit_identical():
-    a = empirical_density(3, 10**6, DensityMode.PROP16_FULL, checkpoints=[10**5, 10**6])
-    b = empirical_density(3, 10**6, DensityMode.PROP16_FULL, checkpoints=[10**5, 10**6], threads=4)
+@pytest.mark.parametrize(
+    "n, N, mode, kw, cps",
+    [
+        (3, 10**6, DensityMode.PROP16_FULL, {}, [10**5, 10**6]),
+        (3, 10**7, DensityMode.LAMBDA_PRIMEPOWER, {"lam_pow": Fraction(1, 2)}, [10**5, 5 * 10**6]),
+        (4, 10**7, DensityMode.LAMBDA_PRIME, {"lam": Fraction(1)}, [10**5, 5 * 10**6]),
+    ],
+    ids=["prop16", "lambda_primepower", "lambda_prime"],
+)
+def test_density_threads_bit_identical(n, N, mode, kw, cps):
+    # the lambda modes sieve three segments, which four threads map at once
+    a = empirical_density(n, N, mode, checkpoints=cps, **kw)
+    b = empirical_density(n, N, mode, checkpoints=cps, threads=4, **kw)
     assert a.count == b.count
     assert a.samples == b.samples
     assert a.empirical == b.empirical
@@ -143,8 +153,36 @@ def test_screen_rejects_non_coprime_degrees_without_the_mask(monkeypatch):
         raise AssertionError("coprime_mask called")
 
     monkeypatch.setattr(arith, "coprime_mask", no_mask)
-    assert empirical_density(3, 10**7, DensityMode.PROP16_FULL).count == 29850
+    assert sum(len(a) for a in certify.scan_qualifying(3, 1, 10**7 + 1)) == 29850
     assert empirical_density(4, 2 * 10**7, DensityMode.LAMBDA_PRIME, lam=1).count == 11478
+
+
+def test_prop16_density_runs_no_sieve(monkeypatch):
+    # both PROP16 modes count the runs of certify's walk over prime powers
+    def no_sieve(*args):
+        raise AssertionError("map_sieve called")
+
+    monkeypatch.setattr(arith, "map_sieve", no_sieve)
+    r = empirical_density(3, 10**7, DensityMode.PROP16_FULL, checkpoints=[10**6])
+    assert (r.count, r.samples) == (29850, ((10**6, 1734),))
+    assert empirical_density(3, 10**6, DensityMode.PROP16_WEAK).count == 577
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.sampled_from([DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK]),
+    st.integers(1, 3 * 10**6),
+    st.lists(st.floats(0, 1), max_size=4),
+)
+def test_prop16_walk_counts_match_the_sieve(n, mode, N, fracs):
+    # the walk's counts against the flattened sieve at random checkpoints
+    cps = sorted(max(1, int(f * N)) for f in fracs)
+    cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
+    sieved = np.concatenate(certify.scan_qualifying(n, 1, N + 1, cmode))
+    r = empirical_density(n, N, mode, checkpoints=cps)
+    assert r.count == len(sieved)
+    assert r.samples == (tuple((m, int(np.searchsorted(sieved, m, side="right"))) for m in cps) or None)
 
 
 # --- exact threshold comparator ---------------------------------------------------
