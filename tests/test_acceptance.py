@@ -26,6 +26,14 @@ TRAJ_CHECKPOINTS = (10**6, 10**7, 10**8)
 # output).
 FROZEN_TRAJ_COUNTS = {10**6: 1734, 10**7: 29850, 10**8: 427006}
 FROZEN_IHC_COUNT = 540702
+# mertens_sum(x, 3) over X_GRID as float.hex() and prime counts; the sum is
+# correctly rounded, so any change of summation order or method shows here.
+FROZEN_MERTENS = (
+    ("0x1.109d6f3295ca7p+0", 9578),
+    ("0x1.15a281994b385p+0", 78473),
+    ("0x1.1671eeaf2faeap+0", 664532),
+    ("0x1.16adc07b87ebfp+0", 5761365),
+)
 
 
 @lru_cache(maxsize=None)
@@ -177,6 +185,10 @@ def test_criterion_06_mertens_convergence():
     )
     assert final < 0.05
     assert non_increasing
+
+
+def test_mertens_sums_are_bit_identical_to_the_frozen_values():
+    assert tuple((r.sum.hex(), r.prime_count) for r in mertens_runs(1)) == FROZEN_MERTENS
 
 
 def test_criterion_07_prime_power_ratio():
