@@ -2,9 +2,9 @@
 
 Deterministic factorization, exact integer roots, largest prime powers
 (scalar, and bulk segmented for segments where certify's log-sum screen
-would keep most d), prime and prime-power counting, reproducible
-compensated reciprocal-prime sums, and the coprimality mask of those
-segments.
+would keep most d), prime and prime-power counting by a sieve over odd
+numbers, reciprocal-prime sums that are exact integer sums per segment
+rounded once, and the coprimality mask of those segments.
 
 Every segmented sieve in the package runs through one function, map_sieve:
 it alone holds a sieve range to SIEVE_BUDGET, builds the base primes, cuts
@@ -266,16 +266,24 @@ def map_sieve(lo: int, hi: int, fn: Callable, threads: int = 1) -> list:
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi), lo >= 2, given base primes covering sqrt(hi-1)."""
-    mask = np.ones(hi - lo, dtype=bool)
-    for p in base_primes:
-        p = int(p)
+    """Primes in [lo, hi), lo >= 2, given base primes covering sqrt(hi-1).
+
+    The mask covers only the odd numbers o, o + 2, ... of [lo, hi), o = lo | 1,
+    where the odd multiples of p lie p entries apart; 2 is prepended when
+    lo == 2.
+    """
+    o = lo | 1
+    mask = np.ones(max(0, (hi - o + 1) // 2), dtype=bool)
+    for p in base_primes[base_primes > 2].tolist():
         if p * p >= hi:
             break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            mask[start - lo :: p] = False
-    return np.flatnonzero(mask).astype(np.int64) + lo
+        start = max(p * p, -(-lo // p) * p)
+        start += p * (start % 2 == 0)  # first odd multiple; past hi slices empty
+        mask[(start - o) // 2 :: p] = False
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+    primes *= 2
+    primes += o
+    return np.concatenate(([2], primes)) if lo == 2 < hi else primes
 
 
 def prime_count(x: int, threads: int = 1) -> int:
@@ -302,13 +310,36 @@ def prime_power_count(m: int, threads: int = 1) -> int:
     return prime_count(m, threads) + len(prime_powers_exp_ge2(m))
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """fsum(x.tolist()) for an array of fewer than 2**36 positive floats,
+    without making a Python float per element.
+
+    Each x = M * 2**(e - 53) with M the 53-bit integer mantissa of frexp.  The
+    high and low 26-bit halves of M are summed in int64, exactly, over each
+    run of equal exponent, and the run totals are shifted into one Python int
+    S = sum(x) * 2**(53 - min e).  Int true division rounds correctly, so
+    S / 2**(53 - min e) is the correctly rounded sum, as fsum's is.
+    """
+    if len(x) == 0:
+        return 0.0
+    mant, exp = np.frexp(x)
+    M = (mant * 2.0**53).astype(np.int64)
+    starts = np.flatnonzero(np.r_[True, exp[1:] != exp[:-1]])
+    highs = np.add.reduceat(M >> 26, starts).tolist()
+    lows = np.add.reduceat(M & (2**26 - 1), starts).tolist()
+    es = exp[starts].tolist()
+    e0 = min(es)
+    total = sum(((h << 26) + l) << (e - e0) for h, l, e in zip(highs, lows, es))
+    return total / 2 ** (53 - e0) if e0 <= 53 else float(total << (e0 - 53))
+
+
 def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
     """Sum of 1/p over primes p in (x**(1/n), x].
 
-    Summation is compensated (exactly-rounded fsum) over ascending primes
-    within each fixed-size segment, and segment partials are combined in
-    ascending order, so the result is a deterministic bit pattern for fixed
-    (x, n) regardless of thread count.
+    Each fixed-size segment sums its reciprocals exactly in integers and
+    rounds once (_exact_sum, equal to fsum), and the segment partials are
+    combined with fsum in ascending order, so the result is a deterministic
+    bit pattern for fixed (x, n) regardless of thread count.
     """
     if x < 2:
         raise ParameterError(f"mertens_sum requires x >= 2, got {x}")
@@ -319,9 +350,7 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
     def work(lo: int, hi: int, base: np.ndarray) -> tuple[float, int]:
         ps = sieve_segment(lo, hi, base)
         ps = ps[ps > lo_excl]
-        if len(ps) == 0:
-            return 0.0, 0
-        return fsum((1.0 / ps).tolist()), len(ps)
+        return _exact_sum(1.0 / ps), len(ps)
 
     parts = map_sieve(max(2, lo_excl), x + 1, work, threads)
     total = fsum(p[0] for p in parts)

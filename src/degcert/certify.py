@@ -30,9 +30,9 @@ where a, b, c are the coefficients of the qualification inequality.  The
 minimum search and the enumeration therefore walk depth first over the
 products of such prime powers (the classical recursion over the largest
 prime that counts smooth numbers) and take the last prime of each degree in
-bulk, as a run of the prime list found by bisection; no integer that cannot
-qualify is visited; the certificate-qualification density counts the same
-runs.  scan_qualifying, the sieve oracle of the walk, scans every integer
+bulk, as a run of the prime list found by plain bisections; no integer that
+cannot qualify is visited; the certificate-qualification density counts the
+same runs.  scan_qualifying, the sieve oracle of the walk, scans every integer
 instead: each sieve segment is screened with float32 sums of log p over
 small prime powers (the log-sieve smoothness test of the quadratic sieve),
 and the few candidates are factored and compared exactly.
@@ -526,12 +526,15 @@ def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[
     largest prime of d.  The walk goes depth first over m = products of
     prime powers <= cap, primes ascending, keeping thr(L) for the largest
     prime power L of m.  The last prime p with exponent 1 is taken in bulk:
-    m*p - thr(max(L, p)) = min(m*p - thr(L), m*p - thr(p)) is concave in p
-    (thr is convex), so the p <= N // m that qualify form one run of P, found
-    by bisection.  A last factor p**e with e >= 2 is tested singly.  The walk
-    descends into m*p**e only while a larger prime still fits below N.
-    Exact integers throughout.  An n below 3 is a ParameterError, then an N
-    beyond SIEVE_BUDGET a CapacityError; an N below c gives no runs.
+    m*p qualifies iff thr(L) <= m*p <= N and m >= H(p) = ceil(thr(p) / p).
+    thr(p)/p = a*p**(n-1) + b*p**(n-2) + c/p is convex and rises from p = n + 1
+    on, where its slope is positive ((n-1)*a*(n+1)**n > c for every n >= 3),
+    so H ascends over P and the qualifying p form one run of P, the
+    intersection of intervals found by three plain bisections.  A last
+    factor p**e with e >= 2 is tested singly.  The walk descends into m*p**e
+    only while a larger prime still fits below N.  Exact integers throughout.
+    An n below 3 is a ParameterError, then an N beyond SIEVE_BUDGET a
+    CapacityError; an N below c gives no runs.
     """
     a, b, c = threshold_coefficients_upto(n, N, mode)
     if N > arith.SIEVE_BUDGET:
@@ -540,26 +543,15 @@ def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[
         return [], []
     cap = arith.integer_nth_root((N - c) // a, n)
     P = [int(p) for p in arith.primes_upto(cap) if p > n]
-    T = [a * p**n + b * p ** (n - 1) + c for p in P]
+    H = [-(-(a * p**n + b * p ** (n - 1) + c) // p) for p in P]
     runs: list[tuple[int, int, int]] = []
-
-    def first(lo: int, hi: int, pred) -> int:
-        # least k in [lo, hi) with pred(k), or hi; pred is monotone false -> true
-        return lo + bisect_left(range(lo, hi), True, key=pred)
 
     def walk(m: int, t_l: int, s: int) -> None:
         # every prime of m is below P[s]; t_l = thr(L)
-        hi = bisect_right(P, N // m, s)
-
-        def g(k: int) -> int:
-            return m * P[k] - max(t_l, T[k])
-
-        # differences of a concave sequence change sign once: the peak is
-        # the first k whose successor is no larger
-        peak = first(s, hi - 1, lambda k: g(k + 1) <= g(k))
-        if s < hi and g(peak) >= 0:
-            i = first(s, peak, lambda k: g(k) >= 0)
-            runs.append((m, i, first(peak + 1, hi, lambda k: g(k) < 0)))
+        i = bisect_left(P, -(-t_l // m), s)
+        j = min(bisect_right(P, N // m, s), bisect_right(H, m, s))
+        if i < j:
+            runs.append((m, i, j))
         for k in range(s, len(P)):
             p = P[k]
             if m * p * p > N:

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import fsum, gcd, isqrt
 
 import numpy as np
@@ -212,6 +213,37 @@ def test_prime_count_known_values():
     assert arith.prime_count(1) == 0
 
 
+@lru_cache(maxsize=None)
+def _oracle(limit):
+    return simple_prime_sieve(limit)
+
+
+def assert_sieve_segment_matches_oracle(lo, hi):
+    got = arith.sieve_segment(lo, hi, arith.primes_upto(isqrt(max(hi - 1, 0))))
+    oracle = _oracle(max(hi, 310_000))
+    assert got.dtype == np.int64
+    assert got.tolist() == [v for v in range(lo, hi) if oracle[v]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 150_000), st.booleans(), st.integers(1, 5000))
+def test_sieve_segment_matches_oracle(half, odd, width):
+    lo = 2 * half + odd
+    assert_sieve_segment_matches_oracle(lo, lo + width)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2, 2), (2, 3), (3, 4), (4, 5), (2, 100), (9, 10), (25, 26),
+        (arith.SEGMENT_SIZE - 3001, arith.SEGMENT_SIZE),
+        (arith.SEGMENT_SIZE, arith.SEGMENT_SIZE + 999),
+    ],
+)
+def test_sieve_segment_edges(lo, hi):
+    assert_sieve_segment_matches_oracle(lo, hi)
+
+
 def brute_prime_powers_upto(m, oracle):
     count = 0
     for p in range(2, m + 1):
@@ -297,6 +329,26 @@ def test_mertens_deterministic_across_threads():
     a = arith.mertens_sum(10**6, 3, threads=1)
     b = arith.mertens_sum(10**6, 3, threads=4)
     assert a.sum == b.sum and a.prime_count == b.prime_count
+
+
+def test_exact_sum_rounds_like_fsum_on_ties():
+    for xs in ([], [0.5], [1.0, 2**-53], [1.0, 2**-53, 2**-53], [1 + 2**-52, 2**-53], [2**-53, 1.0]):
+        got = arith._exact_sum(np.array(xs, dtype=np.float64))
+        assert got.hex() == fsum(xs).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 78_000), st.integers(0, 3000))
+def test_exact_sum_of_prime_reciprocals_equals_fsum(start, count):
+    ps = arith.primes_upto(10**6)[start : start + count]
+    x = 1.0 / ps
+    assert arith._exact_sum(x).hex() == fsum(x.tolist()).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(2**-60, 2**10), max_size=300))
+def test_exact_sum_of_mixed_floats_equals_fsum(xs):
+    assert arith._exact_sum(np.array(xs, dtype=np.float64)).hex() == fsum(xs).hex()
 
 
 def test_mertens_validation():

@@ -1,7 +1,7 @@
 import dataclasses
 import json
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, isqrt
@@ -531,6 +531,91 @@ def test_enumerate_frozen_counts_to_1e8():
 def test_enumerate_matches_sieve(n, mode, N):
     sieved = [int(d) for arr in certify.scan_qualifying(n, 1, N + 1, mode) for d in arr]
     assert certify.enumerate_qualifying(n, N, mode) == sieved
+
+
+# --- the walk's bulk runs against a key-function reference walk ---------------
+
+
+def reference_runs(n, N, mode):
+    """(P, runs) of certify._qualifying_runs, found by bisecting the concave
+    g(k) = m * P[k] - max(thr(L), thr(P[k])) through key functions: the
+    peak of g, then the rise to 0 before it and the fall below 0 after it."""
+    a, b, c = certify.threshold_coefficients_upto(n, N, mode)
+    if N < c:
+        return [], []
+    cap = arith.integer_nth_root((N - c) // a, n)
+    P = [int(p) for p in arith.primes_upto(cap) if p > n]
+    T = [a * p**n + b * p ** (n - 1) + c for p in P]
+    runs = []
+
+    def first(lo, hi, pred):
+        # least k in [lo, hi) with pred(k), or hi; pred is monotone false -> true
+        return lo + bisect_left(range(lo, hi), True, key=pred)
+
+    def walk(m, t_l, s):
+        hi = bisect_right(P, N // m, s)
+
+        def g(k):
+            return m * P[k] - max(t_l, T[k])
+
+        peak = first(s, hi - 1, lambda k: g(k + 1) <= g(k))
+        if s < hi and g(peak) >= 0:
+            i = first(s, peak, lambda k: g(k) >= 0)
+            runs.append((m, i, first(peak + 1, hi, lambda k: g(k) < 0)))
+        for k in range(s, len(P)):
+            p = P[k]
+            if m * p * p > N:
+                break
+            q, mq = p, m * p
+            while True:
+                t_q = max(t_l, a * q**n + b * q ** (n - 1) + c)
+                if q > p and t_q <= mq:
+                    runs.append((mq // p, k, k + 1))
+                if k + 1 < len(P) and mq * P[k + 1] <= N:
+                    walk(mq, t_q, k + 1)
+                q, mq = q * p, mq * p
+                if q > cap or mq > N:
+                    break
+
+    walk(1, 0, 0)
+    return P, runs
+
+
+def test_threshold_per_prime_rises_past_n():
+    # the walk's run ends need thr(p)/p = a*p**(n-1) + b*p**(n-2) + c/p to
+    # increase over the primes p > n: it is convex, and with b >= 0 this
+    # makes its slope at n + 1 positive
+    for n in range(3, 41):
+        for mode in Mode:
+            a, b, c = certify.threshold_coefficients(n, mode)
+            assert b >= 0 and (n - 1) * a * (n + 1) ** n > c, (n, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 7), st.sampled_from(list(Mode)), st.floats(0, 1))
+def test_walk_matches_reference_walk(n, mode, u):
+    c = certify.threshold_coefficients(n, mode)[2]
+    N = min(3 * 10**7, round((c - 1) * (3 * 10**7 / (c - 1)) ** u))
+    assert certify._qualifying_runs(n, N, mode) == reference_runs(n, N, mode)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_walk_matches_reference_walk_with_few_primes(n, mode):
+    a, _, c = certify.threshold_coefficients(n, mode)
+    p1, p2 = [p for p in range(n + 1, 4 * n) if arith.is_prime(p)][:2]
+    # P holds the primes in (n, iroot((N - c) // a, n)]; WEAK n = 7 reaches
+    # one prime only beyond SIEVE_BUDGET
+    cases = ((c, 0), (c + 1, 0), (c + a * p1**n, 1), (c + a * p2**n, 2))
+    for N, size in [(N, size) for N, size in cases if N <= arith.SIEVE_BUDGET]:
+        P, runs = certify._qualifying_runs(n, N, mode)
+        assert len(P) == size
+        assert (P, runs) == reference_runs(n, N, mode)
+
+
+@pytest.mark.parametrize("n, N", [(3, 10**8), (4, 10**9)])
+def test_walk_matches_reference_walk_at_scale(n, N):
+    assert certify._qualifying_runs(n, N, Mode.FULL) == reference_runs(n, N, Mode.FULL)
 
 
 # --- the qualifying-degree segment kernel against a scalar oracle -------------
