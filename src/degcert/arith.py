@@ -280,9 +280,7 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
         start = max(p * p, -(-lo // p) * p)
         start += p * (start % 2 == 0)  # first odd multiple; past hi slices empty
         mask[(start - o) // 2 :: p] = False
-    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
-    primes *= 2
-    primes += o
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False) * 2 + o
     return np.concatenate(([2], primes)) if lo == 2 < hi else primes
 
 
@@ -311,8 +309,8 @@ def prime_power_count(m: int, threads: int = 1) -> int:
 
 
 def _exact_sum(x: np.ndarray) -> float:
-    """fsum(x.tolist()) for an array of fewer than 2**36 positive floats,
-    without making a Python float per element.
+    """fsum(x.tolist()) for an array of fewer than 2**36 positive floats below
+    2**53, without making a Python float per element.
 
     Each x = M * 2**(e - 53) with M the 53-bit integer mantissa of frexp.  The
     high and low 26-bit halves of M are summed in int64, exactly, over each
@@ -330,7 +328,7 @@ def _exact_sum(x: np.ndarray) -> float:
     es = exp[starts].tolist()
     e0 = min(es)
     total = sum(((h << 26) + l) << (e - e0) for h, l, e in zip(highs, lows, es))
-    return total / 2 ** (53 - e0) if e0 <= 53 else float(total << (e0 - 53))
+    return total / 2 ** (53 - e0)
 
 
 def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:

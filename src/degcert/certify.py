@@ -528,9 +528,9 @@ def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[
     prime power L of m.  The last prime p with exponent 1 is taken in bulk:
     m*p qualifies iff thr(L) <= m*p <= N and m >= H(p) = ceil(thr(p) / p).
     thr(p)/p = a*p**(n-1) + b*p**(n-2) + c/p is convex and rises from p = n + 1
-    on, where its slope is positive ((n-1)*a*(n+1)**n > c for every n >= 3),
-    so H ascends over P and the qualifying p form one run of P, the
-    intersection of intervals found by three plain bisections.  A last
+    on, where its slope is positive (b >= 0 and (n-1)*a*(n+1)**n > c for
+    every n >= 3), so H ascends over P and the qualifying p form one run of
+    P, the intersection of intervals found by three plain bisections.  A last
     factor p**e with e >= 2 is tested singly.  The walk descends into m*p**e
     only while a larger prime still fits below N.  Exact integers throughout.
     An n below 3 is a ParameterError, then an N beyond SIEVE_BUDGET a
