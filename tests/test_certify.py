@@ -606,8 +606,9 @@ def test_walk_matches_reference_walk_with_few_primes(n, mode):
     p1, p2 = [p for p in range(n + 1, 4 * n) if arith.is_prime(p)][:2]
     # P holds the primes in (n, iroot((N - c) // a, n)]; WEAK n = 7 reaches
     # one prime only beyond SIEVE_BUDGET
-    cases = ((c, 0), (c + 1, 0), (c + a * p1**n, 1), (c + a * p2**n, 2))
-    for N, size in [(N, size) for N, size in cases if N <= arith.SIEVE_BUDGET]:
+    for N, size in ((c, 0), (c + 1, 0), (c + a * p1**n, 1), (c + a * p2**n, 2)):
+        if N > arith.SIEVE_BUDGET:
+            continue
         P, runs = certify._qualifying_runs(n, N, mode)
         assert len(P) == size
         assert (P, runs) == reference_runs(n, N, mode)
