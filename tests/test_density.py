@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial, fsum, gcd
+from math import exp, factorial, fsum, gcd, log
 
 import numpy as np
 import pytest
@@ -183,6 +183,57 @@ def test_prop16_walk_counts_match_the_sieve(n, mode, N, fracs):
     r = empirical_density(n, N, mode, checkpoints=cps)
     assert r.count == len(sieved)
     assert r.samples == (tuple((m, int(np.searchsorted(sieved, m, side="right"))) for m in cps) or None)
+
+
+# (mode, n, lambda**n, N) -> the number of d <= N, frozen from the segment sieve
+LAMBDA_COUNTS = {
+    (DensityMode.LAMBDA_PRIMEPOWER, 3, Fraction(1, 2), 3 * 10**7): 109808,
+    (DensityMode.LAMBDA_PRIMEPOWER, 3, Fraction(300), 10**7): 442251,
+    (DensityMode.LAMBDA_PRIMEPOWER, 2, Fraction(1), 10**7): 1099177,
+    (DensityMode.LAMBDA_PRIME, 4, Fraction(1), 2 * 10**7): 11478,
+    (DensityMode.LAMBDA_PRIME, 2, Fraction(1, 4), 10**7): 786603,
+    (DensityMode.LAMBDA_PRIME, 1, Fraction(1, 3), 10**7): 8986907,
+}
+
+
+@pytest.mark.parametrize(
+    "mode, n, lam_pow, N", LAMBDA_COUNTS, ids=[f"{m.value}-{n}-{f}-{N}" for m, n, f, N in LAMBDA_COUNTS]
+)
+def test_lambda_counts_frozen(mode, n, lam_pow, N):
+    assert empirical_density(n, N, mode, lam_pow=lam_pow).count == LAMBDA_COUNTS[mode, n, lam_pow, N]
+
+
+@pytest.mark.parametrize("mode", [DensityMode.LAMBDA_PRIMEPOWER, DensityMode.LAMBDA_PRIME])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lambda_degree_one(mode, n):
+    # d = 1 has no prime, so v = 1: it qualifies iff lambda**n >= 1
+    assert empirical_density(n, 1, mode, lam_pow=Fraction(1)).count == 1
+    assert empirical_density(n, 1, mode, lam_pow=Fraction(1, 2)).count == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([DensityMode.LAMBDA_PRIMEPOWER, DensityMode.LAMBDA_PRIME]),
+    st.one_of(
+        st.builds(Fraction, st.integers(1, 100), st.integers(1, 100)),
+        st.sampled_from([Fraction(1), Fraction(1, 10**50), Fraction(10**50), Fraction(10**400)]),
+    ),
+    st.floats(0, log(3 * 10**6)),
+    st.lists(st.floats(0, 1), max_size=4),
+)
+def test_lambda_density_matches_the_sieve(n, mode, lam_pow, log_n, fracs):
+    # empirical_density against the flattened segment kernel, which keeps its
+    # lambda arguments to serve as this oracle, at random checkpoints and 1
+    N = min(3 * 10**6, round(exp(log_n)))
+    cps = sorted([1, *(max(1, int(f * N)) for f in fracs)])
+    args = (n, lam_pow.denominator, 0, 0, lam_pow.numerator, mode == DensityMode.LAMBDA_PRIME)
+    sieved = np.concatenate(
+        arith.map_sieve(1, N + 1, lambda lo, hi, base: certify.qualifying_segment(lo, hi, base, *args))
+    )
+    r = empirical_density(n, N, mode, lam_pow=lam_pow, checkpoints=cps)
+    assert r.count == len(sieved)
+    assert r.samples == tuple((m, int(np.searchsorted(sieved, m, side="right"))) for m in cps)
 
 
 # --- exact threshold comparator ---------------------------------------------------
