@@ -31,11 +31,13 @@ minimum search and the enumeration therefore walk depth first over the
 products of such prime powers (the classical recursion over the largest
 prime that counts smooth numbers) and take the last prime of each degree in
 bulk, as a run of the prime list found by plain bisections; no integer that
-cannot qualify is visited; the certificate-qualification density counts the
-same runs.  scan_qualifying, the sieve oracle of the walk, scans every integer
-instead: each sieve segment is screened with float32 sums of log p over
-small prime powers (the log-sieve smoothness test of the quadratic sieve),
-and the few candidates are factored and compared exactly.
+cannot qualify is visited.  Every density count of the density module runs
+the same walk: the lambda predicates den * v**n <= num * d are the same
+inequality with coefficients (den, 0, 0) and d scaled by num.
+scan_qualifying, the sieve oracle of the walk, scans every integer instead:
+each sieve segment is screened with float32 sums of log p over small prime
+powers (the log-sieve smoothness test of the quadratic sieve), and the few
+candidates are factored and compared exactly.
 """
 
 from __future__ import annotations
@@ -447,6 +449,8 @@ def qualifying_segment(
     v <= v_ub = ((m*(hi-1) - c) // a)**(1/n).  For v_ub <= sqrt(hi - 1) a
     log-sum screen keeps exactly the v_ub-smooth d coprime to n! for an
     exact recheck; otherwise, or when they are dense, every d is factored.
+    The density module's lambda predicates, (den, 0, 0, num) with or without
+    prime_factor, run on the walk; the kernel takes them as its oracle.
     """
     if lo < 1 or hi <= lo:
         raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
@@ -517,58 +521,90 @@ def scan_qualifying(
     )
 
 
-def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """(P, runs): the qualifying degrees d <= N as runs of primes.
+def _walk(
+    n: int, N: int, a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """(P, runs): the d in [2, N] with gcd(d, n!) = 1 and
+    thr(v) = a*v**n + b*v**(n-1) + c <= scale*d, as runs of primes, where v
+    is the largest prime power of d (its largest prime when prime_factor is
+    set) and a >= 1, b, c >= 0.
 
-    P holds the primes in (n, cap], cap = iroot((N - c) // a, n), which
-    bounds every prime power of a qualifying d.  Each qualifying d is exactly
-    one m * P[k] with (m, i, j) in runs and i <= k < j, where P[k] is the
-    largest prime of d.  The walk goes depth first over m = products of
-    prime powers <= cap, primes ascending, keeping thr(L) for the largest
-    prime power L of m.  The last prime p with exponent 1 is taken in bulk:
-    m*p qualifies iff thr(L) <= m*p <= N and m >= H(p) = ceil(thr(p) / p).
-    thr(p)/p = a*p**(n-1) + b*p**(n-2) + c/p is convex and rises from p = n + 1
-    on, where its slope is positive (b >= 0 and (n-1)*a*(n+1)**n > c for
-    every n >= 3), so H ascends over P and the qualifying p form one run of
-    P, the intersection of intervals found by three plain bisections.  A last
-    factor p**e with e >= 2 is tested singly.  The walk descends into m*p**e
-    only while a larger prime still fits below N.  Exact integers throughout.
-    An n below 3 is a ParameterError, then an N beyond SIEVE_BUDGET a
-    CapacityError; an N below c gives no runs.
+    P holds the primes in (n, cap], cap = min(iroot((scale*N - c) // a, n), N),
+    which bounds every prime power (every prime, under prime_factor) of such
+    a d.  Each such d is exactly one m * P[k] with (m, i, j) in runs and
+    i <= k < j, where P[k] is the largest prime of d.  The walk goes depth
+    first over m = products of prime powers, primes ascending, keeping
+    t_l = thr(L) for the largest prime power L of m (its largest prime under
+    prime_factor).  The last prime p with exponent 1 is taken in bulk: m*p
+    qualifies iff t_l <= scale*m*p, m*p <= N and m >= H(p) =
+    ceil(thr(p) / (scale*p)).  H ascends over P, so the qualifying p form one
+    run of P, the intersection of intervals found by three plain bisections:
+    thr(p)/p = a*p**(n-1) + b*p**(n-2) + c/p is convex, and for the
+    certificate coefficients it rises from p = n + 1 on, where its slope is
+    positive (b >= 0 and (n-1)*a*(n+1)**n > c for every n >= 3); for the
+    lambda predicates (b = c = 0) it is a*p**(n-1), which ascends for n >= 2
+    and is constant for n = 1.  A last factor p**e with e >= 2 is tested
+    singly, against thr(p) under prime_factor, where p**e is bounded by N
+    alone.  The walk descends into m*p**e only while a larger prime still
+    fits below N.  Exact integers throughout.  d = 1, whose v is 1, is in no
+    run.  An N beyond SIEVE_BUDGET is a CapacityError, then a cap beyond
+    10**8.
     """
-    a, b, c = threshold_coefficients_upto(n, N, mode)
     if N > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {N} exceeds budget {arith.SIEVE_BUDGET}")
-    if N < c:
+    if scale * N < c:
         return [], []
-    cap = arith.integer_nth_root((N - c) // a, n)
+    cap = min(arith.integer_nth_root((scale * N - c) // a, n), N)
+    if cap > 10**8:
+        raise CapacityError(f"walk prime bound {cap} exceeds 10^8")
     P = [int(p) for p in arith.primes_upto(cap) if p > n]
-    H = [-(-(a * p**n + b * p ** (n - 1) + c) // p) for p in P]
+    T = [a * p**n + b * p ** (n - 1) + c for p in P]
+    H = [-(-t // (scale * p)) for t, p in zip(T, P)]
+    end, qcap = len(P), N if prime_factor else cap
     runs: list[tuple[int, int, int]] = []
+    append = runs.append
 
     def walk(m: int, t_l: int, s: int) -> None:
         # every prime of m is below P[s]; t_l = thr(L)
-        i = bisect_left(P, -(-t_l // m), s)
-        j = min(bisect_right(P, N // m, s), bisect_right(H, m, s))
+        lim = N // m
+        i = bisect_left(P, -(-t_l // (scale * m)), s)
+        j = bisect_right(P, lim, s)
+        h = bisect_right(H, m, s)
+        if h < j:
+            j = h
         if i < j:
-            runs.append((m, i, j))
-        for k in range(s, len(P)):
+            append((m, i, j))
+        for k in range(s, end):
             p = P[k]
-            if m * p * p > N:
+            if p * p > lim:
                 break
+            t_q = T[k]
+            if t_q < t_l:
+                t_q = t_l
             q, mq = p, m * p
             while True:
-                t_q = max(t_l, a * q**n + b * q ** (n - 1) + c)
-                if q > p and t_q <= mq:
-                    runs.append((mq // p, k, k + 1))
-                if k + 1 < len(P) and mq * P[k + 1] <= N:
+                if q > p:
+                    if not prime_factor:
+                        t = a * q**n + b * q ** (n - 1) + c
+                        if t > t_q:
+                            t_q = t
+                    if t_q <= scale * mq:
+                        append((mq // p, k, k + 1))
+                if k + 1 < end and mq * P[k + 1] <= N:
                     walk(mq, t_q, k + 1)
-                q, mq = q * p, mq * p
-                if q > cap or mq > N:
+                q *= p
+                mq *= p
+                if q > qcap or mq > N:
                     break
 
     walk(1, 0, 0)
     return P, runs
+
+
+def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """_walk's (P, runs) for the qualification inequality of (n, mode); an n
+    below 3 is a ParameterError, an N below c gives no runs."""
+    return _walk(n, N, *threshold_coefficients_upto(n, N, mode))
 
 
 def enumerate_qualifying(
@@ -587,16 +623,26 @@ def enumerate_qualifying(
     return sorted(m * P[k] for m, i, j in runs for k in range(i, j))
 
 
+def _walk_counts(
+    n: int, xs: list[int], a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
+) -> list[int]:
+    """For each x of the ascending, nonempty xs >= 1, the number of d <= x
+    that _walk(n, xs[-1], a, b, c, scale, prime_factor) describes, plus d = 1
+    when it qualifies: one walk, then one bisection of P per run and x."""
+    P, runs = _walk(n, xs[-1], a, b, c, scale, prime_factor)
+    one = int(a + b + c <= scale)  # d = 1, whose v is 1
+    P, (m, i, j) = np.array(P, dtype=np.int64), np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    return [one + int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]
+
+
 def count_qualifying(n: int, xs: list[int], mode: Mode = Mode.FULL) -> list[int]:
     """The number of qualifying degrees d <= x for each x of the ascending,
-    nonempty xs: one walk to xs[-1], then one bisection of P per run and x.
+    nonempty xs >= 1: one walk to xs[-1], then one bisection of P per run and x.
 
     >>> count_qualifying(3, [10**4, 2 * 10**4])
     [1, 5]
     """
-    P, runs = _qualifying_runs(n, xs[-1], mode)
-    P, (m, i, j) = np.array(P, dtype=np.int64), np.array(runs, dtype=np.int64).reshape(-1, 3).T
-    return [int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]
+    return _walk_counts(n, xs, *threshold_coefficients_upto(n, xs[-1], mode))
 
 
 def smallest_qualifying(

@@ -6,13 +6,12 @@ lambda * d**(1/n)), counts degrees certified to violate the integral Hodge
 conjecture via a single large prime divisor, and tracks the convergence of
 the prime-power ratio and of reciprocal prime sums toward their limits.
 
-Certificate qualification is counted on certify's walk over prime powers
-(certify.count_qualifying), which sieves nothing.  The lambda modes sieve
-every d with certify's qualifying-degree segment kernel, where a comparison
-v <= lambda * d**(1/n) has lambda enter as an exact rational (or as the
-exact rational value num/den of lambda**n) and becomes den * v**n <= num * d.
-The kernel's float32 log-sum screen only drops d that fail; exact integers
-decide the rest.
+All four density modes count on certify's walk over prime powers, which
+sieves nothing.  Certificate qualification uses the coefficients of its
+inequality; in the lambda modes a comparison v <= lambda * d**(1/n) has
+lambda enter as an exact rational (or as the exact rational value num/den of
+lambda**n) and becomes den * v**n <= num * d, the same inequality with
+coefficients (den, 0, 0) and d scaled by num.
 """
 
 from __future__ import annotations
@@ -118,8 +117,10 @@ def empirical_density(
     threads: int = 1,
 ) -> DensityReport:
     """Exact count of qualifying d <= N (all modes also require
-    gcd(d, n!) = 1), with optional cumulative checkpoints.  Only the lambda
-    modes sieve; threads cannot reach the walk of the PROP16 modes."""
+    gcd(d, n!) = 1), with optional cumulative checkpoints.  Every mode counts
+    on certify's sequential walk, which threads cannot reach.  A lambda
+    mode whose walk would list the primes beyond 10**8, min(N,
+    iroot(lambda**n * N, n)) > 10**8, is a CapacityError."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     if N < 1:
@@ -131,19 +132,14 @@ def empirical_density(
     xs = [*cps, N]
     if mode in (DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK):
         cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
-        counts = certify.count_qualifying(n, xs, cmode)
+        args = (*certify.threshold_coefficients_upto(n, N, cmode), 1, False)
         lam_val = lam_pow_val = None
     else:
         lam_val, lam_pow_val = _resolve_lambda(n, lam, lam_pow)
         # v <= lam * d**(1/n)  <=>  den * v**n <= num * d, for lam**n = num/den
         den, num = lam_pow_val.denominator, lam_pow_val.numerator
-        prime_factor = mode == DensityMode.LAMBDA_PRIME
-
-        def work(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-            hits = certify.qualifying_segment(lo, hi, base, n, den, 0, 0, num, prime_factor)
-            return np.searchsorted(hits, xs, side="right")
-
-        counts = sum(arith.map_sieve(1, N + 1, work, threads)).tolist()
+        args = (den, 0, 0, num, mode == DensityMode.LAMBDA_PRIME)
+    counts = certify._walk_counts(n, xs, *args)
     count = counts[-1]
 
     theoretical = theoretical_density(n) if n <= 10 else None

@@ -296,6 +296,23 @@ def test_density_checks_lambda_before_the_sieve_budget(capsys):
     assert "lam" in err
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("--n", "1", "--N", "200000000", "--lam", "1"), "walk prime bound 200000000 exceeds 10^8"),
+        (("--n", "1", "--N", "10000000001", "--lam", "1"), "sieve bound 10000000001 exceeds budget 10000000000"),
+    ],
+)
+def test_density_lambda_prime_bound_exit3_at_once(capsys, argv, shown):
+    # the lambda walk lists the primes up to iroot(lambda**n * N, n); the sieve
+    # budget is checked first, then that bound is held to 10**8
+    for mode in ("lambda-primepower", "lambda-prime"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "density", "--mode", mode, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (3, "", f"capacity error: {shown}\n")
+
+
 # --- dickman --------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import exp, factorial, fsum, gcd, log
 
@@ -137,7 +138,8 @@ def test_validation_lambda_modes():
     ids=["prop16", "lambda_primepower", "lambda_prime"],
 )
 def test_density_threads_bit_identical(n, N, mode, kw, cps):
-    # the lambda modes sieve three segments, which four threads map at once
+    # every mode counts on certify's sequential walk, which threads cannot
+    # reach; a thread count must still leave every figure unchanged
     a = empirical_density(n, N, mode, checkpoints=cps, **kw)
     b = empirical_density(n, N, mode, checkpoints=cps, threads=4, **kw)
     assert a.count == b.count
@@ -148,17 +150,21 @@ def test_density_threads_bit_identical(n, N, mode, kw, cps):
 def test_screen_rejects_non_coprime_degrees_without_the_mask(monkeypatch):
     # the log-sum screen sums logs of primes above n only, so a d sharing a
     # factor with n! falls short by at least log 2; every segment of both
-    # counts takes the screen route, which needs no coprimality mask
+    # counts (FULL, and lambda = 1 on prime factors for n = 4) takes the
+    # screen route, which needs no coprimality mask
     def no_mask(*args):
         raise AssertionError("coprime_mask called")
 
     monkeypatch.setattr(arith, "coprime_mask", no_mask)
     assert sum(len(a) for a in certify.scan_qualifying(3, 1, 10**7 + 1)) == 29850
-    assert empirical_density(4, 2 * 10**7, DensityMode.LAMBDA_PRIME, lam=1).count == 11478
+    segments = arith.map_sieve(
+        1, 2 * 10**7 + 1, lambda lo, hi, base: certify.qualifying_segment(lo, hi, base, 4, 1, 0, 0, 1, True)
+    )
+    assert sum(len(a) for a in segments) == 11478
 
 
-def test_prop16_density_runs_no_sieve(monkeypatch):
-    # both PROP16 modes count the runs of certify's walk over prime powers
+def test_density_runs_no_sieve(monkeypatch):
+    # all four modes count the runs of certify's walk over prime powers
     def no_sieve(*args):
         raise AssertionError("map_sieve called")
 
@@ -166,6 +172,9 @@ def test_prop16_density_runs_no_sieve(monkeypatch):
     r = empirical_density(3, 10**7, DensityMode.PROP16_FULL, checkpoints=[10**6])
     assert (r.count, r.samples) == (29850, ((10**6, 1734),))
     assert empirical_density(3, 10**6, DensityMode.PROP16_WEAK).count == 577
+    r = empirical_density(3, 10**6, DensityMode.LAMBDA_PRIMEPOWER, lam_pow=Fraction(1, 2))
+    assert r.count == 1781
+    assert empirical_density(4, 2 * 10**7, DensityMode.LAMBDA_PRIME, lam=Fraction(1)).count == 11478
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,6 +218,21 @@ def test_lambda_degree_one(mode, n):
     # d = 1 has no prime, so v = 1: it qualifies iff lambda**n >= 1
     assert empirical_density(n, 1, mode, lam_pow=Fraction(1)).count == 1
     assert empirical_density(n, 1, mode, lam_pow=Fraction(1, 2)).count == 0
+
+
+def test_lambda_prime_bound_beyond_1e8_is_refused_at_once():
+    # the walk lists every prime up to cap = min(iroot(lambda**n * N, n), N);
+    # past 10**8 it refuses (n = 1 with lambda * N > 1e8, n = 2 with
+    # lambda**2 * N > 1e16, or a huge lambda) before listing any prime
+    start = time.perf_counter()
+    for mode in (DensityMode.LAMBDA_PRIMEPOWER, DensityMode.LAMBDA_PRIME):
+        with pytest.raises(CapacityError, match=r"^walk prime bound 200000000 exceeds 10\^8$"):
+            empirical_density(1, 2 * 10**8, mode, lam=Fraction(1))
+        with pytest.raises(CapacityError, match=r"^walk prime bound 316227766 exceeds 10\^8$"):
+            empirical_density(2, 10**10, mode, lam_pow=Fraction(10**7))
+        with pytest.raises(CapacityError, match=r"^walk prime bound 1000000000 exceeds 10\^8$"):
+            empirical_density(3, 10**9, mode, lam_pow=Fraction(10**400))
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,6 +386,7 @@ def test_ihc_validation():
         lambda over: empirical_density(3, over, DensityMode.PROP16_FULL),
         lambda over: empirical_density(3, over, DensityMode.LAMBDA_PRIME, lam=Fraction(1)),
         lambda over: ihc_fraction(3, over),
+        lambda over: empirical_density(1, over, DensityMode.LAMBDA_PRIMEPOWER, lam=Fraction(1)),
     ],
 )
 def test_sieve_entry_points_share_one_budget_message(call):
