@@ -628,21 +628,15 @@ def _walk_counts(
 ) -> list[int]:
     """For each x of the ascending, nonempty xs >= 1, the number of d <= x
     that _walk(n, xs[-1], a, b, c, scale, prime_factor) describes, plus d = 1
-    when it qualifies: one walk, then one bisection of P per run and x."""
+    when it qualifies: one walk, then one bisection of P per run and x.
+
+    >>> _walk_counts(3, [10**4, 2 * 10**4], *threshold_coefficients(3))
+    [1, 5]
+    """
     P, runs = _walk(n, xs[-1], a, b, c, scale, prime_factor)
     one = int(a + b + c <= scale)  # d = 1, whose v is 1
     P, (m, i, j) = np.array(P, dtype=np.int64), np.array(runs, dtype=np.int64).reshape(-1, 3).T
     return [one + int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]
-
-
-def count_qualifying(n: int, xs: list[int], mode: Mode = Mode.FULL) -> list[int]:
-    """The number of qualifying degrees d <= x for each x of the ascending,
-    nonempty xs >= 1: one walk to xs[-1], then one bisection of P per run and x.
-
-    >>> count_qualifying(3, [10**4, 2 * 10**4])
-    [1, 5]
-    """
-    return _walk_counts(n, xs, *threshold_coefficients_upto(n, xs[-1], mode))
 
 
 def smallest_qualifying(
