@@ -212,6 +212,24 @@ def test_lambda_counts_frozen(mode, n, lam_pow, N):
     assert empirical_density(n, N, mode, lam_pow=lam_pow).count == LAMBDA_COUNTS[mode, n, lam_pow, N]
 
 
+def test_prop16_counts_frozen_beyond_1e8():
+    # exact walk counts of n = 3 FULL past the benchmark's 1e8, from the
+    # exact-count table of the roadmap
+    r = empirical_density(3, 10**10, DensityMode.PROP16_FULL, checkpoints=[10**9])
+    assert r.samples == ((10**9, 5438892),)
+    assert r.count == 63942747
+
+
+def test_walk_counts_with_an_astronomical_scale():
+    # lambda**3 = 10**400: every d coprime to 3! qualifies, every threshold
+    # divided by the scale is 1, and at the budget the prime bound refuses
+    xs = [1, 10**5, 10**6]
+    want = [sum(1 for d in range(1, x + 1) if d % 2 and d % 3) for x in xs]
+    assert certify._walk_counts(3, xs, 1, 0, 0, 10**400) == want
+    with pytest.raises(CapacityError, match=r"^walk prime bound 10000000000 exceeds 10\^8$"):
+        certify._walk_counts(3, [arith.SIEVE_BUDGET], 1, 0, 0, 10**400)
+
+
 @pytest.mark.parametrize("mode", [DensityMode.LAMBDA_PRIMEPOWER, DensityMode.LAMBDA_PRIME])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lambda_degree_one(mode, n):
