@@ -237,7 +237,7 @@ def primes_upto(limit: int) -> np.ndarray:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def _map_segments(fn: Callable, ranges: Sequence[tuple[int, int]], threads: int) -> list:

@@ -27,13 +27,14 @@ buggy builder cannot validate itself.
 
 Every prime power of a qualifying d <= N is at most cap = iroot((N - c) // a, n),
 where a, b, c are the coefficients of the qualification inequality.  The
-minimum search and the enumeration therefore walk depth first over the
+minimum search and the enumeration therefore walk level by level over the
 products of such prime powers (the classical recursion over the largest
-prime that counts smooth numbers) and take the last prime of each degree in
-bulk, as a run of the prime list found by plain bisections; no integer that
-cannot qualify is visited.  Every density count of the density module runs
-the same walk: the lambda predicates den * v**n <= num * d are the same
-inequality with coefficients (den, 0, 0) and d scaled by num.
+prime that counts smooth numbers, one batch of numpy bisections per level)
+and take the last prime of each degree in bulk, as a run of the prime list;
+no integer that cannot qualify is visited.  Every density count of the
+density module runs the same walk: the lambda predicates
+den * v**n <= num * d are the same inequality with coefficients (den, 0, 0)
+and d scaled by num.
 scan_qualifying, the sieve oracle of the walk, scans every integer instead:
 each sieve segment is screened with float32 sums of log p over small prime
 powers (the log-sieve smoothness test of the quadratic sieve), and the few
@@ -43,7 +44,6 @@ candidates are factored and compared exactly.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial, gcd, isqrt, log
@@ -521,87 +521,127 @@ def scan_qualifying(
     )
 
 
+def _ceil_thresholds(
+    q: np.ndarray, n: int, a: int, b: int, c: int, scale: int, top: int, per: np.ndarray | None = None
+) -> np.ndarray:
+    """min(ceil(thr(q) / (scale * per)), top) as int64 for the ascending
+    int64 array q >= 1, thr(q) = a*q**n + b*q**(n-1) + c >= 1, and per = 1
+    or an int64 array >= 1 of q's length.
+
+    Evaluated in place in int64 when thr(q[-1]) and scale prove that no
+    term can wrap, otherwise on object arrays of Python integers.  It
+    divides by scale, then by per: ceil(ceil(t / s) / p) = ceil(t / (s*p)).
+    The clamp at top comes last and keeps an ascending quotient ascending.
+    """
+    if len(q) == 0:
+        return np.empty(0, dtype=np.int64)
+    qmax = int(q[-1])
+    if a * qmax**n + b * qmax ** (n - 1) + c >= 2**63 or scale >= 2**63:
+        q = q.astype(object)
+    t = q**n
+    t *= a
+    if b:
+        t += b * q ** (n - 1)
+    t += c
+    for den in (scale,) if per is None else (scale, per):
+        np.negative(t, out=t)
+        t //= den
+        np.negative(t, out=t)
+    np.minimum(t, top, out=t)
+    return t.astype(np.int64, copy=False)
+
+
 def _walk(
     n: int, N: int, a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
-) -> tuple[list[int], list[tuple[int, int, int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(P, runs): the d in [2, N] with gcd(d, n!) = 1 and
     thr(v) = a*v**n + b*v**(n-1) + c <= scale*d, as runs of primes, where v
     is the largest prime power of d (its largest prime when prime_factor is
     set) and a >= 1, b, c >= 0.
 
-    P holds the primes in (n, cap], cap = min(iroot((scale*N - c) // a, n), N),
-    which bounds every prime power (every prime, under prime_factor) of such
-    a d.  Each such d is exactly one m * P[k] with (m, i, j) in runs and
-    i <= k < j, where P[k] is the largest prime of d.  The walk goes depth
-    first over m = products of prime powers, primes ascending, keeping
-    t_l = thr(L) for the largest prime power L of m (its largest prime under
-    prime_factor).  The last prime p with exponent 1 is taken in bulk: m*p
-    qualifies iff t_l <= scale*m*p, m*p <= N and m >= H(p) =
-    ceil(thr(p) / (scale*p)).  H ascends over P, so the qualifying p form one
-    run of P, the intersection of intervals found by three plain bisections:
-    thr(p)/p = a*p**(n-1) + b*p**(n-2) + c/p is convex, and for the
-    certificate coefficients it rises from p = n + 1 on, where its slope is
-    positive (b >= 0 and (n-1)*a*(n+1)**n > c for every n >= 3); for the
-    lambda predicates (b = c = 0) it is a*p**(n-1), which ascends for n >= 2
-    and is constant for n = 1.  A last factor p**e with e >= 2 is tested
-    singly, against thr(p) under prime_factor, where p**e is bounded by N
-    alone.  The walk descends into m*p**e only while a larger prime still
-    fits below N.  Exact integers throughout.  d = 1, whose v is 1, is in no
-    run.  An N beyond SIEVE_BUDGET is a CapacityError, then a cap beyond
-    10**8.
+    P is the int64 array of the primes in (n, cap], cap = min(iroot((scale*N
+    - c) // a, n), N), which bounds every prime power (every prime, under
+    prime_factor) of such a d.  runs is an int64 array of rows m, i, j: each
+    such d is exactly one m * P[k] with i <= k < j in one column, where P[k]
+    is the largest prime of d.  The walk goes level by level over the nodes
+    m = products of prime powers, primes ascending, each level one batch of
+    numpy bisections.  A node (m, u, s) has every prime of m below P[s] and
+    carries u = min(ceil(thr(L) / scale), N + 1) for the largest prime power
+    L of m (its largest prime under prime_factor).  The last prime p with
+    exponent 1 is taken in bulk: m*p qualifies iff u <= m*p, m*p <= N and
+    m >= H(p) = min(ceil(thr(p) / (scale*p)), N + 1).  H ascends over P, so
+    the qualifying p form one run of P, the intersection of intervals found
+    by three bisections, the first at ceil(u / m): thr(p)/p = a*p**(n-1) +
+    b*p**(n-2) + c/p is convex, and for the certificate coefficients it
+    rises from p = n + 1 on, where its slope is positive (b >= 0 and
+    (n-1)*a*(n+1)**n > c for every n >= 3); for the lambda predicates (b = c
+    = 0) it is a*p**(n-1), which ascends for n >= 2 and is constant for n =
+    1.  The clamps at N + 1 change no test, as m*p <= N, and keep every
+    value in int64 whatever scale is.  A node's children m*p**e have p*p <=
+    N // m; a last factor p**e with e >= 2 is tested singly, against thr(p)
+    under prime_factor, where p**e is bounded by N alone, and a child is a
+    node while P[k+1] <= N // (m*p**e).  Every product formed is at most
+    N * isqrt(N) < 2**63 (p <= isqrt(N) for a child, m <= N), so int64 is
+    exact.  d = 1, whose v is 1, is in no run.  An N beyond SIEVE_BUDGET is
+    a CapacityError, then a cap beyond 10**8.
     """
     if N > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {N} exceeds budget {arith.SIEVE_BUDGET}")
     if scale * N < c:
-        return [], []
+        return np.empty(0, dtype=np.int64), np.empty((3, 0), dtype=np.int64)
     cap = min(arith.integer_nth_root((scale * N - c) // a, n), N)
     if cap > 10**8:
         raise CapacityError(f"walk prime bound {cap} exceeds 10^8")
-    P = [int(p) for p in arith.primes_upto(cap) if p > n]
-    T = [a * p**n + b * p ** (n - 1) + c for p in P]
-    H = [-(-t // (scale * p)) for t, p in zip(T, P)]
-    end, qcap = len(P), N if prime_factor else cap
-    runs: list[tuple[int, int, int]] = []
-    append = runs.append
+    assert N * isqrt(N) < 2**63
+    primes = arith.primes_upto(cap)
+    P = primes[primes.searchsorted(n, side="right") :]
+    H = _ceil_thresholds(P, n, a, b, c, scale, N + 1, per=P)
+    # children have p*p <= N; Pnext[k] is P[k+1], or N + 1 past the end
+    K = int(P.searchsorted(isqrt(N), side="right"))
+    small = P[:K]
+    Pnext = np.append(P[1 : K + 1], N + 1)
+    P2 = small * small
+    # U[e - 1][k] = min(ceil(thr(P[k]**e) / scale), N + 1) for P[k]**e <= cap;
+    # without prime_factor the last U is empty
+    U = [_ceil_thresholds(small, n, a, b, c, scale, N + 1)]
+    while not prime_factor and len(U[-1]):
+        e = len(U) + 1
+        U.append(_ceil_thresholds(small[small <= arith.integer_nth_root(cap, e)] ** e, n, a, b, c, scale, N + 1))
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    M, Uu, S = np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    while len(M):
+        lim = N // M
+        i = np.maximum(S, P.searchsorted(-(-Uu // M)))
+        j = np.minimum(P.searchsorted(lim, side="right"), H.searchsorted(M, side="right"))
+        hit = i < j
+        found.append((M[hit], i[hit], j[hit]))
+        width = np.maximum(P2.searchsorted(lim, side="right") - S, 0)
+        parent = np.arange(len(M)).repeat(width)
+        k = np.arange(len(parent)) - (width.cumsum() - width - S).repeat(width)
+        p = small[k]
+        m, u = M[parent] * p, np.maximum(Uu[parent], U[0][k])
+        nodes, e = [], 0
+        while len(k):  # the children m*p**e of this level, e = 1, 2, ...
+            e += 1
+            if e > 1:
+                if not prime_factor:
+                    u = np.maximum(u, U[e - 1][k])
+                leaf = u <= m
+                found.append((m[leaf] // p[leaf], k[leaf], k[leaf] + 1))
+            down = Pnext[k] <= N // m
+            nodes.append((m[down], u[down], k[down] + 1))
+            m = m * p
+            alive = m <= N
+            if not prime_factor:
+                alive &= k < len(U[e])
+            k, p, m, u = k[alive], p[alive], m[alive], u[alive]
+        if not nodes:
+            break
+        M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
+    return P, np.array([np.concatenate(col) for col in zip(*found)])
 
-    def walk(m: int, t_l: int, s: int) -> None:
-        # every prime of m is below P[s]; t_l = thr(L)
-        lim = N // m
-        i = bisect_left(P, -(-t_l // (scale * m)), s)
-        j = bisect_right(P, lim, s)
-        h = bisect_right(H, m, s)
-        if h < j:
-            j = h
-        if i < j:
-            append((m, i, j))
-        for k in range(s, end):
-            p = P[k]
-            if p * p > lim:
-                break
-            t_q = T[k]
-            if t_q < t_l:
-                t_q = t_l
-            q, mq = p, m * p
-            while True:
-                if q > p:
-                    if not prime_factor:
-                        t = a * q**n + b * q ** (n - 1) + c
-                        if t > t_q:
-                            t_q = t
-                    if t_q <= scale * mq:
-                        append((mq // p, k, k + 1))
-                if k + 1 < end and mq * P[k + 1] <= N:
-                    walk(mq, t_q, k + 1)
-                q *= p
-                mq *= p
-                if q > qcap or mq > N:
-                    break
 
-    walk(1, 0, 0)
-    return P, runs
-
-
-def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[list[int], list[tuple[int, int, int]]]:
+def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
     """_walk's (P, runs) for the qualification inequality of (n, mode); an n
     below 3 is a ParameterError, an N below c gives no runs."""
     return _walk(n, N, *threshold_coefficients_upto(n, N, mode))
@@ -619,8 +659,10 @@ def enumerate_qualifying(
     >>> enumerate_qualifying(3, 20000)
     [5005, 12155, 17017, 17765, 19019]
     """
-    P, runs = _qualifying_runs(n, d_max, mode)
-    return sorted(m * P[k] for m, i, j in runs for k in range(i, j))
+    P, (m, i, j) = _qualifying_runs(n, d_max, mode)
+    width = j - i
+    k = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - i, width)
+    return np.sort(np.repeat(m, width) * P[k]).tolist()
 
 
 def _walk_counts(
@@ -633,9 +675,8 @@ def _walk_counts(
     >>> _walk_counts(3, [10**4, 2 * 10**4], *threshold_coefficients(3))
     [1, 5]
     """
-    P, runs = _walk(n, xs[-1], a, b, c, scale, prime_factor)
+    P, (m, i, j) = _walk(n, xs[-1], a, b, c, scale, prime_factor)
     one = int(a + b + c <= scale)  # d = 1, whose v is 1
-    P, (m, i, j) = np.array(P, dtype=np.int64), np.array(runs, dtype=np.int64).reshape(-1, 3).T
     return [one + int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]
 
 
@@ -664,12 +705,12 @@ def smallest_qualifying(
     x = threshold_coefficients_upto(n, limit, mode)[2]
     while True:
         x = min(x, limit)
-        P, runs = _qualifying_runs(n, x, mode)
-        if runs:
-            return min(m * P[i] for m, i, _ in runs)
+        P, (m, i, _) = _qualifying_runs(n, x, mode)
+        if len(m):
+            return int((m * P[i]).min())
         if x == limit:
             break
-        x *= 2
+        x *= 8
     if cap > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {cap} exceeds budget {arith.SIEVE_BUDGET}")
     raise CapacityError(
