@@ -576,8 +576,8 @@ def _walk(
     rises from p = n + 1 on, where its slope is positive (b >= 0 and
     (n-1)*a*(n+1)**n > c for every n >= 3); for the lambda predicates (b = c
     = 0) it is a*p**(n-1), which ascends for n >= 2 and is constant for n =
-    1.  The clamps at N + 1 change no test, as m*p <= N, and keep every
-    value in int64 whatever scale is.  A node's children m*p**e have p*p <=
+    1.  The clamps at N + 1 change no test, as m*p <= N, and bound every
+    value by N + 1 whatever the coefficients and scale are.  A node's children m*p**e have p*p <=
     N // m; a last factor p**e with e >= 2 is tested singly, against thr(p)
     under prime_factor, where p**e is bounded by N alone, and a child is a
     node while P[k+1] <= N // (m*p**e).  Every product formed is at most

@@ -604,6 +604,25 @@ def test_threshold_per_prime_rises_past_n():
             assert b >= 0 and (n - 1) * a * (n + 1) ** n > c, (n, mode)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.integers(1, 10**30),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from([1, 7, 10**400, 2**63 - 1, 2**63]),
+    st.integers(1, 10**12),
+    st.booleans(),
+)
+def test_ceil_thresholds_match_exact_integers(qs, n, a, b, c, scale, top, per):
+    # min(ceil(thr(q) / (scale * q**per)), top) on the int64 and object paths
+    q = np.array(sorted(qs), dtype=np.int64)
+    got = certify._ceil_thresholds(q, n, a, b, c, scale, top, per=q if per else None)
+    want = [min(-(-(a * x**n + b * x ** (n - 1) + c) // (scale * (x if per else 1))), top) for x in sorted(qs)]
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 7), st.sampled_from(list(Mode)), st.floats(0, 1))
 def test_walk_matches_reference_walk(n, mode, u):
