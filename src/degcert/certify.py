@@ -596,10 +596,11 @@ def _walk(
     primes = arith.primes_upto(cap)
     P = primes[primes.searchsorted(n, side="right") :]
     H = _ceil_thresholds(P, n, a, b, c, scale, N + 1, per=P)
-    # children have p*p <= N; Pnext[k] is P[k+1], or N + 1 past the end
+    # children have p*p <= N; a child m*p**e of P[k] is a node iff
+    # m*p**e <= Mmax[k] = N // P[k+1] (0 past the end)
     K = int(P.searchsorted(isqrt(N), side="right"))
     small = P[:K]
-    Pnext = np.append(P[1 : K + 1], N + 1)
+    Mmax = N // np.append(P[1 : K + 1], N + 1)
     P2 = small * small
     # U[e - 1][k] = min(ceil(thr(P[k]**e) / scale), N + 1) for P[k]**e <= cap;
     # without prime_factor the last U is empty
@@ -607,7 +608,8 @@ def _walk(
     while not prime_factor and len(U[-1]):
         e = len(U) + 1
         U.append(_ceil_thresholds(small[small <= arith.integer_nth_root(cap, e)] ** e, n, a, b, c, scale, N + 1))
-    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    found = []  # rows m, i, j
+    leaves = [(np.empty(0, np.int64),) * 2]  # (m*p**e, k): the run (m*p**(e-1), k, k+1)
     M, Uu, S = np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
     while len(M):
         lim = N // M
@@ -627,9 +629,9 @@ def _walk(
                 if not prime_factor:
                     u = np.maximum(u, U[e - 1][k])
                 leaf = u <= m
-                found.append((m[leaf] // p[leaf], k[leaf], k[leaf] + 1))
-            down = Pnext[k] <= N // m
-            nodes.append((m[down], u[down], k[down] + 1))
+                leaves.append((m[leaf], k[leaf]))
+            down = m <= Mmax[k]
+            nodes.append((m[down], u[down], k[down]))
             m = m * p
             alive = m <= N
             if not prime_factor:
@@ -638,6 +640,9 @@ def _walk(
         if not nodes:
             break
         M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
+        S += 1
+    m, k = (np.concatenate(col) for col in zip(*leaves))
+    found.append((m // small[k], k, k + 1))
     return P, np.array([np.concatenate(col) for col in zip(*found)])
 
 
@@ -661,8 +666,12 @@ def enumerate_qualifying(
     """
     P, (m, i, j) = _qualifying_runs(n, d_max, mode)
     width = j - i
-    k = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width - i, width)
-    return np.sort(np.repeat(m, width) * P[k]).tolist()
+    ds = np.arange(width.sum())
+    ds -= (width.cumsum() - width - i).repeat(width)
+    ds = P[ds]
+    ds *= m.repeat(width)
+    ds.sort()
+    return ds.tolist()
 
 
 def _walk_counts(
