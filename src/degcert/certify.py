@@ -551,6 +551,13 @@ def _ceil_thresholds(
     return t.astype(np.int64, copy=False)
 
 
+def _spans(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The ranges [lo[r], lo[r] + width[r]) one after another, as one array."""
+    out = np.arange(width.sum())
+    out -= (width.cumsum() - width - lo).repeat(width)
+    return out
+
+
 def _walk(
     n: int, N: int, a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -577,13 +584,13 @@ def _walk(
     (n-1)*a*(n+1)**n > c for every n >= 3); for the lambda predicates (b = c
     = 0) it is a*p**(n-1), which ascends for n >= 2 and is constant for n =
     1.  The clamps at N + 1 change no test, as m*p <= N, and bound every
-    value by N + 1 whatever the coefficients and scale are.  A node's children m*p**e have p*p <=
-    N // m; a last factor p**e with e >= 2 is tested singly, against thr(p)
-    under prime_factor, where p**e is bounded by N alone, and a child is a
-    node while P[k+1] <= N // (m*p**e).  Every product formed is at most
-    N * isqrt(N) < 2**63 (p <= isqrt(N) for a child, m <= N), so int64 is
-    exact.  d = 1, whose v is 1, is in no run.  An N beyond SIEVE_BUDGET is
-    a CapacityError, then a cap beyond 10**8.
+    value by N + 1 whatever the coefficients and scale are.  A node's
+    children m*p**e have p*p <= N // m; a last factor p**e with e >= 2 is
+    tested singly, against thr(p) under prime_factor, where p**e is bounded
+    by N alone, and a child is a node while P[k+1] <= N // (m*p**e).  Every
+    product formed is at most N * isqrt(N) < 2**63 (p <= isqrt(N) for a
+    child, m <= N), so int64 is exact.  d = 1, whose v is 1, is in no run.
+    An N beyond SIEVE_BUDGET is a CapacityError, then a cap beyond 10**8.
     """
     if N > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {N} exceeds budget {arith.SIEVE_BUDGET}")
@@ -619,7 +626,7 @@ def _walk(
         found.append((M[hit], i[hit], j[hit]))
         width = np.maximum(P2.searchsorted(lim, side="right") - S, 0)
         parent = np.arange(len(M)).repeat(width)
-        k = np.arange(len(parent)) - (width.cumsum() - width - S).repeat(width)
+        k = _spans(S, width)
         p = small[k]
         m, u = M[parent] * p, np.maximum(Uu[parent], U[0][k])
         nodes, e = [], 0
@@ -665,11 +672,8 @@ def enumerate_qualifying(
     [5005, 12155, 17017, 17765, 19019]
     """
     P, (m, i, j) = _qualifying_runs(n, d_max, mode)
-    width = j - i
-    ds = np.arange(width.sum())
-    ds -= (width.cumsum() - width - i).repeat(width)
-    ds = P[ds]
-    ds *= m.repeat(width)
+    ds = P[_spans(i, j - i)]
+    ds *= m.repeat(j - i)
     ds.sort()
     return ds.tolist()
 
@@ -697,9 +701,10 @@ def smallest_qualifying(
 ) -> int:
     """Minimal qualifying degree for (n, mode), at most budget.
 
-    Walks the bounds X = c, 2c, 4c, ... (c = (2**n + 1) * n!, the least
+    Walks the bounds X = c, 8c, 64c, ... (c = (2**n + 1) * n!, the least
     degree that can qualify) up to min(budget, SIEVE_BUDGET) and returns the
-    least degree of the first walk that finds any.  A budget below 1 is a
+    least degree of the first walk that finds any; each walk covers every
+    d <= X, and a factor of 8 pays each walk's fixed numpy cost less often.  A budget below 1 is a
     ParameterError; a CapacityError names the budget when nothing qualifies
     within it, or SIEVE_BUDGET's excess when budget lies beyond it.  The
     walk is sequential: threads cannot change the answer.
