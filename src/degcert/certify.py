@@ -614,7 +614,8 @@ def _walk(
     U = [_ceil_thresholds(small, n, a, b, c, scale, N + 1)]
     while not prime_factor and len(U[-1]):
         e = len(U) + 1
-        U.append(_ceil_thresholds(small[small <= arith.integer_nth_root(cap, e)] ** e, n, a, b, c, scale, N + 1))
+        root = arith.integer_nth_root(cap, e)
+        U.append(_ceil_thresholds(small[small <= root] ** e, n, a, b, c, scale, N + 1))
     found = []  # rows m, i, j
     leaves = [(np.empty(0, np.int64),) * 2]  # (m*p**e, k): the run (m*p**(e-1), k, k+1)
     M, Uu, S = np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)

@@ -619,7 +619,8 @@ def test_ceil_thresholds_match_exact_integers(qs, n, a, b, c, scale, top, per):
     # min(ceil(thr(q) / (scale * q**per)), top) on the int64 and object paths
     q = np.array(sorted(qs), dtype=np.int64)
     got = certify._ceil_thresholds(q, n, a, b, c, scale, top, per=q if per else None)
-    want = [min(-(-(a * x**n + b * x ** (n - 1) + c) // (scale * (x if per else 1))), top) for x in sorted(qs)]
+    thr = [a * x**n + b * x ** (n - 1) + c for x in sorted(qs)]
+    want = [min(-(-t // (scale * (x if per else 1))), top) for t, x in zip(thr, sorted(qs))]
     assert got.dtype == np.int64 and got.tolist() == want
 
 
