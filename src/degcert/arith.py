@@ -13,16 +13,18 @@ the range into segments and maps a per-segment function over them in order.
 All integer arithmetic uses Python's arbitrary-precision integers, so
 intermediate products such as q**n can never wrap.  Vectorized kernels work
 in int64 only after an exact bound check proves the values fit.
+
+numpy is imported by the sieve and walk functions only, each in its own
+body, and the thread pool by the segment map: factoring and primality, all
+that certificates need, start without either.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt, log2
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import CapacityError, ParameterError
 
@@ -228,6 +230,8 @@ def euler_phi(m: int) -> int:
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (simple in-memory sieve)."""
+    import numpy as np
+
     if limit > 10**8:
         raise CapacityError(f"primes_upto limit {limit} exceeds 10^8; use segments")
     if limit < 2:
@@ -241,10 +245,22 @@ def primes_upto(limit: int) -> np.ndarray:
 
 
 def _map_segments(fn: Callable, ranges: Sequence[tuple[int, int]], threads: int) -> list:
-    """Apply fn to each (lo, hi) range, preserving range order in the result."""
-    if threads <= 1 or len(ranges) <= 1:
+    """Apply fn to each (lo, hi) range, preserving range order in the result.
+
+    At most min(threads, len(ranges), usable CPUs) workers start: each holds
+    its own segment arrays, so a worker past those gains no speed and costs
+    memory.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(threads, len(ranges), cpus)
+    if workers <= 1:
         return [fn(r) for r in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, ranges))
 
 
@@ -272,6 +288,8 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     where the odd multiples of p lie p entries apart; 2 is prepended when
     lo == 2.
     """
+    import numpy as np
+
     o = lo | 1
     mask = np.ones(max(0, (hi - o + 1) // 2), dtype=bool)
     for p in base_primes[base_primes > 2].tolist():
@@ -318,6 +336,8 @@ def _exact_sum(x: np.ndarray) -> float:
     S = sum(x) * 2**(53 - min e).  Int true division rounds correctly, so
     S / 2**(53 - min e) is the correctly rounded sum, as fsum's is.
     """
+    import numpy as np
+
     if len(x) == 0:
         return 0.0
     mant, exp = np.frexp(x)
@@ -375,6 +395,8 @@ def largest_prime_power_segment(
     > sqrt(hi-1), which is both a maximal prime power and the largest prime
     factor.
     """
+    import numpy as np
+
     if lo < 1 or hi <= lo:
         raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
     count = hi - lo
@@ -405,6 +427,8 @@ def coprime_mask(lo: int, hi: int, n: int) -> np.ndarray:
     gcd(d, n!) == 1 holds exactly when no prime <= n divides d, so the mask
     is built from the primes up to n without forming n! residues.
     """
+    import numpy as np
+
     mask = np.ones(hi - lo, dtype=bool)
     for p in primes_upto(max(n, 1)):
         p = int(p)

@@ -48,8 +48,6 @@ from dataclasses import dataclass
 from enum import Enum
 from math import factorial, gcd, isqrt, log
 
-import numpy as np
-
 from . import arith
 from .errors import CapacityError, DecompositionError, ParameterError
 
@@ -422,6 +420,8 @@ def threshold_le(
     Evaluated in int64 when the array maxima prove that no term can wrap,
     otherwise on object arrays of Python integers.
     """
+    import numpy as np
+
     if len(v) == 0:
         return np.zeros(0, dtype=bool)
     vmax, dmax = int(v.max()), int(d.max())
@@ -452,6 +452,8 @@ def qualifying_segment(
     The density module's lambda predicates, (den, 0, 0, num) with or without
     prime_factor, run on the walk; the kernel takes them as its oracle.
     """
+    import numpy as np
+
     if lo < 1 or hi <= lo:
         raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
     top = hi - 1
@@ -533,6 +535,8 @@ def _ceil_thresholds(
     divides by scale, then by per: ceil(ceil(t / s) / p) = ceil(t / (s*p)).
     The clamp at top comes last and keeps an ascending quotient ascending.
     """
+    import numpy as np
+
     if len(q) == 0:
         return np.empty(0, dtype=np.int64)
     qmax = int(q[-1])
@@ -553,6 +557,8 @@ def _ceil_thresholds(
 
 def _spans(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     """The ranges [lo[r], lo[r] + width[r]) one after another, as one array."""
+    import numpy as np
+
     out = np.arange(width.sum())
     out -= (width.cumsum() - width - lo).repeat(width)
     return out
@@ -592,6 +598,8 @@ def _walk(
     child, m <= N), so int64 is exact.  d = 1, whose v is 1, is in no run.
     An N beyond SIEVE_BUDGET is a CapacityError, then a cap beyond 10**8.
     """
+    import numpy as np
+
     if N > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {N} exceeds budget {arith.SIEVE_BUDGET}")
     if scale * N < c:
@@ -689,6 +697,8 @@ def _walk_counts(
     >>> _walk_counts(3, [10**4, 2 * 10**4], *threshold_coefficients(3))
     [1, 5]
     """
+    import numpy as np
+
     P, (m, i, j) = _walk(n, xs[-1], a, b, c, scale, prime_factor)
     one = int(a + b + c <= scale)  # d = 1, whose v is 1
     return [one + int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]

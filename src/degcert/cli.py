@@ -17,8 +17,6 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from . import __version__, arith, certify, density, dickman
 from .errors import CapacityError, DecompositionError, ParameterError
 
@@ -76,7 +74,8 @@ def _thread_count(text: str) -> int:
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")  # an array implies numpy is loaded
+    if np is not None and isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 

@@ -22,8 +22,6 @@ from fractions import Fraction
 from math import fsum
 from typing import Sequence
 
-import numpy as np
-
 from . import arith, certify
 from .dickman import theoretical_density
 from .errors import CapacityError, ParameterError
@@ -171,6 +169,8 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
     a, b, c = certify.threshold_coefficients_upto(n, N)
 
     def work(lo: int, hi: int, base: np.ndarray) -> int:
+        import numpy as np
+
         # a threshold below hi needs p**3 < hi, so base holds every such p
         marks = np.zeros(hi - lo, dtype=bool)
         for p in map(int, base):

@@ -26,8 +26,6 @@ from functools import cache
 from math import ceil, factorial, fsum, isfinite
 from typing import IO
 
-import numpy as np
-
 from .arith import euler_phi
 from .errors import CapacityError, ParameterError
 
@@ -111,6 +109,8 @@ def rho_table(u_max: float, step: float, tol: float = 1e-9) -> DickmanTable:
     equals rho at its node bit for bit.  A table of more than
     TABLE_NODES_MAX nodes raises CapacityError before anything is allocated.
     """
+    import numpy as np
+
     _validate(u_max, tol)
     if u_max < 1.0:
         raise ParameterError(f"u_max must be >= 1, got {u_max}")

@@ -687,6 +687,47 @@ def test_console_script_entry_point():
     assert proc.stdout.strip() == "5005"
 
 
+# Each case runs in a fresh interpreter, which then reports on stderr which
+# of the modules that only the sieve and walk paths need it has loaded.
+_REPORT_LOADED = "print(*(m for m in ('numpy', 'concurrent.futures') if m in sys.modules), file=sys.stderr)\n"
+_COLD_CASES = [
+    (["certify", "--n", "3", "--d", "5005"], 0, ""),
+    (["check", "--cert", "{valid}"], 0, ""),
+    (["dickman", "--u", "3"], 0, ""),
+    (["verify-q-example", "--d", "53599"], 0, ""),
+    (["--version"], 0, ""),
+    (["certify", "--n", "3"], 1, ""),
+    (["smallest", "--n", "3"], 0, "numpy"),  # the walk still loads it
+]
+
+
+def _fresh_interpreter(script, *argv):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize("argv,code,loaded", _COLD_CASES, ids=[" ".join(c[0]) for c in _COLD_CASES])
+def test_certificate_commands_start_without_numpy(tmp_path, argv, code, loaded):
+    cert = tmp_path / "valid.json"
+    cert.write_text(certify.certificate_to_json(certify.build_certificate(3, 5005)))
+    argv = [str(cert) if a == "{valid}" else a for a in argv]
+    script = "import sys\nfrom degcert import cli\ncode = cli.main(sys.argv[1:])\n" + _REPORT_LOADED + "sys.exit(code)\n"
+    proc = _fresh_interpreter(script, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == loaded
+    if argv[0] == "smallest":
+        assert proc.stdout == "5005\n"
+
+
+def test_import_degcert_loads_neither_numpy_nor_the_thread_pool():
+    proc = _fresh_interpreter("import sys, degcert\n" + _REPORT_LOADED)
+    assert (proc.returncode, proc.stderr) == (0, "\n")
+
+
 # --- byte-exact JSON output ---------------------------------------------------------
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
