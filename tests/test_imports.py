@@ -63,9 +63,9 @@ def _annotations(tree: ast.AST) -> set[int]:
     return {id(n) for root in roots for n in ast.walk(root)}
 
 
-def violations(source: str, name: str = "np") -> list[str]:
-    """Module-level imports of DEFERRED modules, and reads of name in a
-    scope where no enclosing function has bound it on an earlier line."""
+def violations(source: str) -> list[str]:
+    """Module-level imports of DEFERRED modules, and reads of np in a scope
+    where no enclosing function has bound it on an earlier line."""
     tree = ast.parse(source)
     skip = _annotations(tree)
     found = []
@@ -75,10 +75,10 @@ def violations(source: str, name: str = "np") -> list[str]:
             found.append(f"line {node.lineno}: module-level import of {', '.join(_imported(node))}")
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             scopes = scopes + [_bindings(node)]
-        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        if (isinstance(node, ast.Name) and node.id == "np" and isinstance(node.ctx, ast.Load)
                 and id(node) not in skip
-                and not any(s.get(name, node.lineno + 1) <= node.lineno for s in scopes)):
-            found.append(f"line {node.lineno}: {name} read where no enclosing function binds it")
+                and not any(s.get("np", node.lineno + 1) <= node.lineno for s in scopes)):
+            found.append(f"line {node.lineno}: np read where no enclosing function binds it")
         for child in ast.iter_child_nodes(node):
             visit(child, scopes)
 
