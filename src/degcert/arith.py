@@ -21,7 +21,6 @@ that certificates need, start without either.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt, log2
 from typing import Callable, Sequence
@@ -245,22 +244,12 @@ def primes_upto(limit: int) -> np.ndarray:
 
 
 def _map_segments(fn: Callable, ranges: Sequence[tuple[int, int]], threads: int) -> list:
-    """Apply fn to each (lo, hi) range, preserving range order in the result.
-
-    At most min(threads, len(ranges), usable CPUs) workers start: each holds
-    its own segment arrays, so a worker past those gains no speed and costs
-    memory.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(threads, len(ranges), cpus)
-    if workers <= 1:
+    """Apply fn to each (lo, hi) range, preserving range order in the result."""
+    if threads <= 1 or len(ranges) <= 1:
         return [fn(r) for r in ranges]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, ranges))
 
 

@@ -1,7 +1,4 @@
-import concurrent.futures
-import os
 import random
-import threading
 from functools import lru_cache
 from math import fsum, gcd, isqrt
 
@@ -382,50 +379,6 @@ def test_map_sieve_refuses_past_budget_even_when_empty():
     assert arith.map_sieve(10, 5, never) == []
     with pytest.raises(CapacityError, match=f"^sieve bound {budget + 1} exceeds budget {budget}$"):
         arith.map_sieve(budget + 2, budget + 2, never)
-
-
-@pytest.mark.parametrize(
-    "threads,segments,cpus,affinity,workers",
-    [
-        (100_000, 2385, 2, True, 2),  # a 1e10 sieve asked for 100000 threads
-        (100_000, 3, 64, True, 3),
-        (4, 2385, 64, True, 4),
-        (8, 10, 3, False, 3),  # no sched_getaffinity: os.cpu_count()
-        (100_000, 2385, 1, True, None),  # one usable CPU: no pool at all
-        (2, 1, 64, True, None),
-    ],
-)
-def test_map_segments_starts_at_most_threads_segments_and_cpus(
-    monkeypatch, threads, segments, cpus, affinity, workers
-):
-    started = []
-
-    class Pool:  # records max_workers and starts no thread
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    def no_thread(self):
-        raise AssertionError("a real thread was started")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-    if affinity:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    ranges = [(s, s + 1) for s in range(segments)]
-    assert arith._map_segments(lambda r: r[0], ranges, threads) == list(range(segments))
-    assert started == ([] if workers is None else [workers])
 
 
 # --- segmented kernels --------------------------------------------------------
