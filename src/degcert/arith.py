@@ -1,10 +1,10 @@
 """Exact integer arithmetic and sieves.
 
 Deterministic factorization, exact integer roots, largest prime powers
-(scalar, and bulk segmented for segments where certify's log-sum screen
-would keep most d), prime and prime-power counting by a sieve over odd
-numbers, reciprocal-prime sums that are exact integer sums per segment
-rounded once, and the coprimality mask of those segments.
+(scalar, and bulk segmented with the coprimality mask of a segment: the
+sieve that the tests hold certify's walk to), prime and prime-power
+counting by a sieve over odd numbers, and reciprocal-prime sums that are
+exact integer sums per segment rounded once.
 
 Every segmented sieve in the package runs through one function, map_sieve:
 it alone holds a sieve range to SIEVE_BUDGET, builds the base primes, cuts

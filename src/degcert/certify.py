@@ -34,11 +34,8 @@ and take the last prime of each degree in bulk, as a run of the prime list;
 no integer that cannot qualify is visited.  Every density count of the
 density module runs the same walk: the lambda predicates
 den * v**n <= num * d are the same inequality with coefficients (den, 0, 0)
-and d scaled by num.
-scan_qualifying, the sieve oracle of the walk, scans every integer instead:
-each sieve segment is screened with float32 sums of log p over small prime
-powers (the log-sieve smoothness test of the quadratic sieve), and the few
-candidates are factored and compared exactly.
+and d scaled by num.  scan_qualifying lists the walk's degrees in a window,
+so its cost is set by the window's upper end, not by its width.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import factorial, gcd, isqrt, log
+from math import factorial, gcd, isqrt
 
 from . import arith
 from .errors import CapacityError, DecompositionError, ParameterError
@@ -411,118 +408,6 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def threshold_le(
-    v: np.ndarray, d: np.ndarray, n: int, a: int, b: int, c: int, m: int
-) -> np.ndarray:
-    """Exact elementwise a*v**n + b*v**(n-1) + c <= m*d for int64 arrays
-    v, d >= 1 and integers a, b, c, m >= 0.
-
-    Evaluated in int64 when the array maxima prove that no term can wrap,
-    otherwise on object arrays of Python integers.
-    """
-    import numpy as np
-
-    if len(v) == 0:
-        return np.zeros(0, dtype=bool)
-    vmax, dmax = int(v.max()), int(d.max())
-    if a * vmax**n + b * vmax ** (n - 1) + c >= 2**62 or m * dmax >= 2**62:
-        v, d = v.astype(object), d.astype(object)
-    return np.asarray(a * v**n + b * v ** (n - 1) + c <= m * d, dtype=bool)
-
-
-def qualifying_segment(
-    lo: int,
-    hi: int,
-    base: np.ndarray,
-    n: int,
-    a: int,
-    b: int,
-    c: int,
-    m: int = 1,
-    prime_factor: bool = False,
-) -> np.ndarray:
-    """The d in [lo, hi), lo >= 1, with gcd(d, n!) = 1 and
-    a*v**n + b*v**(n-1) + c <= m*d, where v is the largest prime power of d
-    (its largest prime factor when prime_factor is set); ascending int64.
-
-    base must hold the primes up to sqrt(hi - 1).  a >= 1, so every hit has
-    v <= v_ub = ((m*(hi-1) - c) // a)**(1/n).  For v_ub <= sqrt(hi - 1) a
-    log-sum screen keeps exactly the v_ub-smooth d coprime to n! for an
-    exact recheck; otherwise, or when they are dense, every d is factored.
-    The density module's lambda predicates, (den, 0, 0, num) with or without
-    prime_factor, run on the walk; the kernel takes them as its oracle.
-    """
-    import numpy as np
-
-    if lo < 1 or hi <= lo:
-        raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
-    top = hi - 1
-    if m * top - c < a:
-        return np.empty(0, dtype=np.int64)
-    # v <= d <= top, so the bound can be capped to stay within int64
-    v_ub = min(arith.integer_nth_root((m * top - c) // a, n), top)
-    count, offs = hi - lo, None
-    if v_ub <= isqrt(top):
-        primes = [int(p) for p in base[(base > n) & (base <= v_ub)]]  # no hit has p <= n
-        # Screen: the powers p**e <= v_ub (<= top for prime factors) of a hit
-        # sum to log d; any other d misses a factor >= 2 there (a prime <= n
-        # or above v_ub, or a power above pe_max).  d < 2**34 takes at most 34
-        # float32 adds, within 1e-4 < 0.25 < log 2 - 1e-4: the screen is exact.
-        block = 1 << 12  # blocks: no full-length float64 temporaries
-        acc = np.zeros(-(-count // block) * block, dtype=np.float32)
-        pe_max = top if prime_factor else v_ub
-        for p in primes:
-            logp = np.float32(log(p))
-            pe = p
-            while pe <= pe_max:
-                acc[-lo % pe :: pe] += logp
-                pe *= p
-        # block floors admit more d; each candidate is then held to its log d
-        floor = np.log(np.arange(lo, lo + len(acc), block, dtype=np.float64)) - 0.25
-        mask = (acc.reshape(-1, block) >= floor.astype(np.float32)[:, None]).ravel()[:count]
-        offs = np.flatnonzero(mask)
-        miss = acc[offs] < np.log(offs + lo) - 0.25
-        mask[offs[miss]] = False
-        offs = offs[~miss]
-    if offs is None or len(offs) > count // 10:
-        # Above sqrt(top) a screen could ask only for a sqrt-smooth part of
-        # d / v_ub, which most d have; and once a tenth of the segment is
-        # candidates, factoring all of it by strided division is as fast.
-        v = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=prime_factor)
-        offs = np.flatnonzero(arith.coprime_mask(lo, hi, n) & (v <= v_ub))
-        v = v[offs]
-    else:
-        # Exact recheck.  Dividing out the primes <= v_ub leaves 1, as every
-        # candidate is v_ub-smooth.  Multiples of p come from a pass over the
-        # candidates or, when that reads more, by stride through the mask.
-        rem = offs + lo
-        v = np.ones_like(rem)
-        for p in primes:
-            if len(offs) <= count // p:
-                at = np.flatnonzero(rem % p == 0)
-            else:
-                first = -lo % p
-                at = np.searchsorted(offs, np.flatnonzero(mask[first::p]) * p + first)
-            pe = p
-            while len(at):
-                rem[at] //= p
-                v[at] = np.maximum(v[at], p if prime_factor else pe)
-                at = at[rem[at] % p == 0]
-                pe *= p
-    ds = offs + lo
-    return ds[threshold_le(v, ds, n, a, b, c, m)]
-
-
-def scan_qualifying(
-    n: int, lo: int, hi: int, mode: Mode = Mode.FULL, threads: int = 1
-) -> list[np.ndarray]:
-    """Per-segment arrays of qualifying degrees in [lo, hi), ascending."""
-    a, b, c = threshold_coefficients_upto(n, hi - 1, mode)
-    return arith.map_sieve(
-        max(lo, 1), hi, lambda s, e, base: qualifying_segment(s, e, base, n, a, b, c), threads
-    )
-
-
 def _ceil_thresholds(
     q: np.ndarray, n: int, a: int, b: int, c: int, scale: int, top: int, per: np.ndarray | None = None
 ) -> np.ndarray:
@@ -593,9 +478,9 @@ def _walk(
     value by N + 1 whatever the coefficients and scale are.  A node's
     children m*p**e have p*p <= N // m; a last factor p**e with e >= 2 is
     tested singly, against thr(p) under prime_factor, where p**e is bounded
-    by N alone, and a child is a node while P[k+1] <= N // (m*p**e).  Every
-    product formed is at most N * isqrt(N) < 2**63 (p <= isqrt(N) for a
-    child, m <= N), so int64 is exact.  d = 1, whose v is 1, is in no run.
+    by N alone, and a child is a node while P[k+1] <= N // (m*p**e).  A
+    product m*p is formed only once m <= N // p shows it is at most N, so
+    with N + 1 < 2**63 int64 is exact.  d = 1, whose v is 1, is in no run.
     An N beyond SIEVE_BUDGET is a CapacityError, then a cap beyond 10**8.
     """
     import numpy as np
@@ -607,7 +492,7 @@ def _walk(
     cap = min(arith.integer_nth_root((scale * N - c) // a, n), N)
     if cap > 10**8:
         raise CapacityError(f"walk prime bound {cap} exceeds 10^8")
-    assert N * isqrt(N) < 2**63
+    assert N + 1 < 2**63
     primes = arith.primes_upto(cap)
     P = primes[primes.searchsorted(n, side="right") :]
     H = _ceil_thresholds(P, n, a, b, c, scale, N + 1, per=P)
@@ -648,11 +533,11 @@ def _walk(
                 leaves.append((m[leaf], k[leaf]))
             down = m <= Mmax[k]
             nodes.append((m[down], u[down], k[down]))
-            m = m * p
-            alive = m <= N
+            alive = m <= N // p
             if not prime_factor:
                 alive &= k < len(U[e])
             k, p, m, u = k[alive], p[alive], m[alive], u[alive]
+            m *= p
         if not nodes:
             break
         M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
@@ -668,6 +553,14 @@ def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[np.ndarray, np.ndarray
     return _walk(n, N, *threshold_coefficients_upto(n, N, mode))
 
 
+def _degrees(P: np.ndarray, m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The degrees m * P[k], i <= k < j, of the runs (m, i, j), ascending."""
+    ds = P[_spans(i, j - i)]
+    ds *= m.repeat(j - i)
+    ds.sort()
+    return ds
+
+
 def enumerate_qualifying(
     n: int, d_max: int, mode: Mode = Mode.FULL, threads: int = 1
 ) -> list[int]:
@@ -681,10 +574,32 @@ def enumerate_qualifying(
     [5005, 12155, 17017, 17765, 19019]
     """
     P, (m, i, j) = _qualifying_runs(n, d_max, mode)
-    ds = P[_spans(i, j - i)]
-    ds *= m.repeat(j - i)
-    ds.sort()
-    return ds.tolist()
+    return _degrees(P, m, i, j).tolist()
+
+
+def scan_qualifying(
+    n: int, lo: int, hi: int, mode: Mode = Mode.FULL, threads: int = 1
+) -> list[np.ndarray]:
+    """The qualifying degrees in [lo, hi), ascending, as one int64 array per
+    segment of [max(lo, 1), hi) cut at the absolute multiples of SEGMENT_SIZE.
+
+    The degrees are the walk's to hi - 1, each run clipped to the primes
+    P[k] >= ceil(lo / m), so the cost is set by hi, not by the window width.
+    The walk holds hi - 1 to SIEVE_BUDGET even for an empty window, as
+    map_sieve does; threads cannot change the answer.
+
+    >>> [a.tolist() for a in scan_qualifying(3, 12000, 18000)]
+    [[12155, 17017, 17765]]
+    """
+    import numpy as np
+
+    P, (m, i, j) = _qualifying_runs(n, hi - 1, mode)
+    lo = max(lo, 1)
+    if hi <= lo:
+        return []
+    ds = _degrees(P, m, np.clip(P.searchsorted(-(-lo // m)), i, j), j)
+    starts = range(lo - lo % arith.SEGMENT_SIZE, hi, arith.SEGMENT_SIZE)
+    return np.split(ds, ds.searchsorted(starts[1:]))
 
 
 def _walk_counts(

@@ -482,6 +482,17 @@ def test_smallest_and_enumerate_run_no_sieve(monkeypatch):
     assert len(certify.enumerate_qualifying(3, 10**7, threads=2)) == 29850
 
 
+def test_scan_runs_no_sieve(monkeypatch):
+    # scan_qualifying lists the walk's degrees in the window
+    def no_sieve(*args):
+        raise AssertionError("map_sieve called")
+
+    monkeypatch.setattr(arith, "map_sieve", no_sieve)
+    parts = certify.scan_qualifying(3, 1, 10**7 + 1, threads=2)
+    assert len(parts) == 3
+    assert sum(len(a) for a in parts) == 29850
+
+
 def test_smallest_budget_below_one_is_parameter_error():
     for budget in (0, -5):
         with pytest.raises(ParameterError, match="budget must be >= 1"):
@@ -521,6 +532,15 @@ def test_smallest_refuses_at_default_budget_at_once(n):
     assert time.perf_counter() - start < 0.5
 
 
+def test_smallest_n7_past_the_budget_keeps_products_in_int64(monkeypatch):
+    # the walk to 8.7e13 tests m <= N // p before it forms m * p, where
+    # N * isqrt(N) would pass 2**63
+    monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**15)
+    d = certify.smallest_qualifying(7)
+    assert d == 62298863484143
+    assert certify.verify_certificate(certify.build_certificate(7, d)).passed
+
+
 def test_enumerate_frozen_counts_to_1e8():
     ds = certify.enumerate_qualifying(3, 10**8)
     assert [bisect_right(ds, 10**k) for k in (6, 7, 8)] == [1734, 29850, 427006]
@@ -529,8 +549,31 @@ def test_enumerate_frozen_counts_to_1e8():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 5), st.sampled_from(list(Mode)), st.integers(1, 3 * 10**6))
 def test_enumerate_matches_sieve(n, mode, N):
-    sieved = [int(d) for arr in certify.scan_qualifying(n, 1, N + 1, mode) for d in arr]
+    base = arith.primes_upto(isqrt(N))
+    sieved = sieve_reference(1, N + 1, base, n, *certify.threshold_coefficients(n, mode)).tolist()
     assert certify.enumerate_qualifying(n, N, mode) == sieved
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.sampled_from(list(Mode)),
+    st.just(1)
+    | st.integers(1, 10**9)
+    | st.builds(lambda k, back: k * arith.SEGMENT_SIZE - back, st.integers(1, 200), st.integers(1, 2000)),
+    st.integers(-10, 3 * 10**5),
+)
+def test_scan_matches_sieve_reference_per_segment(n, mode, lo, width):
+    # the walk's degrees in the window, cut where map_sieve cuts the sieve
+    hi = lo + width
+    got = certify.scan_qualifying(n, lo, hi, mode)
+    if hi <= lo:
+        assert got == []
+        return
+    coeffs = certify.threshold_coefficients(n, mode)
+    want = arith.map_sieve(lo, hi, lambda s, e, base: sieve_reference(s, e, base, n, *coeffs))
+    assert [a.dtype for a in got] == [np.dtype(np.int64)] * len(want)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 # --- the walk's bulk runs against a key-function reference walk ---------------
@@ -652,10 +695,31 @@ def test_walk_matches_reference_walk_at_scale(n, N):
     assert canonical_runs(n, N, Mode.FULL) == sorted_reference_runs(n, N, Mode.FULL)
 
 
-# --- the qualifying-degree segment kernel against a scalar oracle -------------
+# --- the strided sieve reference against a scalar oracle -----------------------
 
 # the two certificate modes and the two lambda predicates of density
-KERNEL_MODES = (Mode.FULL, Mode.WEAK, "lambda_primepower", "lambda_prime")
+REFERENCE_MODES = (Mode.FULL, Mode.WEAK, "lambda_primepower", "lambda_prime")
+
+
+def sieve_reference(lo, hi, base, n, a, b, c, m=1, prime_factor=False):
+    """The d in [lo, hi), lo >= 1, with gcd(d, n!) = 1 and
+    a*v**n + b*v**(n-1) + c <= m*d, where v is the largest prime power of d
+    (its largest prime factor under prime_factor) and a >= 1; ascending int64.
+
+    The sieve that the walk is held to: v by strided division over the whole
+    segment (base holds the primes up to sqrt(hi - 1)), the coprimality mask,
+    and for the d with v <= v_ub = iroot((m*(hi-1) - c) // a, n) a compare in
+    Python integers.  The density module's lambda predicates are
+    (den, 0, 0, num), with or without prime_factor.
+    """
+    top = hi - 1
+    if m * top - c < a:
+        return np.empty(0, dtype=np.int64)
+    v_ub = min(arith.integer_nth_root((m * top - c) // a, n), top)
+    v = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=prime_factor)
+    ds = np.flatnonzero(arith.coprime_mask(lo, hi, n) & (v <= v_ub)) + lo
+    vo = v[ds - lo].astype(object)
+    return ds[np.asarray(a * vo**n + b * vo ** (n - 1) + c <= m * ds.astype(object), dtype=bool)]
 
 
 @lru_cache(maxsize=None)
@@ -663,13 +727,13 @@ def _factors(d):
     return arith.factorize(d).factors
 
 
-def kernel_hits(lo, hi, n, mode, lam_pow):
-    base = arith.primes_upto(max(2, isqrt(hi - 1)))
+def reference_hits(lo, hi, n, mode, lam_pow):
+    base = arith.primes_upto(isqrt(hi - 1))
     if isinstance(mode, Mode):
         args = (*certify.threshold_coefficients(n, mode), 1, False)
     else:
         args = (lam_pow.denominator, 0, 0, lam_pow.numerator, mode == "lambda_prime")
-    hits = certify.qualifying_segment(lo, hi, base, n, *args)
+    hits = sieve_reference(lo, hi, base, n, *args)
     assert hits.dtype == np.int64
     return hits.tolist()
 
@@ -690,10 +754,10 @@ def oracle_hits(lo, hi, n, mode, lam_pow):
     return out
 
 
-def assert_kernel_matches_oracle(lo, hi, n, lam_pow, modes=KERNEL_MODES):
+def assert_reference_matches_oracle(lo, hi, n, lam_pow, modes=REFERENCE_MODES):
     hit_modes = 0
     for mode in modes:
-        got = kernel_hits(lo, hi, n, mode, lam_pow)
+        got = reference_hits(lo, hi, n, mode, lam_pow)
         assert got == oracle_hits(lo, hi, n, mode, lam_pow), (lo, hi, n, mode, lam_pow)
         hit_modes += bool(got)
     return hit_modes
@@ -702,23 +766,17 @@ def assert_kernel_matches_oracle(lo, hi, n, lam_pow, modes=KERNEL_MODES):
 def test_qualifying_segment_from_one_matches_oracle():
     # the first segment starts at lo = 1; nothing below 5005 qualifies for
     # a certificate, while the lambda predicates hold for d = 1 and more
-    assert assert_kernel_matches_oracle(1, 5000, 3, Fraction(1)) == 2
-    assert assert_kernel_matches_oracle(1, 6000, 3, Fraction(1, 2), (Mode.FULL,)) == 1
+    assert assert_reference_matches_oracle(1, 5000, 3, Fraction(1)) == 2
+    assert assert_reference_matches_oracle(1, 6000, 3, Fraction(1, 2), (Mode.FULL,)) == 1
 
 
 def test_qualifying_segment_high_window_matches_oracle():
-    assert assert_kernel_matches_oracle(10**7, 10**7 + 2048, 3, Fraction(1, 2)) == 4
-
-
-def test_qualifying_segment_rejects_zero_lo():
-    base = arith.primes_upto(10)
-    with pytest.raises(ParameterError):
-        certify.qualifying_segment(0, 10, base, 3, *certify.threshold_coefficients(3))
+    assert assert_reference_matches_oracle(10**7, 10**7 + 2048, 3, Fraction(1, 2)) == 4
 
 
 def test_qualifying_segment_across_segment_boundary():
     lo, hi = arith.SEGMENT_SIZE - 2048, arith.SEGMENT_SIZE + 2048
-    assert assert_kernel_matches_oracle(lo, hi, 3, Fraction(1, 2)) == 4
+    assert assert_reference_matches_oracle(lo, hi, 3, Fraction(1, 2)) == 4
     # scan_qualifying splits the same range at the boundary
     parts = certify.scan_qualifying(3, lo, hi)
     assert len(parts) == 2
@@ -727,8 +785,8 @@ def test_qualifying_segment_across_segment_boundary():
 
 def test_qualifying_segment_near_sieve_budget():
     top = arith.SIEVE_BUDGET
-    assert assert_kernel_matches_oracle(top - 2047, top + 1, 3, Fraction(1, 2)) == 4
-    assert assert_kernel_matches_oracle(top - 2047, top + 1, 4, Fraction(1)) >= 2
+    assert assert_reference_matches_oracle(top - 2047, top + 1, 3, Fraction(1, 2)) == 4
+    assert assert_reference_matches_oracle(top - 2047, top + 1, 4, Fraction(1)) >= 2
 
 
 @pytest.mark.parametrize(
@@ -736,19 +794,17 @@ def test_qualifying_segment_near_sieve_budget():
     [(1, Fraction(1, 3)), (1, Fraction(1)), (2, Fraction(1)), (2, Fraction(9, 4)), (2, Fraction(1, 4))],
 )
 def test_qualifying_segment_small_n_matches_oracle(n, lam_pow):
-    # v_ub at or past sqrt(hi - 1): most d are candidates and the kernel
-    # factors the whole segment, except lambda**2 = 1/4 near 1e7, where the
-    # screen keeps few enough for the candidate recheck
-    modes = KERNEL_MODES[2:]
-    assert assert_kernel_matches_oracle(1, 5000, n, lam_pow, modes) == 2
-    assert assert_kernel_matches_oracle(10**7, 10**7 + 2048, n, lam_pow, modes) == 2
+    # for n <= 2 the bound v_ub mostly reaches past sqrt(hi - 1)
+    modes = REFERENCE_MODES[2:]
+    assert assert_reference_matches_oracle(1, 5000, n, lam_pow, modes) == 2
+    assert assert_reference_matches_oracle(10**7, 10**7 + 2048, n, lam_pow, modes) == 2
 
 
 @pytest.mark.parametrize("lam_pow", [Fraction(10**400), Fraction(1, 10**400)])
 def test_qualifying_segment_astronomical_lambda_matches_oracle(lam_pow):
-    modes = KERNEL_MODES[2:]
-    hit_modes = assert_kernel_matches_oracle(1, 5000, 3, lam_pow, modes)
-    assert hit_modes == assert_kernel_matches_oracle(10**7, 10**7 + 2048, 3, lam_pow, modes)
+    modes = REFERENCE_MODES[2:]
+    hit_modes = assert_reference_matches_oracle(1, 5000, 3, lam_pow, modes)
+    assert hit_modes == assert_reference_matches_oracle(10**7, 10**7 + 2048, 3, lam_pow, modes)
     assert hit_modes == (2 if lam_pow > 1 else 0)
 
 
@@ -757,13 +813,13 @@ def test_qualifying_segment_astronomical_lambda_matches_oracle(lam_pow):
     st.integers(1, 10**4) | st.integers(1, 10**9),
     st.integers(1, 600),
     st.integers(1, 6),
-    st.sampled_from(KERNEL_MODES),
+    st.sampled_from(REFERENCE_MODES),
     st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=100),
 )
 def test_qualifying_segment_matches_oracle_on_random_ranges(lo, width, n, mode, lam_pow):
     if isinstance(mode, Mode):
         n = max(n, 3)
-    assert_kernel_matches_oracle(lo, lo + width, n, lam_pow, (mode,))
+    assert_reference_matches_oracle(lo, lo + width, n, lam_pow, (mode,))
 
 
 def test_roundtrip_over_enumeration():

@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from math import exp, factorial, fsum, gcd, log
+from math import exp, factorial, fsum, gcd, isqrt, log
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from degcert import arith, certify
 from degcert.density import DensityMode, convergence_diagnostics, empirical_density, ihc_fraction
 from degcert.errors import CapacityError, ParameterError
+from test_certify import sieve_reference
 
 
 def brute_factors(d):
@@ -147,22 +148,6 @@ def test_density_threads_bit_identical(n, N, mode, kw, cps):
     assert a.empirical == b.empirical
 
 
-def test_screen_rejects_non_coprime_degrees_without_the_mask(monkeypatch):
-    # the log-sum screen sums logs of primes above n only, so a d sharing a
-    # factor with n! falls short by at least log 2; every segment of both
-    # counts (FULL, and lambda = 1 on prime factors for n = 4) takes the
-    # screen route, which needs no coprimality mask
-    def no_mask(*args):
-        raise AssertionError("coprime_mask called")
-
-    monkeypatch.setattr(arith, "coprime_mask", no_mask)
-    assert sum(len(a) for a in certify.scan_qualifying(3, 1, 10**7 + 1)) == 29850
-    segments = arith.map_sieve(
-        1, 2 * 10**7 + 1, lambda lo, hi, base: certify.qualifying_segment(lo, hi, base, 4, 1, 0, 0, 1, True)
-    )
-    assert sum(len(a) for a in segments) == 11478
-
-
 def test_density_runs_no_sieve(monkeypatch):
     # all four modes count the runs of certify's walk over prime powers
     def no_sieve(*args):
@@ -185,10 +170,10 @@ def test_density_runs_no_sieve(monkeypatch):
     st.lists(st.floats(0, 1), max_size=4),
 )
 def test_prop16_walk_counts_match_the_sieve(n, mode, N, fracs):
-    # the walk's counts against the flattened sieve at random checkpoints
+    # the walk's counts against the strided sieve at random checkpoints
     cps = sorted(max(1, int(f * N)) for f in fracs)
     cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
-    sieved = np.concatenate(certify.scan_qualifying(n, 1, N + 1, cmode))
+    sieved = sieve_reference(1, N + 1, arith.primes_upto(isqrt(N)), n, *certify.threshold_coefficients(n, cmode))
     r = empirical_density(n, N, mode, checkpoints=cps)
     assert r.count == len(sieved)
     assert r.samples == (tuple((m, int(np.searchsorted(sieved, m, side="right"))) for m in cps) or None)
@@ -265,27 +250,28 @@ def test_lambda_prime_bound_beyond_1e8_is_refused_at_once():
     st.lists(st.floats(0, 1), max_size=4),
 )
 def test_lambda_density_matches_the_sieve(n, mode, lam_pow, log_n, fracs):
-    # empirical_density against the flattened segment kernel, which keeps its
-    # lambda arguments to serve as this oracle, at random checkpoints and 1
+    # empirical_density against the strided sieve, which takes the lambda
+    # predicates as (den, 0, 0, num), at random checkpoints and 1
     N = min(3 * 10**6, round(exp(log_n)))
     cps = sorted([1, *(max(1, int(f * N)) for f in fracs)])
     args = (n, lam_pow.denominator, 0, 0, lam_pow.numerator, mode == DensityMode.LAMBDA_PRIME)
-    sieved = np.concatenate(
-        arith.map_sieve(1, N + 1, lambda lo, hi, base: certify.qualifying_segment(lo, hi, base, *args))
-    )
+    sieved = sieve_reference(1, N + 1, arith.primes_upto(isqrt(N)), *args)
     r = empirical_density(n, N, mode, lam_pow=lam_pow, checkpoints=cps)
     assert r.count == len(sieved)
     assert r.samples == tuple((m, int(np.searchsorted(sieved, m, side="right"))) for m in cps)
 
 
 # --- exact threshold comparator ---------------------------------------------------
-# certify.threshold_le decides a*v**n + b*v**(n-1) + c <= m*d; the LAMBDA modes
-# call it with (a, b, c, m) = (den, 0, 0, num) for lambda**n = num/den.
+# The walk decides a*v**n + b*v**(n-1) + c <= m*d as ceil(thr(v) / m) <= d, by
+# certify._ceil_thresholds; the LAMBDA modes have (a, b, c, m) = (den, 0, 0, num)
+# for lambda**n = num/den.
 
 
 def le(v, d, n, a, b, c, m):
-    return certify.threshold_le(
-        np.array(v, dtype=np.int64), np.array(d, dtype=np.int64), n, a, b, c, m
+    # one call per pair, as _ceil_thresholds takes an ascending v; the clamp
+    # at d + 1 keeps every ceiling above d above it
+    return np.array(
+        [certify._ceil_thresholds(np.array([x], dtype=np.int64), n, a, b, c, m, y + 1)[0] <= y for x, y in zip(v, d)]
     )
 
 
@@ -296,7 +282,7 @@ def test_pow_le_scaled_exact_tie_int64_path():
 
 
 def test_pow_le_scaled_exact_tie_object_path():
-    # v**3 = 2.7e19 > 2^62 leaves int64; the tie must still be exact
+    # v**3 = 2.7e19 > 2^63 leaves int64; the tie must still be exact
     d_tie = 9 * 10**18
     assert le([3 * 10**6], [d_tie], 3, 1, 0, 0, 3)[0]
     assert not le([3 * 10**6], [d_tie - 1], 3, 1, 0, 0, 3)[0]
@@ -405,6 +391,7 @@ def test_ihc_validation():
         lambda over: empirical_density(3, over, DensityMode.LAMBDA_PRIME, lam=Fraction(1)),
         lambda over: ihc_fraction(3, over),
         lambda over: empirical_density(1, over, DensityMode.LAMBDA_PRIMEPOWER, lam=Fraction(1)),
+        lambda over: certify.scan_qualifying(3, over + 1, over + 1),
     ],
 )
 def test_sieve_entry_points_share_one_budget_message(call):
