@@ -25,8 +25,6 @@ EXIT_USAGE = 1
 EXIT_PREDICATE_FALSE = 2
 EXIT_CAPACITY = 3
 
-SCHEMA_VERSION = certify.SCHEMA_VERSION
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 by default; the contract reserves 2 for
@@ -83,7 +81,7 @@ def _json_default(obj):
 def _emit_json(command: str, **fields) -> None:
     """Print one command's JSON payload: the fields plus schema_version and
     command, key-sorted; report dataclasses are passed through asdict."""
-    payload = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    payload = {"schema_version": certify.SCHEMA_VERSION, "command": command, **fields}
     print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
 
 
@@ -172,6 +170,8 @@ def cmd_smallest(args) -> int:
 def cmd_dickman(args) -> int:
     if args.out and not (args.table and args.format == "csv"):
         raise ParameterError("--out is written only with --table --format csv")
+    if args.table and args.u is not None:
+        raise ParameterError("--u and --table exclude each other")
     if args.table:
         table = dickman.rho_table(args.u_max, args.step, args.tol)
         if args.format == "csv":

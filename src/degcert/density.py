@@ -129,6 +129,8 @@ def empirical_density(
 
     xs = [*cps, N]
     if mode in (DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK):
+        if lam is not None or lam_pow is not None:
+            raise ParameterError("lam and lam_pow apply only to the LAMBDA modes")
         cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
         args = (*certify.threshold_coefficients_upto(n, N, cmode), 1, False)
         lam_val = lam_pow_val = None
@@ -200,32 +202,22 @@ def convergence_diagnostics(
     if not cps or cps != sorted(cps) or cps[0] < 2:
         raise ParameterError("checkpoints must be ascending integers >= 2")
     if cps[-1] > arith.SIEVE_BUDGET:
-        raise CapacityError(f"checkpoint {cps[-1]} exceeds budget {arith.SIEVE_BUDGET}")
+        raise CapacityError(f"sieve bound {cps[-1]} exceeds budget {arith.SIEVE_BUDGET}")
     with_tails = lam is not None or lam_pow is not None
     if with_tails:
         _, lam_pow_val = _resolve_lambda(n, lam, lam_pow)
         inv_lam_pow = float(Fraction(lam_pow_val.denominator, lam_pow_val.numerator))
     rows = []
     for m in cps:
-        ratio = arith.prime_power_count(m, threads) / m
-        mert = arith.mertens_sum(m, n, threads).sum
+        # mertens_sum counts the primes in (root, m]; it also checks n first
+        mert = arith.mertens_sum(m, n, threads)
+        root = arith.integer_nth_root(m, n)
+        powers = arith.prime_powers_exp_ge2(m)
+        pi = mert.prime_count + arith.prime_count(root, threads)
+        tails = {}
         if with_tails:
-            root = arith.integer_nth_root(m, n)
-            powers = arith.prime_powers_exp_ge2(m)
-            small = sum(q ** (n - 1) for q in powers if q <= root)
-            large = fsum(1.0 / q for q in powers if q > root)
-            tail_small = inv_lam_pow * small
-            tail_large = m * large
-            rows.append(
-                DiagnosticsRow(
-                    m=m,
-                    prime_power_ratio=ratio,
-                    mertens=mert,
-                    tail_small=tail_small,
-                    tail_large=tail_large,
-                    ratio_bound=(tail_small + tail_large) / m,
-                )
-            )
-        else:
-            rows.append(DiagnosticsRow(m=m, prime_power_ratio=ratio, mertens=mert))
+            small = inv_lam_pow * sum(q ** (n - 1) for q in powers if q <= root)
+            large = m * fsum(1.0 / q for q in powers if q > root)
+            tails = dict(tail_small=small, tail_large=large, ratio_bound=(small + large) / m)
+        rows.append(DiagnosticsRow(m, (pi + len(powers)) / m, mert.sum, **tails))
     return rows

@@ -363,6 +363,13 @@ def test_dickman_out_without_csv_table_is_usage_error(tmp_path, capsys, argv):
     assert not out_file.exists()
 
 
+def test_dickman_u_with_table_is_usage_error(capsys):
+    # --table once printed the table and dropped --u without a word
+    code, out, err = run(capsys, "dickman", "--table", "--u", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--u" in err
+
+
 def test_dickman_bad_tol_usage(capsys):
     code, _, err = run(capsys, "dickman", "--u", "2", "--tol", "1e-15")
     assert code == 1
@@ -510,6 +517,15 @@ def test_density_both_lambdas_usage_error(capsys):
         "--lam", "1", "--lam-pow", "1",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("mode", ["prop16-full", "prop16-weak"])
+@pytest.mark.parametrize("flag", [("--lam", "5"), ("--lam-pow", "1/2")], ids=["lam", "lam-pow"])
+def test_density_lambda_flag_in_prop16_mode_is_usage_error(capsys, mode, flag):
+    # the certificate modes have no lambda; the flag was once ignored without a word
+    code, out, err = run(capsys, "density", "--n", "3", "--N", "100", "--mode", mode, *flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "LAMBDA modes" in err
 
 
 def test_ihc_json(capsys):
@@ -726,6 +742,12 @@ def test_certificate_commands_start_without_numpy(tmp_path, argv, code, loaded):
 def test_import_degcert_loads_neither_numpy_nor_the_thread_pool():
     proc = _fresh_interpreter("import sys, degcert\n" + _REPORT_LOADED)
     assert (proc.returncode, proc.stderr) == (0, "\n")
+
+
+def test_import_degcert_loads_no_degcert_module():
+    # the package root holds only __version__; each name is imported from its module
+    proc = _fresh_interpreter("import sys, degcert\nprint(*sorted(m for m in sys.modules if m.startswith('degcert.')))\n")
+    assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
 
 
 # --- byte-exact JSON output ---------------------------------------------------------

@@ -118,6 +118,14 @@ def test_prop16_mode_needs_n_ge_3():
         empirical_density(1, 100, DensityMode.PROP16_FULL)
 
 
+@pytest.mark.parametrize("mode", [DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK])
+@pytest.mark.parametrize("kw", [{"lam": Fraction(5)}, {"lam_pow": Fraction(1, 2)}], ids=["lam", "lam_pow"])
+def test_prop16_modes_refuse_a_lambda(mode, kw):
+    # the certificate modes have no lambda; one passed in was once ignored
+    with pytest.raises(ParameterError, match="LAMBDA modes"):
+        empirical_density(3, 100, mode, **kw)
+
+
 def test_validation_lambda_modes():
     with pytest.raises(ParameterError, match="lam"):
         empirical_density(3, 100, DensityMode.LAMBDA_PRIME)
@@ -392,6 +400,7 @@ def test_ihc_validation():
         lambda over: ihc_fraction(3, over),
         lambda over: empirical_density(1, over, DensityMode.LAMBDA_PRIMEPOWER, lam=Fraction(1)),
         lambda over: certify.scan_qualifying(3, over + 1, over + 1),
+        lambda over: convergence_diagnostics(3, [over]),
     ],
 )
 def test_sieve_entry_points_share_one_budget_message(call):
@@ -441,6 +450,30 @@ def test_diagnostics_tail_sums_brute():
     assert rows[0].tail_large == pytest.approx(m * large)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_diagnostics_ratio_is_the_prime_power_count(n):
+    ms = [2, 3, 8, 10, 1000, 12345, 10**5]
+    rows = convergence_diagnostics(n, ms, lam=Fraction(1))
+    assert [r.prime_power_ratio for r in rows] == [arith.prime_power_count(m) / m for m in ms]
+    assert [r.mertens for r in rows] == [arith.mertens_sum(m, n).sum for m in ms]
+
+
+def test_diagnostics_sieves_each_checkpoint_once(monkeypatch):
+    # pi(m) is mertens_sum's count over (m**(1/n), m] plus pi(m**(1/n)), so
+    # a checkpoint sweeps about m integers, not a second pass over [2, m]
+    swept = []
+    map_sieve = arith.map_sieve
+
+    def recording(lo, hi, fn, threads=1):
+        swept.append(max(0, hi - lo))
+        return map_sieve(lo, hi, fn, threads)
+
+    monkeypatch.setattr(arith, "map_sieve", recording)
+    m = 10**6
+    convergence_diagnostics(3, [m], lam=Fraction(1))
+    assert sum(swept) <= m + arith.integer_nth_root(m, 3)
+
+
 def test_diagnostics_validation():
     with pytest.raises(ParameterError):
         convergence_diagnostics(3, [])
@@ -448,6 +481,8 @@ def test_diagnostics_validation():
         convergence_diagnostics(3, [100, 10])
     with pytest.raises(CapacityError):
         convergence_diagnostics(3, [arith.SIEVE_BUDGET + 1])
+    with pytest.raises(ParameterError, match="mertens_sum requires n >= 1"):
+        convergence_diagnostics(0, [10], lam=Fraction(1))
 
 
 # --- report plumbing --------------------------------------------------------------
