@@ -364,7 +364,7 @@ def test_dickman_out_without_csv_table_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_dickman_u_with_table_is_usage_error(capsys):
-    # --table once printed the table and dropped --u without a word
+    # the table has no single u to evaluate
     code, out, err = run(capsys, "dickman", "--table", "--u", "2")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "--u" in err
@@ -522,7 +522,7 @@ def test_density_both_lambdas_usage_error(capsys):
 @pytest.mark.parametrize("mode", ["prop16-full", "prop16-weak"])
 @pytest.mark.parametrize("flag", [("--lam", "5"), ("--lam-pow", "1/2")], ids=["lam", "lam-pow"])
 def test_density_lambda_flag_in_prop16_mode_is_usage_error(capsys, mode, flag):
-    # the certificate modes have no lambda; the flag was once ignored without a word
+    # the certificate modes have no lambda to apply
     code, out, err = run(capsys, "density", "--n", "3", "--N", "100", "--mode", mode, *flag)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "LAMBDA modes" in err

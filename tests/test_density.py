@@ -121,7 +121,7 @@ def test_prop16_mode_needs_n_ge_3():
 @pytest.mark.parametrize("mode", [DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK])
 @pytest.mark.parametrize("kw", [{"lam": Fraction(5)}, {"lam_pow": Fraction(1, 2)}], ids=["lam", "lam_pow"])
 def test_prop16_modes_refuse_a_lambda(mode, kw):
-    # the certificate modes have no lambda; one passed in was once ignored
+    # the certificate modes have no lambda to apply
     with pytest.raises(ParameterError, match="LAMBDA modes"):
         empirical_density(3, 100, mode, **kw)
 
