@@ -181,7 +181,7 @@ def _require_room_for_witness(n: int, d: int) -> None:
         )
 
 
-def condition_holds(n: int, d: int, mode: Mode = Mode.FULL, q: int | None = None) -> bool:
+def condition_holds(n: int, d: int, mode: Mode = Mode.FULL) -> bool:
     """True iff gcd(d, n!) = 1 and the mode inequality holds for the largest
     prime power q of d.
 
@@ -198,9 +198,7 @@ def condition_holds(n: int, d: int, mode: Mode = Mode.FULL, q: int | None = None
         return False
     if gcd(d, factorial(n)) != 1:
         return False
-    if q is None:
-        q = arith.largest_prime_power(d)
-    return qualification_threshold(n, q, mode) <= d
+    return qualification_threshold(n, arith.largest_prime_power(d), mode) <= d
 
 
 def decompose(n: int, d: int, q: int, mode: Mode = Mode.FULL) -> PrimePowerCertificate:
@@ -726,8 +724,7 @@ def verify_rational_example(d: int, qs: list[int]) -> RationalExampleReport:
                 passed=prime_ok and residue_ok and nonneg and sixfold and q_div_k and k_ok,
             )
         )
-    prime_divisors = {p for p, _ in arith.factorize(d).factors}
-    covers = set(qs) == prime_divisors
+    covers = sorted(qs) == [p for p, _ in arith.factorize(d).factors]
     passed = covers and all(c.passed for c in out)
     return RationalExampleReport(
         d=d, checks=tuple(out), covers_prime_divisors=covers, passed=passed

@@ -142,7 +142,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ds = certify.enumerate_qualifying(args.n, args.d_max, _mode(args.mode), threads=args.threads)
+    ds = certify.enumerate_qualifying(args.n, args.d_max, _mode(args.mode))
     if args.format == "json":
         _emit_json(
             "enumerate", n=args.n, mode=args.mode.upper(), d_max=args.d_max, count=len(ds), degrees=ds
@@ -159,7 +159,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_smallest(args) -> int:
-    d = certify.smallest_qualifying(args.n, _mode(args.mode), threads=args.threads, budget=args.budget)
+    d = certify.smallest_qualifying(args.n, _mode(args.mode), budget=args.budget)
     if args.format == "json":
         _emit_json("smallest", n=args.n, mode=args.mode.upper(), d=d)
     else:
@@ -173,7 +173,9 @@ def cmd_dickman(args) -> int:
     if args.table and args.u is not None:
         raise ParameterError("--u and --table exclude each other")
     if args.table:
-        table = dickman.rho_table(args.u_max, args.step, args.tol)
+        u_max = 3.0 if args.u_max is None else args.u_max
+        step = 0.125 if args.step is None else args.step
+        table = dickman.rho_table(u_max, step, args.tol)
         if args.format == "csv":
             with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
                 table.write_csv(out)
@@ -185,6 +187,8 @@ def cmd_dickman(args) -> int:
         return EXIT_OK
     if args.u is None:
         raise ParameterError("dickman needs --u or --table")
+    if args.u_max is not None or args.step is not None or args.format == "csv":
+        raise ParameterError("--u-max, --step and --format csv apply only to --table")
     value = dickman.rho(args.u, args.tol)
     if args.format == "json":
         _emit_json("dickman", u=args.u, tol=args.tol, rho=value)
@@ -193,22 +197,12 @@ def cmd_dickman(args) -> int:
     return EXIT_OK
 
 
-_DENSITY_MODES = {
-    "prop16-full": density.DensityMode.PROP16_FULL,
-    "prop16-weak": density.DensityMode.PROP16_WEAK,
-    "lambda-primepower": density.DensityMode.LAMBDA_PRIMEPOWER,
-    "lambda-prime": density.DensityMode.LAMBDA_PRIME,
-}
-
-
 def cmd_density(args) -> int:
-    mode = _DENSITY_MODES[args.mode]
+    mode = density.DensityMode(args.mode.upper().replace("-", "_"))
     lam = _parse_fraction(args.lam) if args.lam else None
     lam_pow = _parse_fraction(args.lam_pow) if args.lam_pow else None
     cps = _parse_int_list(args.checkpoints) if args.checkpoints else None
-    report = density.empirical_density(
-        args.n, args.N, mode, lam=lam, lam_pow=lam_pow, checkpoints=cps, threads=args.threads
-    )
+    report = density.empirical_density(args.n, args.N, mode, lam=lam, lam_pow=lam_pow, checkpoints=cps)
     if args.format == "json":
         fields = dataclasses.asdict(report)
         fields["lambda"], fields["lambda_pow"] = fields.pop("lam"), fields.pop("lam_pow")
@@ -282,22 +276,20 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"degcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=True, fmt=("text", "json")):
+    def common(p, fmt=("text", "json")):
         p.add_argument("--format", choices=fmt, default="text")
-        if threads:
-            p.add_argument("--threads", type=_thread_count, default=1)
 
     p = sub.add_parser("certify", help="build and verify a certificate for one degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=("full", "weak"), default="full")
     p.add_argument("--out", help="write the canonical certificate JSON here")
-    common(p, threads=False)
+    common(p)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("check", help="verify a serialized certificate")
     p.add_argument("--cert", required=True)
-    common(p, threads=False)
+    common(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("enumerate", help="list qualifying degrees up to a bound")
@@ -317,17 +309,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dickman", help="evaluate rho(u) or tabulate it")
     p.add_argument("--u", type=float)
     p.add_argument("--table", action="store_true")
-    p.add_argument("--u-max", dest="u_max", type=float, default=3.0)
-    p.add_argument("--step", type=float, default=0.125)
+    p.add_argument("--u-max", dest="u_max", type=float, default=None)
+    p.add_argument("--step", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
-    common(p, threads=False, fmt=("text", "json", "csv"))
+    common(p, fmt=("text", "json", "csv"))
     p.set_defaults(fn=cmd_dickman)
 
     p = sub.add_parser("density", help="empirical qualifying-degree density")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--mode", choices=tuple(_DENSITY_MODES), default="prop16-full")
+    modes = tuple(m.value.lower().replace("_", "-") for m in density.DensityMode)
+    p.add_argument("--mode", choices=modes, default="prop16-full")
     p.add_argument("--lam", help="lambda as a rational, e.g. 4/5")
     p.add_argument(
         "--lam-pow",
@@ -343,6 +336,7 @@ def build_parser() -> _Parser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--range-lo", dest="range_lo", type=int, default=1)
     common(p)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(fn=cmd_ihc)
 
     p = sub.add_parser("diagnostics", help="Pi(m)/m and mertens convergence checkpoints")
@@ -350,12 +344,13 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--lam", help="enable exponent>=2 tail bounds with this lambda")
     common(p, fmt=("text", "json", "csv"))
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(fn=cmd_diagnostics)
 
     p = sub.add_parser("verify-q-example", help="check the d = q^3 + 6k example arithmetic")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--qs", help="comma-separated prime list; defaults to the prime divisors of d")
-    common(p, threads=False)
+    common(p)
     p.set_defaults(fn=cmd_verify_q_example)
 
     return parser

@@ -193,7 +193,6 @@ def convergence_diagnostics(
     n: int,
     checkpoints: Sequence[int],
     lam: Fraction | None = None,
-    lam_pow: Fraction | None = None,
     threads: int = 1,
 ) -> list[DiagnosticsRow]:
     """Pi(m)/m and the reciprocal prime sum at each checkpoint m, plus the
@@ -203,10 +202,9 @@ def convergence_diagnostics(
         raise ParameterError("checkpoints must be ascending integers >= 2")
     if cps[-1] > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {cps[-1]} exceeds budget {arith.SIEVE_BUDGET}")
-    with_tails = lam is not None or lam_pow is not None
-    if with_tails:
-        _, lam_pow_val = _resolve_lambda(n, lam, lam_pow)
-        inv_lam_pow = float(Fraction(lam_pow_val.denominator, lam_pow_val.numerator))
+    if lam is not None:
+        _, lam_pow = _resolve_lambda(n, lam, None)
+        inv_lam_pow = float(Fraction(lam_pow.denominator, lam_pow.numerator))
     rows = []
     for m in cps:
         # mertens_sum counts the primes in (root, m]; it also checks n first
@@ -215,7 +213,7 @@ def convergence_diagnostics(
         powers = arith.prime_powers_exp_ge2(m)
         pi = mert.prime_count + arith.prime_count(root, threads)
         tails = {}
-        if with_tails:
+        if lam is not None:
             small = inv_lam_pow * sum(q ** (n - 1) for q in powers if q <= root)
             large = m * fsum(1.0 / q for q in powers if q > root)
             tails = dict(tail_small=small, tail_large=large, ratio_bound=(small + large) / m)

@@ -144,11 +144,11 @@ def rho_table(u_max: float, step: float, tol: float = 1e-9) -> DickmanTable:
     return DickmanTable(step=1.0 / k_out, u_max=u_max, values=values, abs_error_bound=ABS_ERROR_BOUND)
 
 
-def theoretical_density(n: int, tol: float = 1e-9) -> float:
+def theoretical_density(n: int) -> float:
     """phi(n!)/n! * rho(n): the density of degrees d coprime to n! whose
     largest prime factor is at most d**(1/n)."""
     if not 1 <= n <= 10:
         raise ParameterError(f"n must be in [1, 10], got {n}")
     fact = factorial(n)
     scale = Fraction(euler_phi(fact), fact)
-    return float(scale) * rho(float(n), tol)
+    return float(scale) * rho(float(n))

@@ -144,7 +144,7 @@ def test_criterion_04_dickman_values():
     e1 = (4.0 * g2[::2] - g1) / 3.0
     e2 = (4.0 * g3[::2] - g2) / 3.0
     halving_change = abs(e2[2 * 3 * k] - e1[3 * k])
-    td = dickman.theoretical_density(3, 1e-9)
+    td = dickman.theoretical_density(3)
     ok = err2 <= 1e-10 and halving_change <= 1e-9 and 0.0155 <= td <= 0.0170
     report(
         4,

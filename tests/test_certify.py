@@ -64,6 +64,12 @@ def test_condition_validation():
         certify.condition_holds(3, 0)
 
 
+def test_condition_holds_takes_no_q():
+    # q is always the largest prime power of d; a caller's q could only be wrong
+    with pytest.raises(TypeError):
+        certify.condition_holds(3, 5005, Mode.FULL, q=13)
+
+
 def test_threshold_values():
     assert certify.qualification_threshold(3, 13, Mode.FULL) == 2 * 2197 + 3 * 169 + 54
     assert certify.qualification_threshold(3, 13, Mode.WEAK) == 5 * 2197 + 54
@@ -743,11 +749,10 @@ def oracle_hits(lo, hi, n, mode, lam_pow):
     v <= lambda * d**(1/n) in exact rationals for the lambda ones."""
     out = []
     for d in range(lo, hi):
-        fs = _factors(d)
         if isinstance(mode, Mode):
-            ok = certify.condition_holds(n, d, mode, q=max((p**e for p, e in fs), default=1))
+            ok = certify.condition_holds(n, d, mode)
         else:
-            v = max((p if mode == "lambda_prime" else p**e for p, e in fs), default=1)
+            v = max((p if mode == "lambda_prime" else p**e for p, e in _factors(d)), default=1)
             ok = gcd(d, factorial(n)) == 1 and v**n <= lam_pow * d
         if ok:
             out.append(d)
@@ -957,6 +962,14 @@ def test_rational_example_incomplete_qs():
     assert not rep.passed
     assert not rep.covers_prime_divisors
     assert rep.checks[0].passed  # the q = 7 arithmetic itself is fine
+
+
+def test_rational_example_repeated_q_does_not_pass():
+    # qs must be exactly the prime divisors, each once
+    rep = certify.verify_rational_example(53599, [7, 13, 19, 31, 31])
+    assert all(c.passed for c in rep.checks)
+    assert not rep.covers_prime_divisors and not rep.passed
+    assert certify.verify_rational_example(53599, [31, 19, 13, 7]).passed  # order is free
 
 
 def test_rational_example_cube_exceeds_d():

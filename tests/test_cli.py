@@ -370,6 +370,16 @@ def test_dickman_u_with_table_is_usage_error(capsys):
     assert err.startswith("error:") and "--u" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("--step", "0.5", "--u-max", "9"), ("--step", "0.125"), ("--u-max", "3"), ("--format", "csv")]
+)
+def test_dickman_u_with_table_options_is_usage_error(capsys, argv):
+    # --u-max, --step and --format csv shape only a table
+    code, out, err = run(capsys, "dickman", "--u", "2", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--table" in err
+
+
 def test_dickman_bad_tol_usage(capsys):
     code, _, err = run(capsys, "dickman", "--u", "2", "--tol", "1e-15")
     assert code == 1
@@ -434,9 +444,26 @@ def test_checkpoints_non_integer_exit1(capsys, token):
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_threads_below_one_exit1(capsys, threads):
-    code, _, err = run(capsys, "smallest", "--n", "3", "--threads", threads)
+    code, _, err = run(capsys, "ihc", "--n", "3", "--N", "10", "--threads", threads)
     assert code == 1
     assert "--threads" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--n", "3", "--d-max", "1000"), ("smallest", "--n", "3"), ("density", "--n", "3", "--N", "1000")],
+)
+def test_walk_commands_refuse_threads(capsys, argv):
+    # each runs one sequential walk, so a thread count would change nothing
+    code, out, err = run(capsys, *argv, "--threads", "2")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --threads 2" in err
+
+
+@pytest.mark.parametrize("command", ["ihc", "diagnostics"])
+def test_sieve_commands_take_threads(capsys, command):
+    argv = (command, "--n", "3") + (("--N", "100000") if command == "ihc" else ("--checkpoints", "1000,100000"))
+    assert run(capsys, *argv, "--threads", "2") == run(capsys, *argv)
 
 
 def test_density_csv_trajectory(capsys):
@@ -584,6 +611,12 @@ def test_verify_q_example_incomplete_exit2(capsys):
     assert "do not cover" in out
 
 
+def test_verify_q_example_repeated_q_exit2(capsys):
+    code, out, _ = run(capsys, "verify-q-example", "--d", "53599", "--qs", "7,13,19,31,31")
+    assert code == 2
+    assert out.startswith("d = 53599: FAIL\n  FAIL: qs do not cover the prime divisors of d\n")
+
+
 # --- usage behaviour ---------------------------------------------------------------
 
 
@@ -623,9 +656,9 @@ _USAGE_CERTIFY = (
     "usage: degcert certify [-h] --n N --d D [--mode {full,weak}] [--out OUT]\n"
     "                       [--format {text,json}]\n"
 )
-_USAGE_SMALLEST = (
-    "usage: degcert smallest [-h] --n N [--mode {full,weak}] [--budget BUDGET]\n"
-    "                        [--format {text,json}] [--threads THREADS]\n"
+_USAGE_IHC = (
+    "usage: degcert ihc [-h] --n N --N N [--range-lo RANGE_LO]\n"
+    "                   [--format {text,json}] [--threads THREADS]\n"
 )
 _COMMANDS = "certify,check,enumerate,smallest,dickman,density,ihc,diagnostics,verify-q-example"
 _USAGE_TOP = f"usage: degcert [-h] [--version]\n               {{{_COMMANDS}}}\n               ...\n"
@@ -676,7 +709,13 @@ TEXT_CASES = [
         ["smallest", "--n", "3", "--threads", "0"],
         1,
         "",
-        _USAGE_SMALLEST + "error: argument --threads: must be >= 1, got 0\n",
+        _USAGE_TOP + "error: unrecognized arguments: --threads 0\n",
+    ),
+    (
+        ["ihc", "--n", "3", "--N", "10", "--threads", "0"],
+        1,
+        "",
+        _USAGE_IHC + "error: argument --threads: must be >= 1, got 0\n",
     ),
     (
         ["frobnicate"],

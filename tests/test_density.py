@@ -485,6 +485,11 @@ def test_diagnostics_validation():
         convergence_diagnostics(0, [10], lam=Fraction(1))
 
 
+def test_diagnostics_takes_no_lam_pow():
+    with pytest.raises(TypeError):
+        convergence_diagnostics(3, [10, 100], lam_pow=Fraction(1))
+
+
 # --- report plumbing --------------------------------------------------------------
 
 

@@ -292,7 +292,7 @@ def test_theoretical_density_n1():
 
 
 def test_theoretical_density_n3():
-    v = theoretical_density(3, 1e-9)
+    v = theoretical_density(3)
     assert 0.0155 <= v <= 0.0170
     assert v == pytest.approx(rho(3.0, 1e-9) / 3.0, rel=1e-12)
     assert v == pytest.approx(oracle_rho_23(3.0) / 3.0, abs=1e-9)
@@ -300,12 +300,12 @@ def test_theoretical_density_n3():
 
 def test_theoretical_density_n4():
     # phi(24)/24 = 8/24 = 1/3
-    v = theoretical_density(4, 1e-9)
+    v = theoretical_density(4)
     assert v == pytest.approx(oracle_rho_34(4.0) / 3.0, abs=1e-9)
 
 
 def test_theoretical_density_n2():
-    v = theoretical_density(2, 1e-10)
+    v = theoretical_density(2)
     assert v == pytest.approx((1.0 - log(2.0)) / 2.0, abs=1e-10)
 
 
@@ -314,6 +314,12 @@ def test_theoretical_density_validation():
         theoretical_density(0)
     with pytest.raises(ParameterError):
         theoretical_density(11)
+
+
+def test_theoretical_density_takes_no_tol():
+    # rho's error bound already lies below every tol it accepts
+    with pytest.raises(TypeError):
+        theoretical_density(3, 1e-9)
 
 
 def test_module_doctests():

@@ -1,10 +1,13 @@
-"""Static guard on where degcert imports numpy and the thread pool.
+"""Static guards on degcert's source.
 
 The certificate commands start without numpy, so no module may import it,
 or concurrent.futures, at module level, and every function that reads the
 name np must bind it first, in its own body or in an enclosing function.
 A function that forgot its local import would raise NameError only when it
 runs, so this walks the source instead of running every path.
+
+A second guard lists the parameters that a function never reads, so an
+option that stops acting shows up here instead of being silently ignored.
 """
 
 import ast
@@ -107,3 +110,51 @@ def test_numpy_and_thread_pool_are_imported_inside_functions(path):
 )
 def test_the_guard_reports_what_it_should(source, count):
     assert len(violations(source)) == count
+
+
+def unread_parameters(source: str) -> list[str]:
+    """function.parameter for every parameter that its function's body,
+    nested functions included, never reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        params = [a.arg for a in every if a is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        names = (n for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        found += [f"{getattr(fn, 'name', 'lambda')}.{p}" for p in params if p not in read]
+    return found
+
+
+# The walk functions run one sequential walk and ignore threads; they keep
+# the parameter only because the committed benchmark (perfbench/workloads.py)
+# passes threads= to all four.  Any other unread parameter is an option that
+# changes nothing, and should go.
+BENCHMARK_PINNED = [
+    "certify.enumerate_qualifying.threads",
+    "certify.scan_qualifying.threads",
+    "certify.smallest_qualifying.threads",
+    "density.empirical_density.threads",
+]
+
+
+def test_every_parameter_is_read_except_the_benchmark_pinned_threads():
+    found = [f"{path.stem}.{name}" for path in SOURCES for name in unread_parameters(path.read_text())]
+    assert sorted(found) == BENCHMARK_PINNED
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("def f(x, y):\n    return x\n", ["f.y"]),
+        ("def f(x, *rest, key=None, **kw):\n    return x\n", ["f.key", "f.rest", "f.kw"]),
+        ("def f(x):\n    def g():\n        return x\n    return g\n", []),
+        ("def f(x):\n    x = 1\n    return 0\n", ["f.x"]),
+        ("g = lambda x, y: y\n", ["lambda.x"]),
+    ],
+)
+def test_the_unread_parameter_guard_reports_what_it_should(source, found):
+    assert unread_parameters(source) == found
