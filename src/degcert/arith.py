@@ -46,10 +46,9 @@ class FactoredInteger:
     """A positive integer with its full prime factorization.
 
     factors is sorted by prime; largest_prime_power is max(p**e) over the
-    factors (1 for value = 1), i.e. the largest prime power dividing value.
+    factors (1 for the integer 1), i.e. the largest prime power dividing it.
     """
 
-    value: int
     factors: tuple[tuple[int, int], ...]
     largest_prime_power: int
 
@@ -116,8 +115,6 @@ def is_prime(n: int) -> bool:
 def _brent_factor(n: int) -> int:
     """Find a nontrivial factor of an odd composite n (Brent's cycle method,
     deterministic parameter sequence)."""
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -166,7 +163,7 @@ def factorize(d: int) -> FactoredInteger:
     if d < 1:
         raise ParameterError(f"factorize requires d >= 1, got {d}")
     if d == 1:
-        return FactoredInteger(value=1, factors=(), largest_prime_power=1)
+        return FactoredInteger(factors=(), largest_prime_power=1)
     acc: dict[int, int] = {}
     m = d
     for p in _SMALL_PRIMES:
@@ -176,7 +173,7 @@ def factorize(d: int) -> FactoredInteger:
     _factor_into(m, acc)
     pairs = sorted(acc.items())
     q = max(p**e for p, e in pairs)
-    return FactoredInteger(value=d, factors=tuple(pairs), largest_prime_power=q)
+    return FactoredInteger(factors=tuple(pairs), largest_prime_power=q)
 
 
 def largest_prime_power(d: int) -> int:
@@ -356,10 +353,9 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
 
     def work(lo: int, hi: int, base: np.ndarray) -> tuple[float, int]:
         ps = sieve_segment(lo, hi, base)
-        ps = ps[ps > lo_excl]
         return _exact_sum(1.0 / ps), len(ps)
 
-    parts = map_sieve(max(2, lo_excl), x + 1, work, threads)
+    parts = map_sieve(lo_excl + 1, x + 1, work, threads)
     total = fsum(p[0] for p in parts)
     count = sum(p[1] for p in parts)
     return PrimeSumResult(x=x, n=n, sum=total, prime_count=count)
@@ -424,6 +420,4 @@ def coprime_mask(lo: int, hi: int, n: int) -> np.ndarray:
         start = ((lo + p - 1) // p) * p
         if start < hi:
             mask[start - lo :: p] = False
-    if lo == 0 and n >= 2:
-        mask[0] = False  # gcd(0, n!) = n! != 1 once n >= 2
     return mask

@@ -86,7 +86,6 @@ class PrimePowerCertificate:
     i: int
     j: int
     k: int
-    mode: Mode
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,8 @@ def decompose(n: int, d: int, q: int, mode: Mode = Mode.FULL) -> PrimePowerCerti
     passes maximal prime powers; smaller ones are accepted when the caller
     knows the inequality holds for them).  i is the unique residue of
     d * q**(-n) in [0, C(n,2)) modulo C(n,2), j the unique completion modulo
-    n! (automatically divisible by C(n,2)), and k the exact remainder; in
+    n! (automatically divisible by C(n,2)), and k the exact quotient by n!
+    of the remainder, a multiple of q since q | d and gcd(q, n!) = 1; in
     WEAK mode i is the unique residue modulo n! and j = 0.  Raises
     DecompositionError naming the failing constraint if no valid witness
     exists, which for divisors q of d happens exactly when k falls below
@@ -234,24 +234,17 @@ def decompose(n: int, d: int, q: int, mode: Mode = Mode.FULL) -> PrimePowerCerti
         c2 = binom2(n)
         i = d * pow(qn % c2, -1, c2) % c2
         j = (d - i * qn) * pow(qn1 % fact, -1, fact) % fact
-        if j % c2 != 0:
-            raise DecompositionError(f"binom(n,2) does not divide j = {j}")
     else:
         i = d * pow(qn % fact, -1, fact) % fact
         j = 0
-    num = d - i * qn - j * qn1
-    if num % fact != 0:
-        raise DecompositionError(f"n! does not divide d - i*q^n - j*q^(n-1) = {num}")
-    k = num // fact
+    k = (d - i * qn - j * qn1) // fact
     k_min = 2**n + 1
     if k < k_min:
         raise DecompositionError(
             f"k = {k} < 2^n + 1 = {k_min} for q = {q} "
             f"(d too small; qualification inequality not satisfied)"
         )
-    if k % q != 0:
-        raise DecompositionError(f"q = {q} does not divide k = {k}")
-    return PrimePowerCertificate(q=q, i=i, j=j, k=k, mode=mode)
+    return PrimePowerCertificate(q=q, i=i, j=j, k=k)
 
 
 def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
@@ -508,7 +501,6 @@ def _walk(
         root = arith.integer_nth_root(cap, e)
         U.append(_ceil_thresholds(small[small <= root] ** e, n, a, b, c, scale, N + 1))
     found = []  # rows m, i, j
-    leaves = [(np.empty(0, np.int64),) * 2]  # (m*p**e, k): the run (m*p**(e-1), k, k+1)
     M, Uu, S = np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
     while len(M):
         lim = N // M
@@ -527,8 +519,8 @@ def _walk(
             if e > 1:
                 if not prime_factor:
                     u = np.maximum(u, U[e - 1][k])
-                leaf = u <= m
-                leaves.append((m[leaf], k[leaf]))
+                leaf = u <= m  # the run (m*p**(e-1), k, k+1)
+                found.append((m[leaf] // p[leaf], k[leaf], k[leaf] + 1))
             down = m <= Mmax[k]
             nodes.append((m[down], u[down], k[down]))
             alive = m <= N // p
@@ -540,8 +532,6 @@ def _walk(
             break
         M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
         S += 1
-    m, k = (np.concatenate(col) for col in zip(*leaves))
-    found.append((m // small[k], k, k + 1))
     return P, np.array([np.concatenate(col) for col in zip(*found)])
 
 
@@ -684,6 +674,8 @@ class RationalExampleCheck:
 
 @dataclass(frozen=True)
 class RationalExampleReport:
+    """covers_prime_divisors: qs are exactly the prime divisors of d, each once."""
+
     d: int
     checks: tuple[RationalExampleCheck, ...]
     covers_prime_divisors: bool
@@ -788,7 +780,6 @@ def certificate_from_dict(data: dict) -> Certificate:
             i=_require_int(e.get("i"), "entry i"),
             j=_require_int(e.get("j"), "entry j"),
             k=_require_int(e.get("k"), "entry k"),
-            mode=mode,
         )
         for e in _require_objects(data.get("entries", []), "entries")
     )

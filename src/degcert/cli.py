@@ -85,13 +85,9 @@ def _emit_json(command: str, **fields) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
 
 
-def _mode(text: str) -> certify.Mode:
-    return certify.Mode.FULL if text == "full" else certify.Mode.WEAK
-
-
 def cmd_certify(args) -> int:
     try:
-        cert = certify.build_certificate(args.n, args.d, _mode(args.mode))
+        cert = certify.build_certificate(args.n, args.d, certify.Mode(args.mode.upper()))
     except DecompositionError as exc:
         if args.format == "json":
             _emit_json(
@@ -142,7 +138,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ds = certify.enumerate_qualifying(args.n, args.d_max, _mode(args.mode))
+    ds = certify.enumerate_qualifying(args.n, args.d_max, certify.Mode(args.mode.upper()))
     if args.format == "json":
         _emit_json(
             "enumerate", n=args.n, mode=args.mode.upper(), d_max=args.d_max, count=len(ds), degrees=ds
@@ -159,7 +155,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_smallest(args) -> int:
-    d = certify.smallest_qualifying(args.n, _mode(args.mode), budget=args.budget)
+    d = certify.smallest_qualifying(args.n, certify.Mode(args.mode.upper()), budget=args.budget)
     if args.format == "json":
         _emit_json("smallest", n=args.n, mode=args.mode.upper(), d=d)
     else:
@@ -175,7 +171,7 @@ def cmd_dickman(args) -> int:
     if args.table:
         u_max = 3.0 if args.u_max is None else args.u_max
         step = 0.125 if args.step is None else args.step
-        table = dickman.rho_table(u_max, step, args.tol)
+        table = dickman.rho_table(u_max, step)
         if args.format == "csv":
             with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
                 table.write_csv(out)
@@ -189,9 +185,9 @@ def cmd_dickman(args) -> int:
         raise ParameterError("dickman needs --u or --table")
     if args.u_max is not None or args.step is not None or args.format == "csv":
         raise ParameterError("--u-max, --step and --format csv apply only to --table")
-    value = dickman.rho(args.u, args.tol)
+    value = dickman.rho(args.u)
     if args.format == "json":
-        _emit_json("dickman", u=args.u, tol=args.tol, rho=value)
+        _emit_json("dickman", u=args.u, rho=value)
     else:
         print(repr(value))
     return EXIT_OK
@@ -264,7 +260,7 @@ def cmd_verify_q_example(args) -> int:
     else:
         print(f"d = {report.d}: {'PASS' if report.passed else 'FAIL'}")
         if not report.covers_prime_divisors:
-            print("  FAIL: qs do not cover the prime divisors of d")
+            print("  FAIL: qs are not exactly the prime divisors of d")
         for c in report.checks:
             print(f"  q = {c.q}: k = {c.k}, passed = {c.passed}" + (" (near-miss k)" if c.near_miss_k else ""))
     return EXIT_OK if report.passed else EXIT_PREDICATE_FALSE
@@ -311,7 +307,6 @@ def build_parser() -> _Parser:
     p.add_argument("--table", action="store_true")
     p.add_argument("--u-max", dest="u_max", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     common(p, fmt=("text", "json", "csv"))
     p.set_defaults(fn=cmd_dickman)

@@ -79,11 +79,9 @@ def _horner(coeffs: tuple[float, ...], s):
     return acc
 
 
-def _validate(u: float, tol: float) -> None:
+def _validate(u: float) -> None:
     if not 0.0 <= u <= U_MAX_SUPPORTED:
         raise ParameterError(f"u must be in [0, {U_MAX_SUPPORTED}], got {u}")
-    if not tol >= TOL_MIN:
-        raise ParameterError(f"tol must be >= {TOL_MIN}, got {tol}")
 
 
 def rho(u: float, tol: float = 1e-9) -> float:
@@ -94,14 +92,16 @@ def rho(u: float, tol: float = 1e-9) -> float:
     >>> abs(rho(2.0, 1e-10) - 0.30685281944005469) < 1e-10
     True
     """
-    _validate(u, tol)
+    _validate(u)
+    if not tol >= TOL_MIN:
+        raise ParameterError(f"tol must be >= {TOL_MIN}, got {tol}")
     if u <= 1.0:
         return 1.0
     top = ceil(u)
     return _horner(_pieces()[top - 2], top - u)
 
 
-def rho_table(u_max: float, step: float, tol: float = 1e-9) -> DickmanTable:
+def rho_table(u_max: float, step: float) -> DickmanTable:
     """Tabulate rho on {0, step, 2*step, ...} up to u_max.
 
     step must divide 1 evenly: rho has a kink at every integer, so the nodes
@@ -111,7 +111,7 @@ def rho_table(u_max: float, step: float, tol: float = 1e-9) -> DickmanTable:
     """
     import numpy as np
 
-    _validate(u_max, tol)
+    _validate(u_max)
     if u_max < 1.0:
         raise ParameterError(f"u_max must be >= 1, got {u_max}")
     if not (isfinite(step) and step > 0):

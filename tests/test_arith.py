@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from functools import lru_cache
-from math import fsum, gcd, isqrt
+from math import factorial, fsum, gcd, isqrt
 
 import numpy as np
 import pytest
@@ -413,10 +414,48 @@ def test_largest_prime_power_segment_rejects_zero_lo():
 
 
 def test_coprime_mask_matches_gcd():
-    from math import factorial
-
     for n in (1, 2, 3, 4, 6):
         mask = arith.coprime_mask(1, 2000, n)
         f = factorial(n)
         for d in range(1, 2000):
             assert mask[d - 1] == (gcd(d, f) == 1)
+
+
+def test_coprime_mask_from_zero():
+    # gcd(0, n!) = n!, which is 1 only for n <= 1; for n >= 2 the multiples
+    # of 2 include 0
+    for n in (0, 1, 2, 5):
+        assert arith.coprime_mask(0, 12, n).tolist() == [gcd(d, factorial(n)) == 1 for d in range(12)]
+
+
+# --- input checks ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x, n", [(-1, 2), (4, 0)])
+def test_integer_nth_root_rejects_bad_input(x, n):
+    with pytest.raises(ParameterError, match=f"^integer_nth_root requires x >= 0, n >= 1; got {x}, {n}$"):
+        arith.integer_nth_root(x, n)
+
+
+@pytest.mark.parametrize(
+    "fn, message",
+    [
+        (arith.factorize, "factorize requires d >= 1, got 0"),
+        (arith.euler_phi, "euler_phi requires m >= 1, got 0"),
+        (arith.prime_power_count, "prime_power_count requires m >= 1, got 0"),
+    ],
+)
+def test_zero_is_refused(fn, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        fn(0)
+
+
+def test_primes_upto_refuses_past_1e8_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="^primes_upto limit 100000001 exceeds 10\\^8; use segments$"):
+            arith.primes_upto(10**8 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6

@@ -109,7 +109,7 @@ def test_decompose_5005_q5():
 def test_decompose_deterministic():
     a = certify.decompose(3, 5005, 11, Mode.FULL)
     b = certify.decompose(3, 5005, 11, Mode.FULL)
-    assert a == b == certify.PrimePowerCertificate(q=11, i=2, j=3, k=330, mode=Mode.FULL)
+    assert a == b == certify.PrimePowerCertificate(q=11, i=2, j=3, k=330)
 
 
 def test_decompose_weak_i_boundary():
@@ -139,6 +139,12 @@ def test_decompose_error_not_divisor():
 def test_decompose_error_not_coprime():
     with pytest.raises(DecompositionError, match="gcd"):
         certify.decompose(3, 3 * 5005, 3, Mode.FULL)
+
+
+@pytest.mark.parametrize("n, d, message", [(2, 5005, "n must be >= 3, got 2"), (3, 0, "d must be >= 1, got 0")])
+def test_decompose_validation(n, d, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        certify.decompose(n, d, 5)
 
 
 def test_decompose_accepts_non_maximal_prime_power():
@@ -173,6 +179,11 @@ def test_build_5005_entries_and_premises():
 def test_build_rejects_noncoprime():
     with pytest.raises(DecompositionError, match="gcd"):
         certify.build_certificate(3, 30)
+
+
+def test_build_rejects_small_n():
+    with pytest.raises(ParameterError, match="^n must be >= 3, got 2$"):
+        certify.build_certificate(2, 5005)
 
 
 def test_build_rejects_too_small():
@@ -327,7 +338,7 @@ def test_verify_is_total_on_garbage():
         n=3,
         d=30,
         mode=Mode.FULL,
-        entries=(certify.PrimePowerCertificate(q=36, i=-1, j=2, k=0, mode=Mode.FULL),),
+        entries=(certify.PrimePowerCertificate(q=36, i=-1, j=2, k=0),),
         premises=(),
     )
     report = certify.verify_certificate(junk)
@@ -343,7 +354,7 @@ def test_verify_reports_huge_details_for_large_n():
         n=2000,
         d=10**700,
         mode=Mode.WEAK,
-        entries=(certify.PrimePowerCertificate(q=5, i=1, j=0, k=1, mode=Mode.WEAK),),
+        entries=(certify.PrimePowerCertificate(q=5, i=1, j=0, k=1),),
         premises=(),
     )
     report = certify.verify_certificate(weak)
@@ -362,14 +373,14 @@ def test_verify_reports_huge_d_and_q():
         n=3,
         d=10**5000,
         mode=Mode.FULL,
-        entries=(certify.PrimePowerCertificate(q=5**5000, i=1, j=3, k=10**5000, mode=Mode.FULL),),
+        entries=(certify.PrimePowerCertificate(q=5**5000, i=1, j=3, k=10**5000),),
         premises=(certify.Premise(kind=certify.PREMISE_ABELIAN_FACTORIAL, q=5**5000, k=10**5000),),
     )
     huge_q = certify.Certificate(
         n=3,
         d=5005,
         mode=Mode.FULL,
-        entries=(certify.PrimePowerCertificate(q=10**5000 + 1, i=0, j=0, k=0, mode=Mode.FULL),),
+        entries=(certify.PrimePowerCertificate(q=10**5000 + 1, i=0, j=0, k=0),),
         premises=(),
     )
     for cert in (huge_d, huge_q):
@@ -938,7 +949,7 @@ def test_decompose_recovers_constructed_coefficients(n, q, i_seed, j_seed, k_see
 def test_verify_is_total_on_fuzzed_certificates(n, d, raw_entries):
     # the verifier must never raise, whatever the certificate claims
     entries = tuple(
-        certify.PrimePowerCertificate(q=q, i=i, j=j, k=k, mode=Mode.FULL)
+        certify.PrimePowerCertificate(q=q, i=i, j=j, k=k)
         for q, i, j, k in raw_entries
     )
     cert = certify.Certificate(n=n, d=d, mode=Mode.FULL, entries=entries, premises=())
@@ -970,6 +981,11 @@ def test_rational_example_repeated_q_does_not_pass():
     assert all(c.passed for c in rep.checks)
     assert not rep.covers_prime_divisors and not rep.passed
     assert certify.verify_rational_example(53599, [31, 19, 13, 7]).passed  # order is free
+
+
+def test_rational_example_rejects_nonpositive_d():
+    with pytest.raises(ParameterError, match="^d must be >= 1, got 0$"):
+        certify.verify_rational_example(0, [7])
 
 
 def test_rational_example_cube_exceeds_d():
@@ -1024,6 +1040,11 @@ def test_deserialization_rejects_bad_schema():
     payload["schema_version"] = 99
     with pytest.raises(ParameterError, match="schema_version"):
         certify.certificate_from_dict(payload)
+
+
+def test_deserialization_rejects_a_payload_that_is_no_object():
+    with pytest.raises(ParameterError, match="^certificate payload must be a JSON object$"):
+        certify.certificate_from_json("[]")
 
 
 def test_deserialization_rejects_bool_ints():

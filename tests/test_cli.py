@@ -317,7 +317,7 @@ def test_density_lambda_prime_bound_exit3_at_once(capsys, argv, shown):
 
 
 def test_dickman_point(capsys):
-    code, out, _ = run(capsys, "dickman", "--u", "2", "--tol", "1e-10")
+    code, out, _ = run(capsys, "dickman", "--u", "2")
     assert code == 0
     assert out.strip().startswith("0.3068528194")
 
@@ -381,8 +381,10 @@ def test_dickman_u_with_table_options_is_usage_error(capsys, argv):
 
 
 def test_dickman_bad_tol_usage(capsys):
+    # every value carries the fixed error bound 1e-14, so the CLI takes no tol
     code, _, err = run(capsys, "dickman", "--u", "2", "--tol", "1e-15")
     assert code == 1
+    assert err.endswith("error: unrecognized arguments: --tol 1e-15\n")
 
 
 def test_dickman_missing_u_usage(capsys):
@@ -440,6 +442,25 @@ def test_checkpoints_non_integer_exit1(capsys, token):
     code, _, err = run(capsys, "density", "--n", "3", "--N", "6000", "--checkpoints", token)
     assert code == 1
     assert "not an integer" in err
+
+
+@pytest.mark.parametrize("command", ["density", "diagnostics"])
+def test_checkpoints_skip_empty_tokens(capsys, command):
+    argv = (command, "--n", "3") + (("--N", "6000") if command == "density" else ())
+    assert run(capsys, *argv, "--checkpoints", "5004,,6000,") == run(capsys, *argv, "--checkpoints", "5004,6000")
+
+
+@pytest.mark.parametrize("lam_pow", ["--lam-pow=-1/2", "--lam-pow=0"])
+def test_density_nonpositive_lam_pow_exit1(capsys, lam_pow):
+    code, out, err = run(capsys, "density", "--n", "3", "--N", "100", "--mode", "lambda-prime", lam_pow)
+    assert (code, out) == (1, "")
+    assert err == f"error: lambda**n must be positive, got {lam_pow.split('=')[1]}\n"
+
+
+def test_threads_not_an_integer_exit1(capsys):
+    code, out, err = run(capsys, "ihc", "--n", "3", "--N", "10", "--threads", "x")
+    assert (code, out) == (1, "")
+    assert err.endswith("error: argument --threads: not an integer: 'x'\n")
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])
@@ -608,13 +629,13 @@ def test_verify_q_example_json(capsys):
 def test_verify_q_example_incomplete_exit2(capsys):
     code, out, _ = run(capsys, "verify-q-example", "--d", "53599", "--qs", "7")
     assert code == 2
-    assert "do not cover" in out
+    assert "not exactly the prime divisors" in out
 
 
 def test_verify_q_example_repeated_q_exit2(capsys):
     code, out, _ = run(capsys, "verify-q-example", "--d", "53599", "--qs", "7,13,19,31,31")
     assert code == 2
-    assert out.startswith("d = 53599: FAIL\n  FAIL: qs do not cover the prime divisors of d\n")
+    assert out.startswith("d = 53599: FAIL\n  FAIL: qs are not exactly the prime divisors of d\n")
 
 
 # --- usage behaviour ---------------------------------------------------------------

@@ -126,6 +126,12 @@ def test_prop16_modes_refuse_a_lambda(mode, kw):
         empirical_density(3, 100, mode, **kw)
 
 
+@pytest.mark.parametrize("n, N, message", [(0, 100, "n must be >= 1, got 0"), (3, 0, "N must be >= 1, got 0")])
+def test_lambda_modes_need_positive_n_and_N(n, N, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        empirical_density(n, N, DensityMode.LAMBDA_PRIME, lam=Fraction(1))
+
+
 def test_validation_lambda_modes():
     with pytest.raises(ParameterError, match="lam"):
         empirical_density(3, 100, DensityMode.LAMBDA_PRIME)

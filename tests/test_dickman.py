@@ -128,19 +128,19 @@ def test_rho_step_halving_stability():
 
 
 def test_table_all_ones_to_u1():
-    table = rho_table(1.0, 0.25, 1e-9)
+    table = rho_table(1.0, 0.25)
     assert list(table.values) == [1.0] * 5
 
 
 def test_table_matches_closed_form_at_2():
-    table = rho_table(3.0, 0.125, 1e-9)
+    table = rho_table(3.0, 0.125)
     idx = round(2.0 / 0.125)
     assert abs(table.values[idx] - (1.0 - log(2.0))) <= 1e-9
     assert table.abs_error_bound <= 1e-9
 
 
 def test_table_positive_and_strictly_decreasing():
-    table = rho_table(10.0, 0.0625, 1e-9)
+    table = rho_table(10.0, 0.0625)
     vals = table.values
     k = round(1 / 0.0625)
     assert np.all(vals > 0)
@@ -152,7 +152,7 @@ def test_table_positive_and_strictly_decreasing():
 
 
 def test_table_interior_consistent_with_pointwise():
-    table = rho_table(4.0, 0.25, 1e-9)
+    table = rho_table(4.0, 0.25)
     for idx in range(4, len(table.values)):
         u = idx * 0.25
         assert abs(table.values[idx] - rho(u, 1e-9)) <= 2e-9
@@ -162,7 +162,7 @@ def test_table_residual_of_delay_ode():
     # finite-difference check of u*rho'(u) + rho(u-1) = 0 on (1, 10]
     tol = 1e-9
     step = 1.0 / 512
-    table = rho_table(10.0, step, tol)
+    table = rho_table(10.0, step)
     vals = table.values
     k = 512
     worst = 0.0
@@ -177,17 +177,17 @@ def test_table_residual_of_delay_ode():
 
 def test_table_validation():
     with pytest.raises(ParameterError):
-        rho_table(3.0, 0.3, 1e-9)  # 0.3 does not divide 1
+        rho_table(3.0, 0.3)  # 0.3 does not divide 1
     with pytest.raises(ParameterError):
-        rho_table(0.5, 0.25, 1e-9)
+        rho_table(0.5, 0.25)
     with pytest.raises(ParameterError):
-        rho_table(3.0, -0.125, 1e-9)
+        rho_table(3.0, -0.125)
 
 
 def test_table_step_not_power_of_two():
     # 1/48 divides 1 but is not a divisor of the solver's default base
     # resolution; the output grid must still land exactly on solver nodes
-    table = rho_table(3.0, 1.0 / 48, 1e-9)
+    table = rho_table(3.0, 1.0 / 48)
     assert len(table.values) == 3 * 48 + 1
     idx2 = 2 * 48
     assert abs(table.values[idx2] - (1.0 - log(2.0))) <= 1e-9
@@ -195,7 +195,7 @@ def test_table_step_not_power_of_two():
 
 
 def test_table_csv():
-    table = rho_table(2.0, 0.5, 1e-9)
+    table = rho_table(2.0, 0.5)
     buf = io.StringIO()
     table.write_csv(buf)
     lines = buf.getvalue().strip().splitlines()

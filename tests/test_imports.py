@@ -8,9 +8,12 @@ runs, so this walks the source instead of running every path.
 
 A second guard lists the parameters that a function never reads, so an
 option that stops acting shows up here instead of being silently ignored.
+A third lists the private top-level functions that nothing in the package
+calls, so a helper that only the tests still use cannot linger.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -158,3 +161,50 @@ def test_every_parameter_is_read_except_the_benchmark_pinned_threads():
 )
 def test_the_unread_parameter_guard_reports_what_it_should(source, found):
     assert unread_parameters(source) == found
+
+
+def _reads(node: ast.AST) -> list[str]:
+    """Every name that node reads: loaded names and attributes, and imports."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.alias)
+    ]
+
+
+def unused_private_functions(sources: dict[str, str]) -> list[str]:
+    """module._name for every top-level function _name (not a dunder) of
+    sources, module name -> text, that no source reads outside its own def;
+    a recursive call does not count."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    everywhere = Counter(name for tree in trees.values() for name in _reads(tree))
+    return [
+        f"{module}.{fn.name}"
+        for module, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_")
+        and not fn.name.endswith("__")
+        and everywhere[fn.name] == _reads(fn).count(fn.name)
+    ]
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a private helper that only tests call is dead code of the package;
+    # move it into the tests or delete it
+    assert unused_private_functions({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+@pytest.mark.parametrize(
+    "sources,found",
+    [
+        ({"m": "def _f():\n    return 1\n"}, ["m._f"]),
+        ({"m": "def _f():\n    return 1\n\nx = _f()\n"}, []),
+        ({"m": "def _f(n):\n    return _f(n - 1)\n"}, ["m._f"]),
+        ({"a": "def _f():\n    return 1\n", "b": "from . import a\n\ny = a._f\n"}, []),
+        ({"a": "def _f():\n    return 1\n", "b": "from .a import _f\n"}, []),
+        ({"m": "def __getattr__(name):\n    return name\n\ndef g():\n    return 1\n"}, []),
+    ],
+)
+def test_the_private_function_guard_reports_what_it_should(sources, found):
+    assert unused_private_functions(sources) == found
