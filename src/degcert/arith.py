@@ -55,10 +55,8 @@ class FactoredInteger:
 
 @dataclass(frozen=True)
 class PrimeSumResult:
-    """Sum of 1/p over primes p with x**(1/n) < p <= x."""
+    """mertens_sum(x, n): the sum of 1/p over primes p with x**(1/n) < p <= x."""
 
-    x: int
-    n: int
     sum: float
     prime_count: int
 
@@ -358,7 +356,7 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
     parts = map_sieve(lo_excl + 1, x + 1, work, threads)
     total = fsum(p[0] for p in parts)
     count = sum(p[1] for p in parts)
-    return PrimeSumResult(x=x, n=n, sum=total, prime_count=count)
+    return PrimeSumResult(sum=total, prime_count=count)
 
 
 def largest_prime_power_segment(

@@ -181,38 +181,27 @@ def _require_room_for_witness(n: int, d: int) -> None:
 
 
 def condition_holds(n: int, d: int, mode: Mode = Mode.FULL) -> bool:
-    """True iff gcd(d, n!) = 1 and the mode inequality holds for the largest
-    prime power q of d.
+    """True iff build_certificate(n, d, mode) succeeds: gcd(d, n!) = 1 and the
+    mode inequality holds for the largest prime power q of d.
 
     >>> condition_holds(3, 5005)
     True
     >>> condition_holds(3, 5005, Mode.WEAK)
     False
     """
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
-    if n >= d.bit_length():  # d < 2**n < (2**n + 1)*n!, the least degree that can qualify
+    try:
+        build_certificate(n, d, mode)
+    except DecompositionError:
         return False
-    if gcd(d, factorial(n)) != 1:
-        return False
-    return qualification_threshold(n, arith.largest_prime_power(d), mode) <= d
+    return True
 
 
 def decompose(n: int, d: int, q: int, mode: Mode = Mode.FULL) -> PrimePowerCertificate:
     """Decompose d as i*q**n + j*q**(n-1) + k*n! with certified coefficients.
 
-    q must be a prime power dividing d with gcd(q, n!) = 1 (the builder only
-    passes maximal prime powers; smaller ones are accepted when the caller
-    knows the inequality holds for them).  i is the unique residue of
-    d * q**(-n) in [0, C(n,2)) modulo C(n,2), j the unique completion modulo
-    n! (automatically divisible by C(n,2)), and k the exact quotient by n!
-    of the remainder, a multiple of q since q | d and gcd(q, n!) = 1; in
-    WEAK mode i is the unique residue modulo n! and j = 0.  Raises
-    DecompositionError naming the failing constraint if no valid witness
-    exists, which for divisors q of d happens exactly when k falls below
-    2**n + 1.
+    Checks that q is a prime power dividing d with gcd(q, n!) = 1, maximal or
+    not, and raises DecompositionError naming the first constraint that fails.
+    build_certificate takes its q from the factorization and calls _witness.
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
@@ -227,7 +216,18 @@ def decompose(n: int, d: int, q: int, mode: Mode = Mode.FULL) -> PrimePowerCerti
     fact = factorial(n)
     if gcd(q, fact) != 1:
         raise DecompositionError(f"gcd(q, n!) != 1 for q = {q}, n = {n}")
+    return _witness(n, d, q, fact, mode)
 
+
+def _witness(n: int, d: int, q: int, fact: int, mode: Mode) -> PrimePowerCertificate:
+    """The witness for a prime power q | d with gcd(q, fact) = 1, fact = n!.
+
+    i is the unique residue of d * q**(-n) modulo C(n,2), j the unique
+    completion modulo n! (automatically divisible by C(n,2)), and k the exact
+    quotient by n! of the remainder, a multiple of q as q | d and gcd(q, n!) = 1;
+    in WEAK mode i is the residue modulo n! and j = 0.  No witness exists
+    exactly when k < 2**n + 1; then this raises DecompositionError.
+    """
     qn = q**n
     qn1 = q ** (n - 1)
     if mode == Mode.FULL:
@@ -259,8 +259,6 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
         raise ParameterError(f"n must be >= 3, got {n}")
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
-    if d == 1:
-        raise DecompositionError("d = 1 has no prime power divisors")
     _require_room_for_witness(n, d)
     fact = factorial(n)
     if gcd(d, fact) != 1:
@@ -278,7 +276,7 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     premises = []
     for p, e in fi.factors:
         q = p**e
-        entry = decompose(n, d, q, mode)
+        entry = _witness(n, d, q, fact, mode)
         entries.append(entry)
         if entry.i > 0:
             premises.append(Premise(kind=PREMISE_KOLLAR_QN, q=q))
@@ -699,7 +697,7 @@ def verify_rational_example(d: int, qs: list[int]) -> RationalExampleReport:
         nonneg = diff >= 0
         sixfold = nonneg and diff % 6 == 0
         k = diff // 6 if sixfold else None
-        q_div_k = k is not None and k % q == 0
+        q_div_k = k is not None and q != 0 and k % q == 0  # k = d/6 > 0 when q = 0
         k_ok = k is not None and k >= 38
         near_miss = k is not None and 9 <= k <= 37
         out.append(

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The expensive artifacts
 computed once per thread count and shared between criteria 6, 8 and 10.
 """
 
-import dataclasses
 import struct
 import time
 from functools import lru_cache
@@ -16,6 +15,7 @@ import pytest
 from degcert import arith, certify, density, dickman
 from degcert.certify import Mode
 from degcert.density import DensityMode
+from test_certify import _mutants
 from test_dickman import solve_grid
 
 X_GRID = (10**5, 10**6, 10**7, 10**8)
@@ -86,27 +86,6 @@ def test_criterion_02_certificate_5005():
     assert by_q[13] == (1, 0, 468)
     assert by_q[5] == (2, 3, 780)
     assert verification.passed
-
-
-def _mutants(cert):
-    c2 = certify.binom2(cert.n)
-    for t, entry in enumerate(cert.entries):
-        variants = []
-        for field in ("i", "j", "k", "q"):
-            val = getattr(entry, field)
-            for delta in (+1, -1):
-                if val + delta >= 0:
-                    variants.append(dataclasses.replace(entry, **{field: val + delta}))
-        for delta in (c2, -c2):
-            if entry.j + delta >= 0:
-                variants.append(dataclasses.replace(entry, j=entry.j + delta))
-        root = arith.prime_power_root(entry.q)
-        if root:
-            variants.append(dataclasses.replace(entry, q=entry.q * root[0]))
-        for v in variants:
-            yield dataclasses.replace(
-                cert, entries=cert.entries[:t] + (v,) + cert.entries[t + 1 :]
-            )
 
 
 def test_criterion_03_roundtrip_and_mutation_kill():

@@ -15,21 +15,7 @@ from degcert import arith, certify, density
 from degcert.certify import Mode
 from degcert.density import DensityMode
 from degcert.errors import CapacityError, DecompositionError, ParameterError
-
-
-def brute_lpp(d):
-    q = 1
-    t = d
-    p = 2
-    while p * p <= t:
-        if t % p == 0:
-            pe = 1
-            while t % p == 0:
-                t //= p
-                pe *= p
-            q = max(q, pe)
-        p += 1
-    return max(q, t) if t > 1 else q
+from test_arith import brute_lpp
 
 
 def brute_condition(n, d, mode):
@@ -289,6 +275,35 @@ def test_build_with_square_factor():
     assert certify.verify_certificate(cert).passed
 
 
+def test_build_takes_entries_from_the_factorization(monkeypatch):
+    # factorize already proves each p**e a prime power of d; nothing re-proves it
+    want = {}
+    for d in (5005, 5**3 * 7 * 11 * 13 * 37):
+        want[d] = certify.build_certificate(3, d)
+        assert want[d].entries == tuple(certify.decompose(3, d, e.q) for e in want[d].entries)
+
+    def no_root(q):
+        raise AssertionError(f"prime_power_root({q}) called")
+
+    monkeypatch.setattr(arith, "prime_power_root", no_root)
+    for d, cert in want.items():
+        assert certify.build_certificate(3, d) == cert
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_condition_holds_is_the_build_verdict(n, mode):
+    for d in range(1, 2 * 10**4 + 1):
+        want = brute_condition(n, d, mode)
+        assert certify.condition_holds(n, d, mode) == want, d
+        try:
+            certify.build_certificate(n, d, mode)
+        except DecompositionError:
+            assert not want, d
+        else:
+            assert want, d
+
+
 def test_verify_roundtrip():
     report = certify.verify_certificate(certify.build_certificate(3, 5005))
     assert report.passed
@@ -403,8 +418,9 @@ def _mutants(cert):
         for delta in (c2, -c2):
             if entry.j + delta >= 0:
                 variants.append(dataclasses.replace(entry, j=entry.j + delta))
-        p, _ = arith.prime_power_root(entry.q)
-        variants.append(dataclasses.replace(entry, q=entry.q * p))
+        root = arith.prime_power_root(entry.q)
+        if root:
+            variants.append(dataclasses.replace(entry, q=entry.q * root[0]))
         for v in variants:
             yield dataclasses.replace(
                 cert, entries=cert.entries[:t] + (v,) + cert.entries[t + 1 :]
@@ -986,6 +1002,14 @@ def test_rational_example_repeated_q_does_not_pass():
 def test_rational_example_rejects_nonpositive_d():
     with pytest.raises(ParameterError, match="^d must be >= 1, got 0$"):
         certify.verify_rational_example(0, [7])
+
+
+@pytest.mark.parametrize("d", [6, 53604])
+def test_rational_example_zero_q_fails_without_dividing_by_it(d):
+    # 6 | d gives q = 0 a k = d / 6; 0 is not prime and divides no such k
+    (c,) = certify.verify_rational_example(d, [0]).checks
+    assert c.k == d // 6
+    assert not c.q_is_prime and not c.q_divides_k and not c.passed
 
 
 def test_rational_example_cube_exceeds_d():

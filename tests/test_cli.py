@@ -81,7 +81,7 @@ def test_certify_huge_n_exits_2_at_once(capsys):
 def test_certify_d_below_two(capsys, d, code):
     got, out, err = run(capsys, "certify", "--n", "3", "--d", d)
     assert got == code
-    assert ("d must be >= 1" in err) if code == 1 else ("no prime power divisors" in out)
+    assert ("d must be >= 1" in err) if code == 1 else ("d = 1 < 2^n for n = 3" in out)
 
 
 def test_certify_json_failure_payload(capsys):
@@ -636,6 +636,23 @@ def test_verify_q_example_repeated_q_exit2(capsys):
     code, out, _ = run(capsys, "verify-q-example", "--d", "53599", "--qs", "7,13,19,31,31")
     assert code == 2
     assert out.startswith("d = 53599: FAIL\n  FAIL: qs are not exactly the prime divisors of d\n")
+
+
+@pytest.mark.parametrize("d", ["6", "53604"])
+def test_verify_q_example_zero_q_exit2(capsys, d):
+    # 6 | d, so q = 0 reaches the q | k check with k = d / 6
+    code, out, err = run(capsys, "verify-q-example", "--d", d, "--qs", "0")
+    assert code == 2 and err == ""
+    assert f"q = 0: k = {int(d) // 6}, passed = False" in out
+
+
+@pytest.mark.parametrize("d", ["6", "53604"])
+def test_verify_q_example_zero_q_json_exit2(capsys, d):
+    code, payload = run_json(capsys, "verify-q-example", "--d", d, "--qs", "0", "--format", "json")
+    assert code == 2
+    assert payload["passed"] is False
+    (check,) = payload["checks"]
+    assert (check["q"], check["k"], check["q_divides_k"]) == (0, int(d) // 6, False)
 
 
 # --- usage behaviour ---------------------------------------------------------------

@@ -10,31 +10,12 @@ from hypothesis import strategies as st
 from degcert import arith, certify
 from degcert.density import DensityMode, convergence_diagnostics, empirical_density, ihc_fraction
 from degcert.errors import CapacityError, ParameterError
+from test_arith import brute_factorize, brute_lpp
 from test_certify import sieve_reference
 
 
-def brute_factors(d):
-    out = []
-    p = 2
-    while p * p <= d:
-        e = 0
-        while d % p == 0:
-            d //= p
-            e += 1
-        if e:
-            out.append((p, e))
-        p += 1
-    if d > 1:
-        out.append((d, 1))
-    return out
-
-
-def brute_lpp(d):
-    return max((p**e for p, e in brute_factors(d)), default=1)
-
-
 def brute_lpf(d):
-    fs = brute_factors(d)
+    fs = brute_factorize(d)
     return fs[-1][0] if fs else 1
 
 
@@ -351,7 +332,7 @@ def test_ihc_brute_force():
     count = 0
     for d in range(1, N + 1):
         ok = False
-        for p, _ in brute_factors(d):
+        for p, _ in brute_factorize(d):
             if p > 3 and 2 * p**3 + 3 * p**2 + 54 <= d:
                 ok = True
                 break
@@ -366,7 +347,7 @@ def test_ihc_brute_force_n4():
     count = 0
     for d in range(1, N + 1):
         ok = False
-        for p, _ in brute_factors(d):
+        for p, _ in brute_factorize(d):
             if p > 4 and 5 * p**4 + 18 * p**3 + 408 <= d:
                 ok = True
                 break
