@@ -35,8 +35,10 @@ SEGMENT_SIZE = 1 << 22
 # Segmented operations refuse ranges beyond this bound.
 SIEVE_BUDGET = 10**10
 
-# Deterministic Miller-Rabin witnesses, sufficient for all n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses, exact for every n <= psi13 =
+# 3317044064679887385961981: psi13 is the least strong pseudoprime to the
+# bases 2..41 (Sorenson & Webster, Math. Comp. 86, 2017) and base 43 rejects it.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -83,8 +85,8 @@ def integer_nth_root(x: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set,
-    exact for all n < 3.3e24)."""
+    """Deterministic primality test (Miller-Rabin with the bases 2..43,
+    exact for every n <= psi13 = 3317044064679887385961981)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

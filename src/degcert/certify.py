@@ -171,15 +171,6 @@ def _show_int(x: int) -> str:
     return str(x) if x.bit_length() < 10_000 else f"<{x.bit_length()}-bit integer>"
 
 
-def _require_room_for_witness(n: int, d: int) -> None:
-    # Every witness has d >= k*n! >= (2**n + 1)*n! > 2**n: refuse d < 2**n
-    # before n! is built, which for a huge n would not finish.
-    if n >= d.bit_length():
-        raise DecompositionError(
-            f"d = {_show_int(d)} < 2^n for n = {_show_int(n)}: every witness needs d >= (2^n + 1)*n!"
-        )
-
-
 def condition_holds(n: int, d: int, mode: Mode = Mode.FULL) -> bool:
     """True iff build_certificate(n, d, mode) succeeds: gcd(d, n!) = 1 and the
     mode inequality holds for the largest prime power q of d.
@@ -196,29 +187,6 @@ def condition_holds(n: int, d: int, mode: Mode = Mode.FULL) -> bool:
     return True
 
 
-def decompose(n: int, d: int, q: int, mode: Mode = Mode.FULL) -> PrimePowerCertificate:
-    """Decompose d as i*q**n + j*q**(n-1) + k*n! with certified coefficients.
-
-    Checks that q is a prime power dividing d with gcd(q, n!) = 1, maximal or
-    not, and raises DecompositionError naming the first constraint that fails.
-    build_certificate takes its q from the factorization and calls _witness.
-    """
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
-    _require_room_for_witness(n, d)
-    root = arith.prime_power_root(q)
-    if root is None:
-        raise DecompositionError(f"q = {q} is not a prime power")
-    if d % q != 0:
-        raise DecompositionError(f"q = {q} does not divide d = {d}")
-    fact = factorial(n)
-    if gcd(q, fact) != 1:
-        raise DecompositionError(f"gcd(q, n!) != 1 for q = {q}, n = {n}")
-    return _witness(n, d, q, fact, mode)
-
-
 def _witness(n: int, d: int, q: int, fact: int, mode: Mode) -> PrimePowerCertificate:
     """The witness for a prime power q | d with gcd(q, fact) = 1, fact = n!.
 
@@ -226,7 +194,8 @@ def _witness(n: int, d: int, q: int, fact: int, mode: Mode) -> PrimePowerCertifi
     completion modulo n! (automatically divisible by C(n,2)), and k the exact
     quotient by n! of the remainder, a multiple of q as q | d and gcd(q, n!) = 1;
     in WEAK mode i is the residue modulo n! and j = 0.  No witness exists
-    exactly when k < 2**n + 1; then this raises DecompositionError.
+    exactly when k < 2**n + 1; then this raises DecompositionError, although
+    build_certificate's inequality gate never lets such a q through.
     """
     qn = q**n
     qn1 = q ** (n - 1)
@@ -259,7 +228,12 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
         raise ParameterError(f"n must be >= 3, got {n}")
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
-    _require_room_for_witness(n, d)
+    # Every witness has d >= k*n! >= (2**n + 1)*n! > 2**n: refuse d < 2**n
+    # before n! is built, which for a huge n would not finish.
+    if n >= d.bit_length():
+        raise DecompositionError(
+            f"d = {_show_int(d)} < 2^n for n = {_show_int(n)}: every witness needs d >= (2^n + 1)*n!"
+        )
     fact = factorial(n)
     if gcd(d, fact) != 1:
         raise DecompositionError(

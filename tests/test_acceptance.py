@@ -207,7 +207,7 @@ def test_criterion_08_density_trajectory():
     # 2.05 at 1e12).  The clause is asserted as stated and fails honestly;
     # see the decisions ledger.
     assert within_factor_2, (
-        f"empirical/theoretical = {final_ratio:.3f} at N = 1e8; still 2.53 at the "
+        f"empirical/theoretical = {final_ratio:.3f} at N = 1e8; still 0.395 at the "
         f"1e10 sieve budget cap, so factor-2 agreement is unreachable in budget"
     )
 

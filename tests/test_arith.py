@@ -112,11 +112,25 @@ def test_factorize_exact_near_int64_boundary():
 
 
 def test_is_prime_against_oracle():
-    oracle = simple_prime_sieve(10**4)
-    for m in range(10**4 + 1):
+    oracle = simple_prime_sieve(10**6)
+    for m in range(10**6 + 1):
         assert arith.is_prime(m) == bool(oracle[m])
     assert arith.is_prime(2**31 - 1)
     assert not arith.is_prime(2**31 + 1)
+
+
+@pytest.mark.parametrize(
+    "psi, p1, p2",
+    [
+        # the least strong pseudoprimes to the bases 2..37 and to 2..41
+        (318665857834031151167461, 399165290221, 798330580441),
+        (3317044064679887385961981, 1287836182261, 2575672364521),
+    ],
+)
+def test_is_prime_rejects_the_least_strong_pseudoprimes(psi, p1, p2):
+    assert psi == p1 * p2
+    assert not arith.is_prime(psi)
+    assert arith.factorize(psi).factors == ((p1, 1), (p2, 1))
 
 
 def test_prime_power_root():

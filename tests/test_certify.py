@@ -75,33 +75,33 @@ def test_weak_implies_full_qualification():
             assert certify.qualification_threshold(n, q, Mode.WEAK) >= certify.qualification_threshold(n, q, Mode.FULL)
 
 
-# --- decompose ----------------------------------------------------------------
+# --- witness ------------------------------------------------------------------
 
 
 def test_decompose_5005_q13():
-    e = certify.decompose(3, 5005, 13, Mode.FULL)
+    e = certify._witness(3, 5005, 13, 6, Mode.FULL)
     assert (e.i, e.j, e.k) == (1, 0, 468)
     assert 1 * 13**3 + 0 * 13**2 + 468 * 6 == 5005
     assert 468 % 13 == 0 and 468 >= 9
 
 
 def test_decompose_5005_q5():
-    e = certify.decompose(3, 5005, 5, Mode.FULL)
+    e = certify._witness(3, 5005, 5, 6, Mode.FULL)
     assert (e.i, e.j, e.k) == (2, 3, 780)
     assert 2 * 125 + 3 * 25 + 780 * 6 == 5005
     assert 780 % 5 == 0
 
 
 def test_decompose_deterministic():
-    a = certify.decompose(3, 5005, 11, Mode.FULL)
-    b = certify.decompose(3, 5005, 11, Mode.FULL)
+    a = certify._witness(3, 5005, 11, 6, Mode.FULL)
+    b = certify._witness(3, 5005, 11, 6, Mode.FULL)
     assert a == b == certify.PrimePowerCertificate(q=11, i=2, j=3, k=330)
 
 
 def test_decompose_weak_i_boundary():
     # d = 25*13*17*19 = 104975 = 5 (mod 6), q = 25: WEAK needs i = n! - 1 = 5
     d = 25 * 13 * 17 * 19
-    e = certify.decompose(3, d, 25, Mode.WEAK)
+    e = certify._witness(3, d, 25, 6, Mode.WEAK)
     assert e.i == 5 and e.j == 0
     assert e.k == (d - 5 * 25**3) // 6 == 4475
     assert e.k % 25 == 0 and e.k >= 9
@@ -109,35 +109,14 @@ def test_decompose_weak_i_boundary():
 
 def test_decompose_error_k_too_small():
     with pytest.raises(DecompositionError, match="k ="):
-        certify.decompose(3, 35, 7, Mode.WEAK)
-
-
-def test_decompose_error_not_prime_power():
-    with pytest.raises(DecompositionError, match="prime power"):
-        certify.decompose(3, 5005 * 7, 35, Mode.FULL)
-
-
-def test_decompose_error_not_divisor():
-    with pytest.raises(DecompositionError, match="does not divide"):
-        certify.decompose(3, 5005, 3, Mode.FULL)
-
-
-def test_decompose_error_not_coprime():
-    with pytest.raises(DecompositionError, match="gcd"):
-        certify.decompose(3, 3 * 5005, 3, Mode.FULL)
-
-
-@pytest.mark.parametrize("n, d, message", [(2, 5005, "n must be >= 3, got 2"), (3, 0, "d must be >= 1, got 0")])
-def test_decompose_validation(n, d, message):
-    with pytest.raises(ParameterError, match=f"^{message}$"):
-        certify.decompose(n, d, 5)
+        certify._witness(3, 35, 7, 6, Mode.WEAK)
 
 
 def test_decompose_accepts_non_maximal_prime_power():
     # 5 divides d = 4629625 = 5^3 * 7 * 11 * 13 * 37 but is not maximal (125 is);
-    # the caller may still decompose with q = 5 since the inequality holds a fortiori.
+    # it still has a witness for q = 5, since the inequality holds a fortiori.
     d = 4629625
-    e = certify.decompose(3, d, 5, Mode.FULL)
+    e = certify._witness(3, d, 5, 6, Mode.FULL)
     assert e.i * 5**3 + e.j * 25 + e.k * 6 == d
     assert e.k % 5 == 0
 
@@ -177,11 +156,14 @@ def test_build_rejects_too_small():
         certify.build_certificate(3, 35)
 
 
-def assembled_certificate(n, d, mode):
-    """The certificate decompose gives for every maximal prime power of d,
-    with no inequality gate, or None when one of them has no witness."""
+def assembled_certificate(n, d, mode, qs=None):
+    """The certificate _witness gives for each q of qs, by default every
+    maximal prime power of d, with no inequality gate, or None when one of
+    them has no witness."""
+    if qs is None:
+        qs = [p**e for p, e in arith.factorize(d).factors]
     try:
-        entries = [certify.decompose(n, d, p**e, mode) for p, e in arith.factorize(d).factors]
+        entries = [certify._witness(n, d, q, factorial(n), mode) for q in qs]
     except DecompositionError:
         return None
     premises = [certify.Premise(certify.PREMISE_ABELIAN_FACTORIAL, e.q, e.k) for e in entries]
@@ -213,8 +195,33 @@ def test_huge_n_fails_before_building_n_factorial():
     assert not certify.condition_holds(n, 5005)
     with pytest.raises(DecompositionError, match="2\\^n"):
         certify.build_certificate(n, 5005)
-    with pytest.raises(DecompositionError, match="2\\^n"):
-        certify.decompose(n, 5005, 5)
+
+
+# the least strong pseudoprime to the bases 2..37
+PSI12 = 318665857834031151167461  # = 399165290221 * 798330580441
+
+
+def pseudoprime_certificate():
+    """A FULL n = 3 certificate whose entries are PSI12 and the next three
+    primes above it (a 95-digit d), each with its _witness."""
+    qs = [PSI12]
+    m = PSI12
+    while len(qs) < 4:
+        m += 2
+        if arith.is_prime(m):
+            qs.append(m)
+    d = qs[0] * qs[1] * qs[2] * qs[3]
+    return assembled_certificate(3, d, Mode.FULL, qs)
+
+
+def test_verifier_rejects_a_strong_pseudoprime_entry():
+    cert = pseudoprime_certificate()
+    assert len(str(cert.d)) == 95
+    report = certify.verify_certificate(cert)
+    assert not report.passed
+    primality = [c for c in report.checks if c.name == "q_prime_power"]
+    assert [c.passed for c in primality] == [False, True, True, True]
+    assert primality[0].context == f"q={PSI12}"
 
 
 # the certificate modes with the density modes that count the same degrees
@@ -280,7 +287,6 @@ def test_build_takes_entries_from_the_factorization(monkeypatch):
     want = {}
     for d in (5005, 5**3 * 7 * 11 * 13 * 37):
         want[d] = certify.build_certificate(3, d)
-        assert want[d].entries == tuple(certify.decompose(3, d, e.q) for e in want[d].entries)
 
     def no_root(q):
         raise AssertionError(f"prime_power_root({q}) called")
@@ -878,7 +884,7 @@ def test_decompose_n4_hand_derived():
     # d = 1616615 = 5*7*11*13*17*19, n = 4, q = 19: residues worked by hand
     # (19 = 1 mod 6 gives i = d mod 6 = 5; 19^3 = 19 mod 24, 19^-1 = 19 mod 24,
     #  j = (d - 5*19^4)*19 mod 24 = 6; k = (d - 5*19^4 - 6*19^3)/24 = 38494)
-    e = certify.decompose(4, 1616615, 19, Mode.FULL)
+    e = certify._witness(4, 1616615, 19, 24, Mode.FULL)
     assert (e.i, e.j, e.k) == (5, 6, 38494)
     assert 5 * 19**4 + 6 * 19**3 + 38494 * 24 == 1616615
     assert e.k % 19 == 0 and e.k >= 17 and e.j % 6 == 0
@@ -932,7 +938,7 @@ _PRIME_POWER_POOL = [5, 7, 11, 13, 25, 49, 125, 169, 343, 1331, 2197, 9973]
     st.integers(min_value=1, max_value=10**6),
 )
 def test_decompose_recovers_constructed_coefficients(n, q, i_seed, j_seed, k_seed):
-    # build d from coefficients already in canonical ranges; decompose must
+    # build d from coefficients already in canonical ranges; _witness must
     # return exactly those (they are the unique representatives)
     fact = factorial(n)
     if gcd(q, fact) != 1:
@@ -944,7 +950,7 @@ def test_decompose_recovers_constructed_coefficients(n, q, i_seed, j_seed, k_see
     if k < 2**n + 1:
         k += q * ((2**n + 1 - k) // q + 1)
     d = i * q**n + j * q ** (n - 1) + k * fact
-    e = certify.decompose(n, d, q, Mode.FULL)
+    e = certify._witness(n, d, q, fact, Mode.FULL)
     assert (e.i, e.j, e.k) == (i, j, k)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degcert import certify, cli
+from test_certify import PSI12, pseudoprime_certificate
 
 
 def run(capsys, *argv):
@@ -163,6 +164,14 @@ def test_check_weak_certificate_with_large_n_fails_verification(tmp_path, capsys
     code, out, _ = _check_payload(tmp_path, capsys, payload)
     assert code == 2
     assert "-bit integer" in out
+
+
+def test_check_strong_pseudoprime_entry_fails_verification(tmp_path, capsys):
+    # PSI12 passes Miller-Rabin to the bases 2..37 but is composite
+    payload = certify.certificate_to_dict(pseudoprime_certificate())
+    code, out, _ = _check_payload(tmp_path, capsys, payload)
+    assert code == 2
+    assert f"q_prime_power [q={PSI12}]" in out
 
 
 def test_check_deeply_nested_json_is_usage_error(tmp_path, capsys):

@@ -9,7 +9,9 @@ runs, so this walks the source instead of running every path.
 A second guard lists the parameters that a function never reads, so an
 option that stops acting shows up here instead of being silently ignored.
 A third lists the private top-level functions that nothing in the package
-calls, so a helper that only the tests still use cannot linger.
+calls, so a helper that only the tests still use cannot linger.  A fourth
+lists the public top-level functions that neither the package nor the
+benchmark reads, so a library entry point that only the tests call shows up.
 """
 
 import ast
@@ -21,6 +23,7 @@ import pytest
 import degcert
 
 SOURCES = sorted(Path(degcert.__file__).parent.glob("*.py"))
+BENCHMARK_SOURCES = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 DEFERRED = ("numpy", "concurrent.futures")
 
 
@@ -172,21 +175,27 @@ def _reads(node: ast.AST) -> list[str]:
     ]
 
 
-def unused_private_functions(sources: dict[str, str]) -> list[str]:
-    """module._name for every top-level function _name (not a dunder) of
-    sources, module name -> text, that no source reads outside its own def;
-    a recursive call does not count."""
+def uncalled_functions(sources: dict[str, str], outside: list[str]) -> list[str]:
+    """module.name for every top-level function name (not a dunder) of
+    sources, module name -> text, that no source reads outside its own def
+    and no text of outside reads at all; a recursive call does not count,
+    and names inside strings are not reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     everywhere = Counter(name for tree in trees.values() for name in _reads(tree))
+    everywhere.update(name for text in outside for name in _reads(ast.parse(text)))
     return [
         f"{module}.{fn.name}"
         for module, tree in trees.items()
         for fn in tree.body
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and fn.name.startswith("_")
         and not fn.name.endswith("__")
         and everywhere[fn.name] == _reads(fn).count(fn.name)
     ]
+
+
+def unused_private_functions(sources: dict[str, str]) -> list[str]:
+    """module._name for every private function of uncalled_functions(sources, [])."""
+    return [name for name in uncalled_functions(sources, []) if name.split(".")[1].startswith("_")]
 
 
 def test_every_private_function_has_a_caller_in_the_package():
@@ -208,3 +217,39 @@ def test_every_private_function_has_a_caller_in_the_package():
 )
 def test_the_private_function_guard_reports_what_it_should(sources, found):
     assert unused_private_functions(sources) == found
+
+
+def public_functions_only_tests_call(sources: dict[str, str], outside: list[str]) -> list[str]:
+    """module.name for every public function of uncalled_functions(sources,
+    outside): outside holds the texts that call the package, the tests aside."""
+    return [name for name in uncalled_functions(sources, outside) if not name.split(".")[1].startswith("_")]
+
+
+# perfbench/tracer.py wraps largest_prime_power_segment by name, and
+# perfbench/test_perfbench.py::test_missing_traced_name_is_reported_absent
+# asserts that no traced name is missing from the package.  Any other public
+# function that only the tests call should move into the tests or go.
+TRACER_PINNED = ["arith.largest_prime_power_segment"]
+
+
+def test_every_public_function_has_a_caller_in_the_package_or_the_benchmark():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    outside = [path.read_text() for path in BENCHMARK_SOURCES]
+    assert public_functions_only_tests_call(sources, outside) == TRACER_PINNED
+
+
+@pytest.mark.parametrize(
+    "sources,outside,found",
+    [
+        ({"m": "def f():\n    return 1\n"}, [], ["m.f"]),
+        ({"m": "def f(n):\n    return f(n - 1)\n"}, [], ["m.f"]),
+        ({"m": "def f():\n    return 1\n\nx = f()\n"}, [], []),
+        ({"a": "def f():\n    return 1\n", "b": "from . import a\n\ny = a.f()\n"}, [], []),
+        ({"m": "def f():\n    return 1\n"}, ["from degcert import m\n\nm.f()\n"], []),
+        ({"m": "def f():\n    return 1\n"}, ["from degcert.m import f\n"], []),
+        ({"m": "def f():\n    return 1\n"}, ["NAMES = ['f']\n"], ["m.f"]),
+        ({"m": "def _f():\n    return 1\n\ndef g():\n    return 1\n"}, ["g()\n"], []),
+    ],
+)
+def test_the_public_function_guard_reports_what_it_should(sources, outside, found):
+    assert public_functions_only_tests_call(sources, outside) == found
