@@ -42,6 +42,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
+# Brent's method refuses a round of cycle length beyond this; psi13 needs 2**19.
+BRENT_MAX_R = 1 << 22
+
 
 @dataclass(frozen=True)
 class FactoredInteger:
@@ -120,6 +123,8 @@ def _brent_factor(n: int) -> int:
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            if r > BRENT_MAX_R:
+                raise CapacityError(f"factoring {n.bit_length()} bits passed BRENT_MAX_R = {BRENT_MAX_R}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -225,19 +230,15 @@ def euler_phi(m: int) -> int:
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (simple in-memory sieve)."""
+    """All primes <= limit as an int64 array, by sieve_segment on [2, limit]."""
     import numpy as np
 
     if limit > 10**8:
         raise CapacityError(f"primes_upto limit {limit} exceeds 10^8; use segments")
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+
+    def upto(x: int) -> np.ndarray:  # nested, so a traced primes_upto records one call
+        return sieve_segment(2, x + 1, upto(isqrt(x))) if x >= 2 else np.empty(0, dtype=np.int64)
+    return upto(limit)
 
 
 def _map_segments(fn: Callable, ranges: Sequence[tuple[int, int]], threads: int) -> list:

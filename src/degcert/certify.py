@@ -173,7 +173,8 @@ def _show_int(x: int) -> str:
 
 def condition_holds(n: int, d: int, mode: Mode = Mode.FULL) -> bool:
     """True iff build_certificate(n, d, mode) succeeds: gcd(d, n!) = 1 and the
-    mode inequality holds for the largest prime power q of d.
+    mode inequality holds for the largest prime power q of d.  A d that no
+    round within arith.BRENT_MAX_R factors raises CapacityError, not False.
 
     >>> condition_holds(3, 5005)
     True
@@ -587,10 +588,10 @@ def smallest_qualifying(
 ) -> int:
     """Minimal qualifying degree for (n, mode), at most budget.
 
-    Walks the bounds X = c, 8c, 64c, ... (c = (2**n + 1) * n!, the least
-    degree that can qualify) up to min(budget, SIEVE_BUDGET) and returns the
-    least degree of the first walk that finds any; each walk covers every
-    d <= X, and a factor of 8 pays each walk's fixed numpy cost less often.  A budget below 1 is a
+    One walk covers every d <= min(budget, SIEVE_BUDGET, x), x the product
+    of the consecutive primes above n up to the first p with thr(p) <= x
+    (if any): coprime to n! with largest prime power p, x qualifies, so it
+    bounds the least degree (x = 5005 for n = 3).  A budget below 1 is a
     ParameterError; a CapacityError names the budget when nothing qualifies
     within it, or SIEVE_BUDGET's excess when budget lies beyond it.  The
     walk is sequential: threads cannot change the answer.
@@ -602,15 +603,20 @@ def smallest_qualifying(
     if cap < 1:
         raise ParameterError(f"budget must be >= 1, got {cap}")
     limit = min(cap, arith.SIEVE_BUDGET)
-    x = threshold_coefficients_upto(n, limit, mode)[2]
-    while True:
-        x = min(x, limit)
-        P, (m, i, _) = _qualifying_runs(n, x, mode)
-        if len(m):
-            return int((m * P[i]).min())
-        if x == limit:
+    a, b, c = threshold_coefficients_upto(n, limit, mode)
+    # x = the product of the primes n < p' <= p for the first p with thr(p) <= x;
+    # a p with thr(p) <= x <= limit has a*p**n <= limit, so the list misses none
+    primes = arith.primes_upto(arith.integer_nth_root(limit // a, n))
+    x = 1
+    for p in primes[primes.searchsorted(n, side="right") :].tolist():
+        x *= p
+        if a * p**n + b * p ** (n - 1) + c <= x:
             break
-        x *= 8
+    else:
+        x = limit
+    P, (m, i, _) = _qualifying_runs(n, min(x, limit), mode)
+    if len(m):
+        return int((m * P[i]).min())
     if cap > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {cap} exceeds budget {arith.SIEVE_BUDGET}")
     raise CapacityError(

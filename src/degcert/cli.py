@@ -143,12 +143,8 @@ def cmd_enumerate(args) -> int:
         _emit_json(
             "enumerate", n=args.n, mode=args.mode.upper(), d_max=args.d_max, count=len(ds), degrees=ds
         )
-    elif args.format == "csv":
-        print("d")
-        for d in ds:
-            print(d)
     else:
-        print(f"{len(ds)} qualifying degrees <= {args.d_max}")
+        print("d" if args.format == "csv" else f"{len(ds)} qualifying degrees <= {args.d_max}")
         for d in ds:
             print(d)
     return EXIT_OK

@@ -464,6 +464,15 @@ def test_zero_is_refused(fn, message):
         fn(0)
 
 
+def test_primes_upto_matches_the_oracle():
+    # every limit to 200, two squares of primes and 1e6: sieve_segment on
+    # [2, limit] over base primes found the same way
+    for limit in [*range(201), 961, 1369, 10**6]:
+        got = arith.primes_upto(limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p, flag in enumerate(simple_prime_sieve(limit)) if flag]
+
+
 def test_primes_upto_refuses_past_1e8_before_allocating():
     tracemalloc.start()
     try:

@@ -224,6 +224,18 @@ def test_verifier_rejects_a_strong_pseudoprime_entry():
     assert primality[0].context == f"q={PSI12}"
 
 
+def test_a_hopeless_factorization_is_a_capacity_error(monkeypatch):
+    # d's least prime factor, 399165290221, needs rounds far beyond r = 2**10
+    monkeypatch.setattr(arith, "BRENT_MAX_R", 2**10)
+    cert = pseudoprime_certificate()
+    with pytest.raises(CapacityError, match="^factoring 313 bits passed BRENT_MAX_R = 1024$"):
+        certify.build_certificate(3, cert.d)
+    with pytest.raises(CapacityError, match="BRENT_MAX_R"):
+        certify.condition_holds(3, cert.d)
+    # the verifier never factors d
+    assert not certify.verify_certificate(cert).passed
+
+
 # the certificate modes with the density modes that count the same degrees
 PROP16 = ((Mode.FULL, DensityMode.PROP16_FULL), (Mode.WEAK, DensityMode.PROP16_WEAK))
 
@@ -562,6 +574,50 @@ def test_smallest_frozen_and_certified(n, mode):
     assert certify.verify_certificate(certify.build_certificate(n, d, mode)).passed
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.sampled_from(list(Mode)), st.integers(1, 2 * 10**7))
+def test_smallest_is_the_first_enumerated_degree(n, mode, budget):
+    ds = certify.enumerate_qualifying(n, budget, mode)
+    if ds:
+        assert certify.smallest_qualifying(n, mode, budget=budget) == ds[0]
+    else:
+        with pytest.raises(CapacityError, match=f"^no qualifying degree .* up to budget {budget}$"):
+            certify.smallest_qualifying(n, mode, budget=budget)
+
+
+@pytest.mark.parametrize("n, mode", SMALLEST)
+def test_smallest_walks_once(monkeypatch, n, mode):
+    calls = []
+    walk = certify._walk
+    monkeypatch.setattr(certify, "_walk", lambda *args: calls.append(args) or walk(*args))
+    assert certify.smallest_qualifying(n, mode) == SMALLEST[n, mode]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "n, mode, d",
+    [
+        (3, Mode.FULL, 5005),
+        (4, Mode.FULL, 1616615),
+        (5, Mode.WEAK, 6685349671),
+        (7, Mode.FULL, 62298863484143),
+        (7, Mode.WEAK, 2928046583754721),
+        (8, Mode.WEAK, 9156001667401012567),
+    ],
+)
+def test_least_degree_equals_the_consecutive_prime_product(n, mode, d):
+    # d is the least degree (for n = 7 and 8 found by the walk with the budget
+    # lifted) and the product of the primes above n up to the first p with
+    # thr(p) <= product
+    x = 1
+    for p in filter(arith.is_prime, range(n + 1, 100)):
+        x *= p
+        if certify.qualification_threshold(n, p, mode) <= x:
+            break
+    assert x == d
+    assert certify.condition_holds(n, d, mode)
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_smallest_refuses_at_default_budget_at_once(n):
     # n = 6 first qualifies at 192875738341, beyond the 1e10 budget
@@ -572,8 +628,8 @@ def test_smallest_refuses_at_default_budget_at_once(n):
 
 
 def test_smallest_n7_past_the_budget_keeps_products_in_int64(monkeypatch):
-    # the walk to 8.7e13 tests m <= N // p before it forms m * p, where
-    # N * isqrt(N) would pass 2**63
+    # the walk to 62298863484143 tests m <= N // p before it forms m * p,
+    # where N * isqrt(N) would pass 2**63
     monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**15)
     d = certify.smallest_qualifying(7)
     assert d == 62298863484143

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degcert import certify, cli
+from degcert import arith, certify, cli
 from test_certify import PSI12, pseudoprime_certificate
 
 
@@ -172,6 +172,14 @@ def test_check_strong_pseudoprime_entry_fails_verification(tmp_path, capsys):
     code, out, _ = _check_payload(tmp_path, capsys, payload)
     assert code == 2
     assert f"q_prime_power [q={PSI12}]" in out
+
+
+def test_certify_exits_3_when_factoring_passes_the_brent_bound(monkeypatch, capsys):
+    monkeypatch.setattr(arith, "BRENT_MAX_R", 2**10)
+    d = pseudoprime_certificate().d
+    code, _, err = run(capsys, "certify", "--n", "3", "--d", str(d))
+    assert code == 3
+    assert "BRENT_MAX_R = 1024" in err
 
 
 def test_check_deeply_nested_json_is_usage_error(tmp_path, capsys):
