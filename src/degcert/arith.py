@@ -35,9 +35,10 @@ SEGMENT_SIZE = 1 << 22
 # Segmented operations refuse ranges beyond this bound.
 SIEVE_BUDGET = 10**10
 
-# Deterministic Miller-Rabin witnesses, exact for every n <= psi13 =
-# 3317044064679887385961981: psi13 is the least strong pseudoprime to the
-# bases 2..41 (Sorenson & Webster, Math. Comp. 86, 2017) and base 43 rejects it.
+# Deterministic Miller-Rabin witnesses, exact for every n <= PSI13: PSI13 is
+# the least strong pseudoprime to the bases 2..41 (Sorenson & Webster, Math.
+# Comp. 86, 2017) and base 43 rejects it.  No primality above it is proved.
+PSI13 = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -188,7 +189,16 @@ def largest_prime_power(d: int) -> int:
 
 def prime_power_root(q: int) -> tuple[int, int] | None:
     """Return (p, e) with q == p**e and p prime, or None if q is not a
-    prime power.  q >= 2 required."""
+    prime power.  q >= 2 required.  is_prime is exact only up to PSI13, so a
+    q whose power_root r exceeds PSI13 gives None too, and r is not tested."""
+    root = power_root(q)
+    return root if root is not None and root[0] <= PSI13 and is_prime(root[0]) else None
+
+
+def power_root(q: int) -> tuple[int, int] | None:
+    """The (r, e) with q == r**e whose r prime_power_root tests: the prime
+    when a prime up to 53 divides q, else an r that is no perfect power.
+    None when q < 2 or q has a prime factor up to 53 and another one."""
     if q < 2:
         return None
     for p in _SMALL_PRIMES:
@@ -207,7 +217,7 @@ def prime_power_root(q: int) -> tuple[int, int] | None:
             continue
         while (r := integer_nth_root(q, ell)) ** ell == q:
             q, e = r, e * ell
-    return (q, e) if is_prime(q) else None
+    return q, e
 
 
 def euler_phi(m: int) -> int:

@@ -172,9 +172,10 @@ def _show_int(x: int) -> str:
 
 
 def condition_holds(n: int, d: int, mode: Mode = Mode.FULL) -> bool:
-    """True iff build_certificate(n, d, mode) succeeds: gcd(d, n!) = 1 and the
-    mode inequality holds for the largest prime power q of d.  A d that no
-    round within arith.BRENT_MAX_R factors raises CapacityError, not False.
+    """True iff build_certificate(n, d, mode) succeeds: gcd(d, n!) = 1, the
+    mode inequality holds for the largest prime power q of d, and no prime of
+    d exceeds arith.PSI13.  A d that no round within arith.BRENT_MAX_R
+    factors raises CapacityError, not False.
 
     >>> condition_holds(3, 5005)
     True
@@ -223,7 +224,8 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     Entries are produced in ascending order of the underlying prime.  The
     qualification inequality is checked for the largest prime power; smaller
     maximal prime powers satisfy it a fortiori, since the threshold is
-    monotone in q.
+    monotone in q.  A prime factor above arith.PSI13, where primality is not
+    proved, is a DecompositionError, as the verifier would refuse its entry.
     """
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
@@ -246,6 +248,11 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     if thr > d:
         raise DecompositionError(
             f"qualification inequality fails for q = {q_max}: threshold {thr} > d = {d}"
+        )
+    p_max = fi.factors[-1][0]
+    if p_max > arith.PSI13:
+        raise DecompositionError(
+            f"prime factor {_show_int(p_max)} exceeds psi13 = {arith.PSI13}, above which primality is not proved"
         )
     entries = []
     premises = []
@@ -274,10 +281,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     """Re-check a certificate from scratch.
 
     Independent of the builder: uses only multiplication, addition,
-    divisibility and primality.  In particular the "entries cover exactly
-    the maximal prime powers of d" condition is verified without factoring
-    d, via per-entry maximality (q | d, q*p not | d) plus distinct primes
-    plus product-of-entries == d.  Never raises; failures are reported.
+    divisibility and primality, which is proved up to arith.PSI13 only, so
+    an entry whose prime exceeds it fails q_prime_power.  In particular the
+    "entries cover exactly the maximal prime powers of d" condition is
+    verified without factoring d, via per-entry maximality (q | d, q*p not |
+    d) plus distinct primes plus product-of-entries == d.  Never raises;
+    failures are reported.
     """
     checks: list[CheckResult] = []
 
@@ -308,7 +317,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         shown_q, shown_k = _show_int(q), f"k = {_show_int(k)}"
         ctx = f"q={shown_q}"
         root = arith.prime_power_root(q)
-        add("q_prime_power", ctx, root is not None, f"q = {shown_q}")
+        detail = f"q = {shown_q}"
+        if root is None and (r := arith.power_root(q)) is not None and r[0] > arith.PSI13:
+            detail += f": its root exceeds psi13 = {arith.PSI13}, above which primality is not proved"
+        add("q_prime_power", ctx, root is not None, detail)
         if root is None:
             continue
         p = root[0]
@@ -428,8 +440,9 @@ def _walk(
     is the largest prime of d.  The walk goes level by level over the nodes
     m = products of prime powers, primes ascending, each level one batch of
     numpy bisections.  A node (m, u, s) has every prime of m below P[s] and
-    carries u = min(ceil(thr(L) / scale), N + 1) for the largest prime power
-    L of m (its largest prime under prime_factor).  The last prime p with
+    carries u, the largest U[e-1][k] over its factors P[k]**e, where row e
+    of U is min(ceil(thr(P[k]**e) / scale), N + 1) for P[k]**e <= cap, or
+    U[0][k] for P[k]**e <= N under prime_factor.  The last prime p with
     exponent 1 is taken in bulk: m*p qualifies iff u <= m*p, m*p <= N and
     m >= H(p) = min(ceil(thr(p) / (scale*p)), N + 1).  H ascends over P, so
     the qualifying p form one run of P, the intersection of intervals found
@@ -440,12 +453,12 @@ def _walk(
     = 0) it is a*p**(n-1), which ascends for n >= 2 and is constant for n =
     1.  The clamps at N + 1 change no test, as m*p <= N, and bound every
     value by N + 1 whatever the coefficients and scale are.  A node's
-    children m*p**e have p*p <= N // m; a last factor p**e with e >= 2 is
-    tested singly, against thr(p) under prime_factor, where p**e is bounded
-    by N alone, and a child is a node while P[k+1] <= N // (m*p**e).  A
-    product m*p is formed only once m <= N // p shows it is at most N, so
-    with N + 1 < 2**63 int64 is exact.  d = 1, whose v is 1, is in no run.
-    An N beyond SIEVE_BUDGET is a CapacityError, then a cap beyond 10**8.
+    children m*p**e have p*p <= N // m and k < len(U[e-1]); a last factor
+    p**e with e >= 2 is tested singly against u, and a child is a node while
+    P[k+1] <= N // (m*p**e).  A product m*p is formed only once m <= N // p
+    shows it is at most N, so with N + 1 < 2**63 int64 is exact.  d = 1,
+    whose v is 1, is in no run.  An N beyond SIEVE_BUDGET is a CapacityError,
+    then a cap beyond 10**8.
     """
     import numpy as np
 
@@ -466,13 +479,12 @@ def _walk(
     small = P[:K]
     Mmax = N // np.append(P[1 : K + 1], N + 1)
     P2 = small * small
-    # U[e - 1][k] = min(ceil(thr(P[k]**e) / scale), N + 1) for P[k]**e <= cap;
-    # without prime_factor the last U is empty
+    # the rows of U end with an empty one
     U = [_ceil_thresholds(small, n, a, b, c, scale, N + 1)]
-    while not prime_factor and len(U[-1]):
+    while len(U[-1]):
         e = len(U) + 1
-        root = arith.integer_nth_root(cap, e)
-        U.append(_ceil_thresholds(small[small <= root] ** e, n, a, b, c, scale, N + 1))
+        w = small.searchsorted(arith.integer_nth_root(N if prime_factor else cap, e), side="right")
+        U.append(U[0][:w] if prime_factor else _ceil_thresholds(small[:w] ** e, n, a, b, c, scale, N + 1))
     found = []  # rows m, i, j
     M, Uu, S = np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
     while len(M):
@@ -485,26 +497,22 @@ def _walk(
         parent = np.arange(len(M)).repeat(width)
         k = _spans(S, width)
         p = small[k]
-        m, u = M[parent] * p, np.maximum(Uu[parent], U[0][k])
+        m, u = M[parent] * p, Uu[parent]
         nodes, e = [], 0
         while len(k):  # the children m*p**e of this level, e = 1, 2, ...
             e += 1
+            u = np.maximum(u, U[e - 1][k])
             if e > 1:
-                if not prime_factor:
-                    u = np.maximum(u, U[e - 1][k])
                 leaf = u <= m  # the run (m*p**(e-1), k, k+1)
                 found.append((m[leaf] // p[leaf], k[leaf], k[leaf] + 1))
             down = m <= Mmax[k]
-            nodes.append((m[down], u[down], k[down]))
-            alive = m <= N // p
-            if not prime_factor:
-                alive &= k < len(U[e])
+            nodes.append((m[down], u[down], k[down] + 1))
+            alive = (m <= N // p) & (k < len(U[e]))
             k, p, m, u = k[alive], p[alive], m[alive], u[alive]
             m *= p
         if not nodes:
             break
         M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
-        S += 1
     return P, np.array([np.concatenate(col) for col in zip(*found)])
 
 

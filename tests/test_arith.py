@@ -140,6 +140,9 @@ def test_prime_power_root():
     assert arith.prime_power_root(36) is None
     assert arith.prime_power_root(1) is None
     assert arith.prime_power_root(2**62) == (2, 62)
+    # 2**89 - 1 is prime, but above PSI13 no primality is proved
+    assert arith.prime_power_root((2**89 - 1) ** 2) is None
+    assert arith.power_root((2**89 - 1) ** 2) == (2**89 - 1, 2)
 
 
 def _oracle_prime_power_root(q):

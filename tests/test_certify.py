@@ -224,6 +224,43 @@ def test_verifier_rejects_a_strong_pseudoprime_entry():
     assert primality[0].context == f"q={PSI12}"
 
 
+M89 = 2**89 - 1  # prime, and above arith.PSI13
+# 2**89 - 1 times the cubes of the primes 5..53: an 83-digit n = 3 degree
+# whose largest prime power is 2**89 - 1, with thr(2**89 - 1) <= d
+M89_DEGREE = M89 * (5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53) ** 3
+
+
+def test_builder_refuses_a_prime_above_psi13():
+    assert certify.qualification_threshold(3, M89) <= M89_DEGREE
+    with pytest.raises(DecompositionError, match=f"^prime factor {M89} exceeds psi13 = {arith.PSI13}"):
+        certify.build_certificate(3, M89_DEGREE)
+    assert not certify.condition_holds(3, M89_DEGREE)
+
+
+def test_verifier_refuses_an_entry_above_psi13():
+    report = certify.verify_certificate(assembled_certificate(3, M89_DEGREE, Mode.FULL))
+    assert not report.passed
+    primality = {c.context: c for c in report.checks if c.name == "q_prime_power"}
+    assert len(primality) == 15
+    refused = primality.pop(f"q={M89}")
+    assert not refused.passed
+    assert refused.detail == f"q = {M89}: its root exceeds psi13 = {arith.PSI13}, above which primality is not proved"
+    assert all(c.passed and c.detail == f"q = {c.context[2:]}" for c in primality.values())
+
+
+def test_verifier_runs_no_primality_test_above_psi13(monkeypatch):
+    # a 4298-digit odd number with no prime factor below 59 and no perfect
+    # power: one Miller-Rabin round on it takes seconds
+    q = 61 * 59**2426
+    seen = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda m: seen.append(m) or is_prime(m))
+    entry = certify.PrimePowerCertificate(q=q, i=0, j=0, k=0)
+    report = certify.verify_certificate(certify.Certificate(3, q, Mode.FULL, (entry,), ()))
+    assert _failing(report, "q_prime_power")[0].detail.endswith(f"psi13 = {arith.PSI13}, above which primality is not proved")
+    assert seen and max(seen) <= arith.PSI13
+
+
 def test_a_hopeless_factorization_is_a_capacity_error(monkeypatch):
     # d's least prime factor, 399165290221, needs rounds far beyond r = 2**10
     monkeypatch.setattr(arith, "BRENT_MAX_R", 2**10)

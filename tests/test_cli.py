@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degcert import arith, certify, cli
-from test_certify import PSI12, pseudoprime_certificate
+from test_certify import M89, M89_DEGREE, PSI12, assembled_certificate, pseudoprime_certificate
 
 
 def run(capsys, *argv):
@@ -172,6 +172,21 @@ def test_check_strong_pseudoprime_entry_fails_verification(tmp_path, capsys):
     code, out, _ = _check_payload(tmp_path, capsys, payload)
     assert code == 2
     assert f"q_prime_power [q={PSI12}]" in out
+
+
+def test_certify_refuses_a_prime_above_psi13(tmp_path, capsys):
+    out_file = tmp_path / "c.json"
+    code, out, _ = run(capsys, "certify", "--n", "3", "--d", str(M89_DEGREE), "--out", str(out_file))
+    assert code == 2
+    assert f"does not qualify: prime factor {M89} exceeds psi13" in out
+    assert not out_file.exists()
+
+
+def test_check_refuses_an_entry_above_psi13(tmp_path, capsys):
+    payload = certify.certificate_to_dict(assembled_certificate(3, M89_DEGREE, certify.Mode.FULL))
+    code, out, _ = _check_payload(tmp_path, capsys, payload)
+    assert code == 2
+    assert f"q_prime_power [q={M89}]: q = {M89}: its root exceeds psi13" in out
 
 
 def test_certify_exits_3_when_factoring_passes_the_brent_bound(monkeypatch, capsys):
