@@ -220,16 +220,6 @@ def power_root(q: int) -> tuple[int, int] | None:
     return q, e
 
 
-def euler_phi(m: int) -> int:
-    """Euler's totient, computed multiplicatively from the factorization."""
-    if m < 1:
-        raise ParameterError(f"euler_phi requires m >= 1, got {m}")
-    phi = 1
-    for p, e in factorize(m).factors:
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # Segmented sieves.
 #

@@ -316,12 +316,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         q, i, j, k = entry.q, entry.i, entry.j, entry.k
         shown_q, shown_k = _show_int(q), f"k = {_show_int(k)}"
         ctx = f"q={shown_q}"
-        root = arith.prime_power_root(q)
+        root = arith.power_root(q)  # prime_power_root's test, keeping the root to name psi13
         detail = f"q = {shown_q}"
-        if root is None and (r := arith.power_root(q)) is not None and r[0] > arith.PSI13:
+        if root is not None and root[0] > arith.PSI13:
             detail += f": its root exceeds psi13 = {arith.PSI13}, above which primality is not proved"
-        add("q_prime_power", ctx, root is not None, detail)
-        if root is None:
+        proved = root is not None and root[0] <= arith.PSI13 and arith.is_prime(root[0])
+        add("q_prime_power", ctx, proved, detail)
+        if not proved:
             continue
         p = root[0]
         primes_seen.append(p)
@@ -516,12 +517,6 @@ def _walk(
     return P, np.array([np.concatenate(col) for col in zip(*found)])
 
 
-def _qualifying_runs(n: int, N: int, mode: Mode) -> tuple[np.ndarray, np.ndarray]:
-    """_walk's (P, runs) for the qualification inequality of (n, mode); an n
-    below 3 is a ParameterError, an N below c gives no runs."""
-    return _walk(n, N, *threshold_coefficients_upto(n, N, mode))
-
-
 def _degrees(P: np.ndarray, m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The degrees m * P[k], i <= k < j, of the runs (m, i, j), ascending."""
     ds = P[_spans(i, j - i)]
@@ -535,14 +530,13 @@ def enumerate_qualifying(
 ) -> list[int]:
     """All qualifying degrees d <= d_max, ascending.
 
-    The degrees come from the exact walk of _qualifying_runs, which is
-    sequential: threads is accepted for the callers that pass it and cannot
-    change the answer.
+    The degrees come from one exact _walk, which is sequential: threads is
+    accepted for the callers that pass it and cannot change the answer.
 
     >>> enumerate_qualifying(3, 20000)
     [5005, 12155, 17017, 17765, 19019]
     """
-    P, (m, i, j) = _qualifying_runs(n, d_max, mode)
+    P, (m, i, j) = _walk(n, d_max, *threshold_coefficients_upto(n, d_max, mode))
     return _degrees(P, m, i, j).tolist()
 
 
@@ -562,7 +556,7 @@ def scan_qualifying(
     """
     import numpy as np
 
-    P, (m, i, j) = _qualifying_runs(n, hi - 1, mode)
+    P, (m, i, j) = _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode))
     lo = max(lo, 1)
     if hi <= lo:
         return []
@@ -622,7 +616,8 @@ def smallest_qualifying(
             break
     else:
         x = limit
-    P, (m, i, _) = _qualifying_runs(n, min(x, limit), mode)
+    # a qualifying x exceeds 2**n, so limit's coefficients are min(x, limit)'s
+    P, (m, i, _) = _walk(n, min(x, limit), a, b, c)
     if len(m):
         return int((m * P[i]).min())
     if cap > arith.SIEVE_BUDGET:
@@ -673,13 +668,16 @@ def verify_rational_example(d: int, qs: list[int]) -> RationalExampleReport:
     the prime divisors of d.
 
     Per q the conditions are: q prime, q = 1 (mod 6), q**3 <= d,
-    6 | d - q**3, q | k and k >= 38 where k = (d - q**3) / 6.
+    6 | d - q**3, q | k and k >= 38 where k = (d - q**3) / 6.  Primality is
+    proved up to arith.PSI13 only, so a larger q fails.  d is not factored:
+    qs cover it when they are distinct proved primes, each dividing d, and
+    dividing them all out of d leaves 1.
     """
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
     out = []
     for q in qs:
-        prime_ok = arith.is_prime(q)
+        prime_ok = arith.prime_power_root(q) == (q, 1)
         residue_ok = q % 6 == 1
         diff = d - q**3
         nonneg = diff >= 0
@@ -702,7 +700,12 @@ def verify_rational_example(d: int, qs: list[int]) -> RationalExampleReport:
                 passed=prime_ok and residue_ok and nonneg and sixfold and q_div_k and k_ok,
             )
         )
-    covers = sorted(qs) == [p for p, _ in arith.factorize(d).factors]
+    rest = d
+    for c in out:
+        while c.q_is_prime and rest % c.q == 0:
+            rest //= c.q
+    each_divides = all(c.q_is_prime and d % c.q == 0 for c in out)
+    covers = each_divides and len(set(qs)) == len(qs) and rest == 1
     passed = covers and all(c.passed for c in out)
     return RationalExampleReport(
         d=d, checks=tuple(out), covers_prime_divisors=covers, passed=passed

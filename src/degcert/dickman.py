@@ -23,10 +23,9 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial, fsum, isfinite
+from math import ceil, fsum, isfinite, prod
 from typing import IO
 
-from .arith import euler_phi
 from .errors import CapacityError, ParameterError
 
 U_MAX_SUPPORTED = 50.0
@@ -146,9 +145,9 @@ def rho_table(u_max: float, step: float) -> DickmanTable:
 
 def theoretical_density(n: int) -> float:
     """phi(n!)/n! * rho(n): the density of degrees d coprime to n! whose
-    largest prime factor is at most d**(1/n)."""
+    largest prime factor is at most d**(1/n).  phi(n!)/n! is the exact
+    product of (p - 1)/p over the primes p <= n."""
     if not 1 <= n <= 10:
         raise ParameterError(f"n must be in [1, 10], got {n}")
-    fact = factorial(n)
-    scale = Fraction(euler_phi(fact), fact)
+    scale = prod(Fraction(p - 1, p) for p in (2, 3, 5, 7) if p <= n)
     return float(scale) * rho(float(n))

@@ -208,20 +208,6 @@ def test_integer_nth_root_exact_powers():
     assert arith.integer_nth_root(10**60 + 7, 2) == 10**30
 
 
-# --- totient -----------------------------------------------------------------
-
-
-def test_euler_phi_examples():
-    assert arith.euler_phi(6) == 2
-    assert arith.euler_phi(1) == 1
-    assert arith.euler_phi(720) == 192
-
-
-def test_euler_phi_brute():
-    for m in range(1, 200):
-        assert arith.euler_phi(m) == sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
-
-
 # --- prime and prime power counting ------------------------------------------
 
 
@@ -458,7 +444,6 @@ def test_integer_nth_root_rejects_bad_input(x, n):
     "fn, message",
     [
         (arith.factorize, "factorize requires d >= 1, got 0"),
-        (arith.euler_phi, "euler_phi requires m >= 1, got 0"),
         (arith.prime_power_count, "prime_power_count requires m >= 1, got 0"),
     ],
 )

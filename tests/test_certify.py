@@ -261,6 +261,23 @@ def test_verifier_runs_no_primality_test_above_psi13(monkeypatch):
     assert seen and max(seen) <= arith.PSI13
 
 
+def test_verifier_takes_each_entry_root_once(monkeypatch):
+    huge = 61 * 59**2426  # refused above psi13, where the root names psi13
+    certs = [
+        certify.build_certificate(3, 5005),
+        assembled_certificate(3, M89_DEGREE, Mode.FULL),
+        pseudoprime_certificate(),
+        certify.Certificate(3, huge, Mode.FULL, (certify.PrimePowerCertificate(q=huge, i=0, j=0, k=0),), ()),
+    ]
+    roots = []
+    power_root = arith.power_root
+    monkeypatch.setattr(arith, "power_root", lambda q: roots.append(q) or power_root(q))
+    for cert in certs:
+        roots.clear()
+        certify.verify_certificate(cert)
+        assert roots == [e.q for e in cert.entries]
+
+
 def test_a_hopeless_factorization_is_a_capacity_error(monkeypatch):
     # d's least prime factor, 399165290221, needs rounds far beyond r = 2**10
     monkeypatch.setattr(arith, "BRENT_MAX_R", 2**10)
@@ -712,9 +729,10 @@ def test_scan_matches_sieve_reference_per_segment(n, mode, lo, width):
 
 
 def reference_runs(n, N, mode):
-    """(P, runs) of certify._qualifying_runs, found by bisecting the concave
-    g(k) = m * P[k] - max(thr(L), thr(P[k])) through key functions: the
-    peak of g, then the rise to 0 before it and the fall below 0 after it."""
+    """(P, runs) of certify._walk for the inequality of (n, mode), found by
+    bisecting the concave g(k) = m * P[k] - max(thr(L), thr(P[k])) through
+    key functions: the peak of g, then the rise to 0 before it and the fall
+    below 0 after it."""
     a, b, c = certify.threshold_coefficients_upto(n, N, mode)
     if N < c:
         return [], []
@@ -757,10 +775,10 @@ def reference_runs(n, N, mode):
 
 
 def canonical_runs(n, N, mode):
-    """(P, runs) of certify._qualifying_runs as a list and a sorted list of
-    (m, i, j): the walk emits its runs level by level, the reference depth
-    first, so only the set of runs is compared."""
-    P, runs = certify._qualifying_runs(n, N, mode)
+    """(P, runs) of certify._walk for the inequality of (n, mode) as a list
+    and a sorted list of (m, i, j): the walk emits its runs level by level,
+    the reference depth first, so only the set of runs is compared."""
+    P, runs = certify._walk(n, N, *certify.threshold_coefficients_upto(n, N, mode))
     return P.tolist(), sorted(map(tuple, runs.T.tolist()))
 
 
@@ -1127,6 +1145,50 @@ def test_rational_example_near_miss_flag():
     c7 = next(c for c in rep.checks if c.q == 7)
     assert c7.near_miss_k and not c7.k_ge_38 and c7.q_divides_k
     assert rep.covers_prime_divisors
+
+
+# 2**89 - 1 times (7*13*19*31*37*43)**7: every q passes the d = q**3 + 6k
+# arithmetic, and 2**89 - 1 is prime, but above psi13 no primality is proved
+M89_Q_EXAMPLE = M89 * (7 * 13 * 19 * 31 * 37 * 43) ** 7
+M89_QS = [7, 13, 19, 31, 37, 43, M89]
+
+
+def test_rational_example_refuses_a_q_above_psi13():
+    rep = certify.verify_rational_example(M89_Q_EXAMPLE, M89_QS)
+    assert not rep.passed and not rep.covers_prime_divisors
+    *small, big = rep.checks
+    assert all(c.passed for c in small)
+    assert not big.q_is_prime and not big.passed
+    assert big.q_mod_6_is_1 and big.q_divides_k and big.k_ge_38
+
+
+def test_rational_example_never_factors(monkeypatch):
+    def no_factoring(d):
+        raise AssertionError(f"factorize({d}) called")
+
+    monkeypatch.setattr(arith, "factorize", no_factoring)
+    assert certify.verify_rational_example(53599, [7, 13, 19, 31]).passed
+    cert = pseudoprime_certificate()  # PSI12 is no proved prime
+    assert not certify.verify_rational_example(cert.d, [e.q for e in cert.entries]).covers_prime_divisors
+
+
+@pytest.mark.parametrize(
+    "d, qs, covers",
+    [
+        (7**2 * 13 * 19**3 * 31, [31, 7, 19, 13], True),  # exponents above 1, any order
+        (1, [], True),
+        (PSI12, [798330580441, 399165290221], True),
+        (53599, [7, 13, 19], False),  # missing
+        (53599, [7, 13, 19, 31, 37], False),  # extra, not dividing d
+        (53599, [7, 13, 19, 37], False),  # not dividing d, in place of 31
+        (53599, [7, 13, 589], False),  # composite 19 * 31
+        (53599, [1, 7, 13, 19, 31], False),
+        (53599, [-7, 13, 19, 31], False),
+        (PSI12, [PSI12], False),  # a strong pseudoprime to the bases 2..37
+    ],
+)
+def test_rational_example_covers_exactly_the_prime_divisors(d, qs, covers):
+    assert certify.verify_rational_example(d, qs).covers_prime_divisors is covers
 
 
 # --- serialization ------------------------------------------------------------

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degcert import arith, certify, cli
-from test_certify import M89, M89_DEGREE, PSI12, assembled_certificate, pseudoprime_certificate
+from test_certify import (
+    M89, M89_DEGREE, M89_Q_EXAMPLE, M89_QS, PSI12, assembled_certificate, pseudoprime_certificate,
+)
 
 
 def run(capsys, *argv):
@@ -685,6 +687,34 @@ def test_verify_q_example_zero_q_json_exit2(capsys, d):
     assert payload["passed"] is False
     (check,) = payload["checks"]
     assert (check["q"], check["k"], check["q_divides_k"]) == (0, int(d) // 6, False)
+
+
+def test_verify_q_example_refuses_a_q_above_psi13(capsys):
+    qs = ",".join(map(str, M89_QS))
+    code, out, _ = run(capsys, "verify-q-example", "--d", str(M89_Q_EXAMPLE), "--qs", qs)
+    assert code == 2
+    assert out.startswith(f"d = {M89_Q_EXAMPLE}: FAIL\n")
+    assert out.rstrip().splitlines()[-1].startswith(f"  q = {M89}: k = ")
+    assert out.rstrip().endswith("passed = False")
+
+
+def test_verify_q_example_with_qs_does_not_factor_d(capsys):
+    # the tests' 95-digit d defeats Brent's method; PSI12 is no proved prime
+    cert = pseudoprime_certificate()
+    qs = ",".join(str(e.q) for e in cert.entries)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify-q-example", "--d", str(cert.d), "--qs", qs)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "FAIL: qs are not exactly the prime divisors of d" in out
+
+
+def test_verify_q_example_without_qs_factors_d_once(capsys, monkeypatch):
+    calls = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda d: calls.append(d) or factorize(d))
+    code, _, _ = run(capsys, "verify-q-example", "--d", "53599")
+    assert code == 0 and calls == [53599]
 
 
 # --- usage behaviour ---------------------------------------------------------------

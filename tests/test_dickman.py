@@ -1,6 +1,7 @@
 import io
 from decimal import Decimal, localcontext
-from math import ceil, floor, log
+from fractions import Fraction
+from math import ceil, factorial, floor, gcd, log
 
 import numpy as np
 import pytest
@@ -307,6 +308,26 @@ def test_theoretical_density_n4():
 def test_theoretical_density_n2():
     v = theoretical_density(2)
     assert v == pytest.approx((1.0 - log(2.0)) / 2.0, abs=1e-10)
+
+
+# theoretical_density(n).hex() for n = 1..10
+DENSITY_HEX = [
+    "0x1.0000000000000p+0", "0x1.3a37a020b8c22p-3", "0x1.097773d5cbbb6p-6",
+    "0x1.ad1f8c1124532p-10", "0x1.8cc0bb854dcb2p-14", "0x1.5fa51f992ca76p-18",
+    "0x1.ad48c087d1a62p-23", "0x1.fbabcdf9a673ep-28", "0x1.fecd02d57db62p-33",
+    "0x1.bd8ff3f5ddd6dp-38",
+]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_theoretical_density_scales_rho_by_the_counted_totient(n):
+    fact = factorial(n)
+    phi = sum(1 for a in range(fact) if gcd(a, fact) == 1)
+    assert theoretical_density(n) == float(Fraction(phi, fact)) * rho(float(n))
+
+
+def test_theoretical_density_bits_are_pinned():
+    assert [theoretical_density(n).hex() for n in range(1, 11)] == DENSITY_HEX
 
 
 def test_theoretical_density_validation():
