@@ -38,32 +38,30 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"not a rational number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers; e-notation is read exactly, so "1e8" is
-    accepted and "1.00000000001e3" is not."""
-    out = []
-    for tok in text.split(","):
-        if not tok.strip():
-            continue
-        try:
-            value = Decimal(tok)
-        except InvalidOperation:
-            raise ParameterError(f"not an integer: {tok!r} in {text!r}") from None
-        # the digit bound keeps int() from expanding an exponent such as 1e999999999
-        if not value.is_finite() or value != value.to_integral_value() or value.adjusted() > 4000:
-            raise ParameterError(f"not an integer: {tok!r} in {text!r}")
-        out.append(int(value))
-    return out
+def _integer(text: str) -> int:
+    """An integer read exactly: e-notation and integral decimals such as
+    "1e8" and "1.0e4" are accepted, "1.00000000001e3" is not."""
+    try:
+        float(text)  # refuses misplaced underscores, which Decimal drops ("1__0" would be 10)
+        value = Decimal(text)
+    except (ValueError, InvalidOperation):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    # int()'s default limit of 4300 digits; it also keeps int() from expanding 1e999999999
+    if not value.is_finite() or value != value.to_integral_value() or value.adjusted() >= 4300:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(value)
+
+
+def _integers(text: str) -> list[int]:
+    """Comma-separated integers, each read by _integer; empty tokens are skipped."""
+    return [_integer(t) for t in text.split(",") if t.strip()]
 
 
 def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -191,10 +189,9 @@ def cmd_dickman(args) -> int:
 
 def cmd_density(args) -> int:
     mode = density.DensityMode(args.mode.upper().replace("-", "_"))
-    lam = _parse_fraction(args.lam) if args.lam else None
-    lam_pow = _parse_fraction(args.lam_pow) if args.lam_pow else None
-    cps = _parse_int_list(args.checkpoints) if args.checkpoints else None
-    report = density.empirical_density(args.n, args.N, mode, lam=lam, lam_pow=lam_pow, checkpoints=cps)
+    report = density.empirical_density(
+        args.n, args.N, mode, lam=args.lam, lam_pow=args.lam_pow, checkpoints=args.checkpoints
+    )
     if args.format == "json":
         fields = dataclasses.asdict(report)
         fields["lambda"], fields["lambda_pow"] = fields.pop("lam"), fields.pop("lam_pow")
@@ -226,10 +223,7 @@ def cmd_ihc(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    lam = _parse_fraction(args.lam) if args.lam else None
-    rows = density.convergence_diagnostics(
-        args.n, _parse_int_list(args.checkpoints), lam=lam, threads=args.threads
-    )
+    rows = density.convergence_diagnostics(args.n, args.checkpoints, lam=args.lam, threads=args.threads)
     if args.format == "json":
         _emit_json("diagnostics", n=args.n, rows=[dataclasses.asdict(r) for r in rows])
     elif args.format == "csv":
@@ -249,13 +243,17 @@ def cmd_diagnostics(args) -> int:
 
 
 def cmd_verify_q_example(args) -> int:
-    qs = _parse_int_list(args.qs) if args.qs else [p for p, _ in arith.factorize(args.d).factors]
+    qs = args.qs or [p for p, _ in arith.factorize(args.d).factors]
     report = certify.verify_rational_example(args.d, qs)
     if args.format == "json":
         _emit_json("verify-q-example", **dataclasses.asdict(report))
     else:
         print(f"d = {report.d}: {'PASS' if report.passed else 'FAIL'}")
-        if not report.covers_prime_divisors:
+        for q in (c.q for c in report.checks if not c.q_is_prime):
+            why = f": it exceeds psi13 = {arith.PSI13}" if q > arith.PSI13 else ""
+            print(f"  FAIL: q = {q} is not a proved prime{why}")
+        # a q above psi13 may be prime, so whether the qs cover d is then unknown
+        if not report.covers_prime_divisors and all(c.q <= arith.PSI13 for c in report.checks):
             print("  FAIL: qs are not exactly the prime divisors of d")
         for c in report.checks:
             print(f"  q = {c.q}: k = {c.k}, passed = {c.passed}" + (" (near-miss k)" if c.near_miss_k else ""))
@@ -267,14 +265,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="degcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"degcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = tuple(m.value.lower() for m in certify.Mode)
 
     def common(p, fmt=("text", "json")):
         p.add_argument("--format", choices=fmt, default="text")
 
     p = sub.add_parser("certify", help="build and verify a certificate for one degree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mode", choices=("full", "weak"), default="full")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
+    p.add_argument("--mode", choices=modes, default="full")
     p.add_argument("--out", help="write the canonical certificate JSON here")
     common(p)
     p.set_defaults(fn=cmd_certify)
@@ -285,16 +284,16 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("enumerate", help="list qualifying degrees up to a bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d-max", dest="d_max", type=int, required=True)
-    p.add_argument("--mode", choices=("full", "weak"), default="full")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--d-max", dest="d_max", type=_integer, required=True)
+    p.add_argument("--mode", choices=modes, default="full")
     common(p, fmt=("text", "json", "csv"))
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("smallest", help="smallest qualifying degree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("full", "weak"), default="full")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--mode", choices=modes, default="full")
+    p.add_argument("--budget", type=_integer, default=None)
     common(p)
     p.set_defaults(fn=cmd_smallest)
 
@@ -308,39 +307,40 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_dickman)
 
     p = sub.add_parser("density", help="empirical qualifying-degree density")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    modes = tuple(m.value.lower().replace("_", "-") for m in density.DensityMode)
-    p.add_argument("--mode", choices=modes, default="prop16-full")
-    p.add_argument("--lam", help="lambda as a rational, e.g. 4/5")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--N", type=_integer, required=True)
+    density_modes = tuple(m.value.lower().replace("_", "-") for m in density.DensityMode)
+    p.add_argument("--mode", choices=density_modes, default="prop16-full")
+    p.add_argument("--lam", type=_parse_fraction, help="lambda as a rational, e.g. 4/5")
     p.add_argument(
         "--lam-pow",
         dest="lam_pow",
+        type=_parse_fraction,
         help="lambda**n as an exact rational, for irrational lambda such as (C(n,2)-1)**(-1/n)",
     )
-    p.add_argument("--checkpoints", help="comma-separated m values")
+    p.add_argument("--checkpoints", type=_integers, help="comma-separated m values")
     common(p, fmt=("text", "json", "csv"))
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("ihc", help="fraction of degrees with certified f_n(d) != 1")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--range-lo", dest="range_lo", type=int, default=1)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--N", type=_integer, required=True)
+    p.add_argument("--range-lo", dest="range_lo", type=_integer, default=1)
     common(p)
     p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(fn=cmd_ihc)
 
     p = sub.add_parser("diagnostics", help="Pi(m)/m and mertens convergence checkpoints")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--checkpoints", required=True)
-    p.add_argument("--lam", help="enable exponent>=2 tail bounds with this lambda")
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--checkpoints", type=_integers, required=True)
+    p.add_argument("--lam", type=_parse_fraction, help="enable exponent>=2 tail bounds with this lambda")
     common(p, fmt=("text", "json", "csv"))
     p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(fn=cmd_diagnostics)
 
     p = sub.add_parser("verify-q-example", help="check the d = q^3 + 6k example arithmetic")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--qs", help="comma-separated prime list; defaults to the prime divisors of d")
+    p.add_argument("--d", type=_integer, required=True)
+    p.add_argument("--qs", type=_integers, help="comma-separated prime list; defaults to the prime divisors of d")
     common(p)
     p.set_defaults(fn=cmd_verify_q_example)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -564,6 +565,24 @@ def test_density_lambda_mode(capsys):
 def test_density_bad_lambda_usage(capsys):
     code, _, err = run(capsys, "density", "--n", "3", "--N", "100", "--mode", "lambda-prime", "--lam", "abc")
     assert code == 1
+    assert "error: argument --lam: not a rational number: 'abc'\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--n", "3", "--N", "100", "--mode", "lambda-prime", "--lam-pow", "1/0"),
+        # an empty value is refused, not taken for an omitted option
+        ("density", "--n", "3", "--N", "100", "--lam", ""),
+        ("density", "--n", "3", "--N", "100", "--lam-pow", ""),
+        ("diagnostics", "--n", "3", "--checkpoints", "10,100", "--lam", "abc"),
+    ],
+    ids=["lam-pow 1/0", "empty lam", "empty lam-pow", "diagnostics lam"],
+)
+def test_rational_options_refuse_a_non_rational(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"error: argument {argv[-2]}: not a rational number: {argv[-1]!r}\n" in err
 
 
 def test_density_lam_pow_flag(capsys):
@@ -693,7 +712,11 @@ def test_verify_q_example_refuses_a_q_above_psi13(capsys):
     qs = ",".join(map(str, M89_QS))
     code, out, _ = run(capsys, "verify-q-example", "--d", str(M89_Q_EXAMPLE), "--qs", qs)
     assert code == 2
-    assert out.startswith(f"d = {M89_Q_EXAMPLE}: FAIL\n")
+    # the qs are exactly the prime divisors of d; the failure is that M89 is above psi13
+    assert out.startswith(
+        f"d = {M89_Q_EXAMPLE}: FAIL\n  FAIL: q = {M89} is not a proved prime: it exceeds psi13 = {arith.PSI13}\n"
+    )
+    assert "not exactly the prime divisors" not in out
     assert out.rstrip().splitlines()[-1].startswith(f"  q = {M89}: k = ")
     assert out.rstrip().endswith("passed = False")
 
@@ -707,6 +730,11 @@ def test_verify_q_example_with_qs_does_not_factor_d(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "FAIL: qs are not exactly the prime divisors of d" in out
+    assert f"FAIL: q = {PSI12} is not a proved prime\n" in out
+
+
+def test_verify_q_example_empty_qs_means_the_prime_divisors(capsys):
+    assert run(capsys, "verify-q-example", "--d", "53599", "--qs", ",") == run(capsys, "verify-q-example", "--d", "53599")
 
 
 def test_verify_q_example_without_qs_factors_d_once(capsys, monkeypatch):
@@ -715,6 +743,66 @@ def test_verify_q_example_without_qs_factors_d_once(capsys, monkeypatch):
     monkeypatch.setattr(arith, "factorize", lambda d: calls.append(d) or factorize(d))
     code, _, _ = run(capsys, "verify-q-example", "--d", "53599")
     assert code == 0 and calls == [53599]
+
+
+# --- integer options -----------------------------------------------------------------
+
+# every integer option of every command that has one, with plain values that run fast
+_INTEGER_ARGV = {
+    "certify": ["--n", "3", "--d", "5005"],
+    "enumerate": ["--n", "3", "--d-max", "20000"],
+    "smallest": ["--n", "3", "--budget", "10000"],
+    "density": ["--n", "3", "--N", "20000", "--checkpoints", "5005,10000"],
+    "ihc": ["--n", "3", "--N", "1000", "--range-lo", "100", "--threads", "2"],
+    "diagnostics": ["--n", "3", "--checkpoints", "10,100", "--threads", "2"],
+    "verify-q-example": ["--d", "53599", "--qs", "7,13,19,31"],
+}
+_INTEGER_OPTIONS = [(command, argv[i]) for command, argv in _INTEGER_ARGV.items() for i in range(0, len(argv), 2)]
+# each spells every token of a value in e-notation or as an integral decimal
+_SPELLINGS = {"e": lambda t: f"{Decimal(t):e}", "point": lambda t: f"{t}.0", "negative-exponent": lambda t: f"{t}0e-1"}
+
+
+def _with_value(command, option, value):
+    argv = list(_INTEGER_ARGV[command])
+    argv[argv.index(option) + 1] = value
+    return [command, *argv]
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+@pytest.mark.parametrize("command,option", _INTEGER_OPTIONS, ids=[" ".join(o) for o in _INTEGER_OPTIONS])
+def test_integer_options_read_e_notation_exactly(capsys, command, option, spelling):
+    plain = [command, *_INTEGER_ARGV[command]]
+    value = plain[plain.index(option) + 1]
+    spelled = ",".join(map(_SPELLINGS[spelling], value.split(",")))
+    expected = run(capsys, *plain)
+    assert expected[0] == 0
+    assert run(capsys, *_with_value(command, option, spelled)) == expected
+
+
+@pytest.mark.parametrize("token", ["1.5", "1e-3", "inf", "x", "1__0"])
+@pytest.mark.parametrize("command,option", _INTEGER_OPTIONS, ids=[" ".join(o) for o in _INTEGER_OPTIONS])
+def test_integer_options_refuse_a_non_integer(capsys, command, option, token):
+    code, out, err = run(capsys, *_with_value(command, option, token))
+    assert (code, out) == (1, "")
+    assert f"error: argument {option}: not an integer: {token!r}\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify-q-example", "--d", "7" * 4300, "--qs", "7"), 2),
+        (("verify-q-example", "--d", "1e4299", "--qs", "7"), 2),
+        (("verify-q-example", "--d", "7" * 4301, "--qs", "7"), 1),
+        (("verify-q-example", "--d", "1e4300", "--qs", "7"), 1),
+        # a 4101-digit checkpoint is read, and the sieve budget refuses it
+        (("diagnostics", "--n", "3", "--checkpoints", "1" + "0" * 4100), 3),
+    ],
+    ids=["4300 digits", "1e4299", "4301 digits", "1e4300", "4101-digit checkpoint"],
+)
+def test_integer_options_read_up_to_4300_digits(capsys, argv, code):
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert ("not an integer" in err) == (code == 1)
 
 
 # --- usage behaviour ---------------------------------------------------------------

@@ -12,6 +12,8 @@ A third lists the private top-level functions that nothing in the package
 calls, so a helper that only the tests still use cannot linger.  A fourth
 lists the public top-level functions that neither the package nor the
 benchmark reads, so a library entry point that only the tests call shows up.
+A fifth keeps the CLI to one integer reader: no option of cli.py passes
+type=int, which would refuse the e-notation that cli._integer reads exactly.
 """
 
 import ast
@@ -253,3 +255,32 @@ def test_every_public_function_has_a_caller_in_the_package_or_the_benchmark():
 )
 def test_the_public_function_guard_reports_what_it_should(sources, outside, found):
     assert public_functions_only_tests_call(sources, outside) == found
+
+
+def int_typed_options(source: str) -> list[str]:
+    """line N for every add_argument call that passes type=int."""
+    return [
+        f"line {call.lineno}"
+        for call in ast.walk(ast.parse(source))
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "add_argument"
+        and any(k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int" for k in call.keywords)
+    ]
+
+
+def test_no_cli_option_is_read_by_int():
+    source = next(path for path in SOURCES if path.name == "cli.py").read_text()
+    assert int_typed_options(source) == []
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ('p.add_argument("--n", type=int)\n', ["line 1"]),
+        ('p.add_argument("--n", required=True,\n               type=int)\n', ["line 1"]),
+        ('p.add_argument("--n", type=_integer)\np.add_argument("--d", type=int)\n', ["line 2"]),
+        ('p.add_argument("--u", type=float)\n', []),
+        ('p.add_argument("--n", default=int)\nx = int("3")\n', []),
+    ],
+)
+def test_the_int_option_guard_reports_what_it_should(source, found):
+    assert int_typed_options(source) == found
