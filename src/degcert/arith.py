@@ -61,7 +61,8 @@ class FactoredInteger:
 
 @dataclass(frozen=True)
 class PrimeSumResult:
-    """mertens_sum(x, n): the sum of 1/p over primes p with x**(1/n) < p <= x."""
+    """The sum of 1/p and the count of the primes p in an interval; for
+    mertens_sum(x, n) the interval is x**(1/n) < p <= x."""
 
     sum: float
     prime_count: int
@@ -350,16 +351,23 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
         raise ParameterError(f"mertens_sum requires x >= 2, got {x}")
     if n < 1:
         raise ParameterError(f"mertens_sum requires n >= 1, got {n}")
-    lo_excl = integer_nth_root(x, n)
+    return _prime_sums([integer_nth_root(x, n)], [x], threads)[0]
 
-    def work(lo: int, hi: int, base: np.ndarray) -> tuple[float, int]:
+
+def _prime_sums(lows: Sequence[int], highs: Sequence[int], threads: int = 1) -> list[PrimeSumResult]:
+    """Sum of 1/p and count over the primes in each (lows[i], highs[i]], by one
+    map_sieve sweep; each interval's part in a segment is _exact_sum over its
+    primes there, so its fsum has the bits of a sweep of that interval alone."""
+
+    def work(lo: int, hi: int, base: np.ndarray) -> list[tuple[float, int]]:
         ps = sieve_segment(lo, hi, base)
-        return _exact_sum(1.0 / ps), len(ps)
+        inv = 1.0 / ps
+        whole = _exact_sum(inv)
+        cuts = zip(ps.searchsorted(lows, "right").tolist(), ps.searchsorted(highs, "right").tolist())
+        return [(whole if b - a == len(ps) else _exact_sum(inv[a:b]), b - a) for a, b in cuts]
 
-    parts = map_sieve(lo_excl + 1, x + 1, work, threads)
-    total = fsum(p[0] for p in parts)
-    count = sum(p[1] for p in parts)
-    return PrimeSumResult(sum=total, prime_count=count)
+    parts = map_sieve(min(lows) + 1, max(highs) + 1, work, threads)
+    return [PrimeSumResult(fsum(p[i][0] for p in parts), sum(p[i][1] for p in parts)) for i in range(len(lows))]
 
 
 def largest_prime_power_segment(

@@ -244,10 +244,13 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
         )
     fi = arith.factorize(d)
     q_max = fi.largest_prime_power
-    thr = qualification_threshold(n, q_max, mode)
-    if thr > d:
+    # thr > q**n >= 2**e > d: a threshold beyond _show_int's decimals is not built
+    e = n * (q_max.bit_length() - 1)
+    thr = None if e >= max(d.bit_length(), 10_000) else qualification_threshold(n, q_max, mode)
+    if thr is None or thr > d:
+        shown = f"> 2^{e}" if thr is None else _show_int(thr)
         raise DecompositionError(
-            f"qualification inequality fails for q = {q_max}: threshold {thr} > d = {d}"
+            f"qualification inequality fails for q = {_show_int(q_max)}: threshold {shown} > d = {_show_int(d)}"
         )
     p_max = fi.factors[-1][0]
     if p_max > arith.PSI13:
@@ -339,9 +342,15 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         low = f" < 2^n + 1 = {_show_int(k_min)}" if k < k_min else ""
         add("k_lower_bound", ctx, k >= k_min, shown_k + low)
         add("q_divides_k", ctx, k >= 0 and k % q == 0, shown_k)
-        # Additivity rule: the premise degrees must sum to d exactly.
-        total = i * q**n + j * q ** (n - 1) + k * fact
-        add("sum_identity", ctx, total == d, f"i*q^n + j*q^(n-1) + k*n! = {_show_int(total)}, d = {shown_d}")
+        # Additivity rule: the premise degrees must sum to d exactly.  As
+        # i*q^n + j*q^(n-1) = q^(n-1)*s, s = i*q + j, a q^(n-1) >= 2^e beyond
+        # |d - k*n!| and _show_int's decimals refutes it without the power.
+        s, e = i * q + j, (n - 1) * (q.bit_length() - 1)
+        if s != 0 and e >= max((d - k * fact).bit_length(), 10_000):
+            add("sum_identity", ctx, False, f"|i*q^n + j*q^(n-1)| >= q^(n-1) >= 2^{e} > |d - k*n!|, d = {shown_d}")
+        else:
+            total = (q ** (n - 1) * s if s else 0) + k * fact
+            add("sum_identity", ctx, total == d, f"i*q^n + j*q^(n-1) + k*n! = {_show_int(total)}, d = {shown_d}")
         add("premise_gcd_q_nfact", ctx, gcd(q, fact) == 1, f"gcd(q, n!) = {_show_int(gcd(q, fact))}")
         if j > 0:
             # implied by gcd(q, n!) = 1 and n >= 3, checked explicitly anyway

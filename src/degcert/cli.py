@@ -35,10 +35,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """A rational read exactly, refused when its numerator or denominator
+    would have more than 4300 digits, as _integer refuses an integer."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        # a decimal's exponent bounds it before Fraction expands 1e999999999
+        if "/" not in text and not -4300 <= Decimal(text).adjusted() < 4300:
+            raise ValueError
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError, InvalidOperation):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**4300:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    return value
 
 
 def _integer(text: str) -> int:

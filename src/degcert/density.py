@@ -16,6 +16,7 @@ coefficients (den, 0, 0) and d scaled by num.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -94,15 +95,22 @@ def _resolve_lambda(
 ) -> tuple[Fraction | None, Fraction]:
     if (lam is None) == (lam_pow is None):
         raise ParameterError("exactly one of lam / lam_pow is required for LAMBDA modes")
+    too_long = "lambda**n has a numerator or denominator of more than 4300 digits"
     if lam is not None:
         lam = Fraction(lam)
         if lam <= 0:
             raise ParameterError(f"lambda must be positive, got {lam}")
-        return lam, lam**n
-    lam_pow = Fraction(lam_pow)
-    if lam_pow <= 0:
-        raise ParameterError(f"lambda**n must be positive, got {lam_pow}")
-    return None, lam_pow
+        # a**|n| >= 2**(|n| * (bitlen(a) - 1)), and 2**14285 > 10**4300
+        if abs(n) * (max(lam.numerator, lam.denominator).bit_length() - 1) >= 14_285:
+            raise ParameterError(too_long)
+        lam_pow = lam**n
+    else:
+        lam_pow = Fraction(lam_pow)
+        if lam_pow <= 0:
+            raise ParameterError(f"lambda**n must be positive, got {lam_pow}")
+    if max(lam_pow.numerator, lam_pow.denominator) >= 10**4300:
+        raise ParameterError(too_long)
+    return lam, lam_pow
 
 
 def empirical_density(
@@ -205,17 +213,18 @@ def convergence_diagnostics(
     if lam is not None:
         _, lam_pow = _resolve_lambda(n, lam, None)
         inv_lam_pow = float(Fraction(lam_pow.denominator, lam_pow.numerator))
+    if n < 1:
+        raise ParameterError(f"mertens_sum requires n >= 1, got {n}")
+    roots = [arith.integer_nth_root(m, n) for m in cps]
+    sums = arith._prime_sums(roots + [1] * len(cps), cps + roots, threads)
+    powers_upto = arith.prime_powers_exp_ge2(cps[-1])
     rows = []
-    for m in cps:
-        # mertens_sum counts the primes in (root, m]; it also checks n first
-        mert = arith.mertens_sum(m, n, threads)
-        root = arith.integer_nth_root(m, n)
-        powers = arith.prime_powers_exp_ge2(m)
-        pi = mert.prime_count + arith.prime_count(root, threads)
+    for m, root, mert, below in zip(cps, roots, sums, sums[len(cps):]):
+        powers = powers_upto[: bisect_right(powers_upto, m)]
         tails = {}
         if lam is not None:
             small = inv_lam_pow * sum(q ** (n - 1) for q in powers if q <= root)
             large = m * fsum(1.0 / q for q in powers if q > root)
             tails = dict(tail_small=small, tail_large=large, ratio_bound=(small + large) / m)
-        rows.append(DiagnosticsRow(m, (pi + len(powers)) / m, mert.sum, **tails))
+        rows.append(DiagnosticsRow(m, (mert.prime_count + below.prime_count + len(powers)) / m, mert.sum, **tails))
     return rows

@@ -333,6 +333,15 @@ def test_sieve_entry_points_answer_huge_n_without_n_factorial(monkeypatch):
         density.ihc_fraction(n, 2 * 10**10)
 
 
+def test_build_certificate_refuses_a_huge_threshold_unbuilt(monkeypatch):
+    # q = d, a 45-digit prime: q**100 has 4500 digits, past int-to-str
+    d = 10**44 + 31
+    monkeypatch.setattr(certify, "qualification_threshold", None)
+    reason = f"^qualification inequality fails for q = {d}: threshold > 2\\^14600 > d = {d}$"
+    with pytest.raises(DecompositionError, match=reason):
+        certify.build_certificate(100, d)
+
+
 def test_build_certificate_reports_huge_gcd():
     # gcd(d, n!) and n! both have more digits than Python prints
     with pytest.raises(DecompositionError, match="-bit integer"):

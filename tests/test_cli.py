@@ -805,6 +805,47 @@ def test_integer_options_read_up_to_4300_digits(capsys, argv, code):
     assert ("not an integer" in err) == (code == 1)
 
 
+_LAMBDA = ["--N", "100", "--mode", "lambda-prime"]
+
+
+# Inputs whose threshold, sum identity or lambda**n would pass 4300 digits,
+# and rationals that would: each exits by the contract within a few seconds,
+# in a fresh interpreter, so that an input that never finishes fails the case.
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (("certify", "--n", "100", "--d", "1" + "0" * 42 + "31"), 2, ""),
+        (("certify", "--n", "3000", "--d", "1" + "0" * 997 + "453"), 2, ""),
+        (("check", "--cert", "{sum}"), 2, ""),
+        (("check", "--cert", "{sum_zero}"), 2, ""),
+        (("density", "--n", "3", *_LAMBDA, "--lam", "1e99999999"), 1, "not a rational number"),
+        (("density", "--n", "3", *_LAMBDA, "--lam=-1e5000"), 1, "not a rational number"),
+        (("density", "--n", "3", *_LAMBDA, "--lam", "1e2000"), 1, "more than 4300 digits"),
+        (("density", "--n", "3", *_LAMBDA, "--lam", "1e2000", "--format", "json"), 1, "more than 4300 digits"),
+        (("density", "--n", "1e6", *_LAMBDA, "--lam", "3/2"), 1, "more than 4300 digits"),
+        (("density", "--n", "1e8", *_LAMBDA, "--lam", "3/2"), 1, "more than 4300 digits"),
+        (("diagnostics", "--n", "1e8", "--checkpoints", "10,100", "--lam", "3/2"), 1, "more than 4300 digits"),
+    ],
+    ids=[
+        "45-digit d, n = 100", "1001-digit d, n = 3000", "sum identity", "sum identity, i*q + j = 0",
+        "lam 1e99999999", "lam -1e5000", "lam 1e2000", "lam 1e2000 json", "lam 3/2, n = 1e6", "lam 3/2, n = 1e8",
+        "diagnostics lam 3/2, n = 1e8",
+    ],
+)
+def test_huge_values_exit_by_the_contract(tmp_path, argv, code, err):
+    # n = 5000 and q = d = 7**5000 (4226 digits): q**n would have 21 million digits
+    q = 7**5000
+    for name, j in (("sum", 1), ("sum_zero", -q)):
+        entry = certify.PrimePowerCertificate(q=q, i=1, j=j, k=1)
+        cert = certify.Certificate(n=5000, d=q, mode=certify.Mode.FULL, entries=(entry,), premises=())
+        (tmp_path / f"{name}.json").write_text(certify.certificate_to_json(cert))
+    argv = [str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a for a in argv]
+    script = "import sys\nfrom degcert import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+    proc = _fresh_interpreter(script, *argv, timeout=10)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and err in proc.stderr
+
+
 # --- usage behaviour ---------------------------------------------------------------
 
 
@@ -944,12 +985,12 @@ _COLD_CASES = [
 ]
 
 
-def _fresh_interpreter(script, *argv):
+def _fresh_interpreter(script, *argv, timeout=60):
     env = dict(os.environ)
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 

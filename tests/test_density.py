@@ -439,26 +439,31 @@ def test_diagnostics_tail_sums_brute():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_diagnostics_ratio_is_the_prime_power_count(n):
-    ms = [2, 3, 8, 10, 1000, 12345, 10**5]
-    rows = convergence_diagnostics(n, ms, lam=Fraction(1))
-    assert [r.prime_power_ratio for r in rows] == [arith.prime_power_count(m) / m for m in ms]
-    assert [r.mertens for r in rows] == [arith.mertens_sum(m, n).sum for m in ms]
+    # 4194304 = SEGMENT_SIZE: checkpoints on both sides of segment ends
+    ms = [2, 3, 8, 10, 1000, 12345, 10**5, 4194303, 4194304, 4194305, 8388609]
+    want = [arith.prime_power_count(m) / m for m in ms], [arith.mertens_sum(m, n).sum for m in ms]
+    for threads in (1, 2):
+        rows = convergence_diagnostics(n, ms, lam=Fraction(1), threads=threads)
+        assert ([r.prime_power_ratio for r in rows], [r.mertens for r in rows]) == want
 
 
 def test_diagnostics_sieves_each_checkpoint_once(monkeypatch):
-    # pi(m) is mertens_sum's count over (m**(1/n), m] plus pi(m**(1/n)), so
-    # a checkpoint sweeps about m integers, not a second pass over [2, m]
+    # one sweep over [2, max m] answers every checkpoint, pi(m) included
     swept = []
     map_sieve = arith.map_sieve
 
     def recording(lo, hi, fn, threads=1):
-        swept.append(max(0, hi - lo))
+        swept.append((lo, hi))
         return map_sieve(lo, hi, fn, threads)
 
     monkeypatch.setattr(arith, "map_sieve", recording)
     m = 10**6
     convergence_diagnostics(3, [m], lam=Fraction(1))
-    assert sum(swept) <= m + arith.integer_nth_root(m, 3)
+    assert sum(max(0, hi - lo) for lo, hi in swept) <= m + arith.integer_nth_root(m, 3)
+    swept.clear()
+    cps = [10**5 * k for k in range(1, 21)]
+    convergence_diagnostics(3, cps, lam=Fraction(1))
+    assert len(swept) == 1 and swept[0][0] >= 2 and swept[0][1] <= cps[-1] + 1
 
 
 def test_diagnostics_validation():
