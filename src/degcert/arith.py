@@ -74,6 +74,8 @@ def integer_nth_root(x: int, n: int) -> int:
         raise ParameterError(f"integer_nth_root requires x >= 0, n >= 1; got {x}, {n}")
     if n == 1 or x < 2:
         return x
+    if n >= x.bit_length():  # x < 2**n, so the root is 1; log2(x) / n could overflow
+        return 1
     # Seed from log2(x), which takes any int (float(x) would overflow past
     # 1e308), scaled a little up.  One Newton step from any r > 0 lands at or
     # above the root (AM-GM), then the iterates decrease strictly to the floor

@@ -78,9 +78,6 @@ def _thread_count(text: str) -> int:
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    np = sys.modules.get("numpy")  # an array implies numpy is loaded
-    if np is not None and isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -89,6 +86,13 @@ def _emit_json(command: str, **fields) -> None:
     command, key-sorted; report dataclasses are passed through asdict."""
     payload = {"schema_version": certify.SCHEMA_VERSION, "command": command, **fields}
     print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
+
+
+def _emit_csv(header, rows, file=None) -> None:
+    """Print a CSV table, LF-terminated: the header, then one line per row,
+    each cell as str() gives it (a float's shortest repr, None as None)."""
+    for row in (header, *rows):
+        print(",".join(map(str, row)), file=file)
 
 
 def cmd_certify(args) -> int:
@@ -175,10 +179,12 @@ def cmd_dickman(args) -> int:
         step = 0.125 if args.step is None else args.step
         table = dickman.rho_table(u_max, step)
         if args.format == "csv":
-            with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
-                table.write_csv(out)
+            rows = ((f"{i * table.step:.10g}", float(v), table.abs_error_bound)
+                    for i, v in enumerate(table.values))
+            with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+                _emit_csv(("u", "rho", "error_bound"), rows, file=out)
         elif args.format == "json":
-            _emit_json("dickman", **dataclasses.asdict(table))
+            _emit_json("dickman", **{**dataclasses.asdict(table), "values": table.values.tolist()})
         else:
             for idx, v in enumerate(table.values):
                 print(f"{idx * table.step:.6f} {float(v)!r}")
@@ -205,10 +211,9 @@ def cmd_density(args) -> int:
         fields["lambda"], fields["lambda_pow"] = fields.pop("lam"), fields.pop("lam_pow")
         _emit_json("density", **fields)
     elif args.format == "csv":
-        print("m,count,empirical,theoretical")
-        rows = report.samples or ((report.N, report.count),)
-        for m, c in rows:
-            print(f"{m},{c},{c / m!r},{report.theoretical!r}")
+        samples = report.samples or ((report.N, report.count),)
+        rows = ((m, c, c / m, report.theoretical) for m, c in samples)
+        _emit_csv(("m", "count", "empirical", "theoretical"), rows)
     else:
         print(f"count = {report.count} of N = {report.N}")
         print(f"empirical = {report.empirical!r}")
@@ -235,12 +240,8 @@ def cmd_diagnostics(args) -> int:
     if args.format == "json":
         _emit_json("diagnostics", n=args.n, rows=[dataclasses.asdict(r) for r in rows])
     elif args.format == "csv":
-        print("m,prime_power_ratio,mertens,tail_small,tail_large,ratio_bound")
-        for r in rows:
-            print(
-                f"{r.m},{r.prime_power_ratio!r},{r.mertens!r},"
-                f"{r.tail_small!r},{r.tail_large!r},{r.ratio_bound!r}"
-            )
+        # one column per field, in field order, as the JSON rows name them
+        _emit_csv([f.name for f in dataclasses.fields(density.DiagnosticsRow)], map(dataclasses.astuple, rows))
     else:
         for r in rows:
             extra = ""

@@ -19,12 +19,10 @@ continuation is singular at s = 2 at the nearest, so the terms fall like
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil, fsum, isfinite, prod
-from typing import IO
 
 from .errors import CapacityError, ParameterError
 
@@ -46,12 +44,6 @@ class DickmanTable:
     u_max: float
     values: np.ndarray
     abs_error_bound: float
-
-    def write_csv(self, fileobj: IO[str]) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["u", "rho", "error_bound"])
-        for idx, val in enumerate(self.values):
-            writer.writerow([f"{idx * self.step:.10g}", repr(float(val)), repr(self.abs_error_bound)])
 
 
 @cache

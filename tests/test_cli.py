@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 from decimal import Decimal
+from math import log
 from pathlib import Path
 
 import pytest
@@ -358,29 +359,24 @@ def test_dickman_point(capsys):
 
 
 def test_dickman_table_csv(capsys):
-    code, out, _ = run(
-        capsys,
-        "dickman",
-        "--table",
-        "--u-max",
-        "1.0",
-        "--step",
-        "0.25",
-        "--format",
-        "csv",
-    )
+    code, out, _ = run(capsys, "dickman", "--table", "--u-max", "2", "--step", "0.5", "--format", "csv")
     assert code == 0
-    lines = out.strip().splitlines()
+    lines = out.splitlines()
     assert lines[0] == "u,rho,error_bound"
-    assert len(lines) == 6
-    assert all(line.split(",")[1] == "1.0" for line in lines[1:])
+    rows = [line.split(",") for line in lines[1:]]
+    assert [u for u, _, _ in rows] == ["0", "0.5", "1", "1.5", "2"]  # one row per node
+    assert [rho for _, rho, _ in rows[:3]] == ["1.0"] * 3
+    assert abs(float(rows[-1][1]) - (1.0 - log(2.0))) <= 1e-9
+    assert all(float(err) <= 1e-9 for _, _, err in rows)
 
 
 def test_dickman_table_csv_out_writes_the_file(tmp_path, capsys):
+    argv = ("dickman", "--table", "--u-max", "2", "--step", "0.5", "--format", "csv")
     out_file = tmp_path / "rho.csv"
-    code, out, _ = run(capsys, "dickman", "--table", "--u-max", "1.0", "--step", "0.25", "--format", "csv",
-                       "--out", str(out_file))
+    code, out, _ = run(capsys, *argv, "--out", str(out_file))
     assert (code, out) == (0, "")
+    # the file holds exactly the bytes that stdout gets
+    assert out_file.read_bytes() == run(capsys, *argv)[1].encode()
     assert out_file.read_text().splitlines()[0] == "u,rho,error_bound"
 
 
@@ -655,6 +651,23 @@ def test_diagnostics_csv(capsys):
     assert lines[1].startswith("10,0.7,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dickman", "--table", "--u-max", "2", "--step", "0.5"),
+        ("density", "--n", "3", "--N", "20000", "--checkpoints", "5005,20000"),
+        ("diagnostics", "--n", "3", "--checkpoints", "10,100", "--lam", "1"),
+        ("enumerate", "--n", "3", "--d-max", "20000"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_csv_table_ends_its_lines_with_lf(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.count("\n") > 1 and out.endswith("\n")
+    assert "\r" not in out
+
+
 def test_diagnostics_capacity_exit3(capsys):
     code, _, err = run(capsys, "diagnostics", "--n", "3", "--checkpoints", "100000000000")
     assert code == 3
@@ -809,7 +822,7 @@ _LAMBDA = ["--N", "100", "--mode", "lambda-prime"]
 
 
 # Inputs whose threshold, sum identity or lambda**n would pass 4300 digits,
-# and rationals that would: each exits by the contract within a few seconds,
+# rationals that would, and an n past the float range: each exits by the contract within a few seconds,
 # in a fresh interpreter, so that an input that never finishes fails the case.
 @pytest.mark.parametrize(
     "argv, code, err",
@@ -825,11 +838,14 @@ _LAMBDA = ["--N", "100", "--mode", "lambda-prime"]
         (("density", "--n", "1e6", *_LAMBDA, "--lam", "3/2"), 1, "more than 4300 digits"),
         (("density", "--n", "1e8", *_LAMBDA, "--lam", "3/2"), 1, "more than 4300 digits"),
         (("diagnostics", "--n", "1e8", "--checkpoints", "10,100", "--lam", "3/2"), 1, "more than 4300 digits"),
+        (("diagnostics", "--n", "1e4000", "--checkpoints", "10"), 0, ""),
+        (("density", "--n", "1e4000", *_LAMBDA, "--lam", "1"), 0, ""),
+        (("smallest", "--n", "1e4000"), 3, "no qualifying degree found"),
     ],
     ids=[
         "45-digit d, n = 100", "1001-digit d, n = 3000", "sum identity", "sum identity, i*q + j = 0",
         "lam 1e99999999", "lam -1e5000", "lam 1e2000", "lam 1e2000 json", "lam 3/2, n = 1e6", "lam 3/2, n = 1e8",
-        "diagnostics lam 3/2, n = 1e8",
+        "diagnostics lam 3/2, n = 1e8", "diagnostics, n = 1e4000", "lam 1, n = 1e4000", "smallest, n = 1e4000",
     ],
 )
 def test_huge_values_exit_by_the_contract(tmp_path, argv, code, err):

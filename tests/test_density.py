@@ -192,12 +192,18 @@ def test_lambda_counts_frozen(mode, n, lam_pow, N):
     assert empirical_density(n, N, mode, lam_pow=lam_pow).count == LAMBDA_COUNTS[mode, n, lam_pow, N]
 
 
-def test_prop16_counts_frozen_beyond_1e8():
+def test_prop16_counts_frozen_beyond_1e8(monkeypatch):
     # exact walk counts of n = 3 FULL past the benchmark's 1e8, from the
     # exact-count table of the roadmap
     r = empirical_density(3, 10**10, DensityMode.PROP16_FULL, checkpoints=[10**9])
     assert r.samples == ((10**9, 5438892),)
     assert r.count == 63942747
+    # past the budget, with it lifted for this call: the tests'
+    # reference_runs recursion counts the same 721654180 degrees up to 1e11
+    monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**11)
+    r = empirical_density(3, 10**11, DensityMode.PROP16_FULL, checkpoints=[10**10])
+    assert r.samples == ((10**10, 63942747),)
+    assert r.count == 721654180
 
 
 def test_walk_counts_with_an_astronomical_scale():

@@ -1,4 +1,3 @@
-import io
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd, log
@@ -193,19 +192,6 @@ def test_table_step_not_power_of_two():
     idx2 = 2 * 48
     assert abs(table.values[idx2] - (1.0 - log(2.0))) <= 1e-9
     assert abs(table.values[idx2 + 24] - oracle_rho_23(2.5)) <= 1e-8
-
-
-def test_table_csv():
-    table = rho_table(2.0, 0.5)
-    buf = io.StringIO()
-    table.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "u,rho,error_bound"
-    assert len(lines) == 1 + len(table.values)
-    u, val, err = lines[-1].split(",")
-    assert float(u) == 2.0
-    assert abs(float(val) - (1.0 - log(2.0))) <= 1e-9
-    assert float(err) <= 1e-9
 
 
 # --- Taylor-piece evaluator --------------------------------------------------------

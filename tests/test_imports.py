@@ -14,6 +14,9 @@ lists the public top-level functions that neither the package nor the
 benchmark reads, so a library entry point that only the tests call shows up.
 A fifth keeps the CLI to one integer reader: no option of cli.py passes
 type=int, which would refuse the e-notation that cli._integer reads exactly.
+A sixth keeps output in the CLI: no other module imports csv or reads the
+builtins print or open, so the library only computes and cli.py alone decides
+what a command writes.
 """
 
 import ast
@@ -284,3 +287,39 @@ def test_no_cli_option_is_read_by_int():
 )
 def test_the_int_option_guard_reports_what_it_should(source, found):
     assert int_typed_options(source) == found
+
+
+def output_uses(source: str) -> list[str]:
+    """line N: what, for every import of csv and every read of print or open."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if any(m == "csv" or m.startswith("csv.") for m in _imported(node)):
+            found.append(f"line {node.lineno}: import of csv")
+        elif isinstance(node, ast.Name) and node.id in ("print", "open") and isinstance(node.ctx, ast.Load):
+            found.append(f"line {node.lineno}: {node.id}")
+    return found
+
+
+LIBRARY_SOURCES = [path for path in SOURCES if path.name != "cli.py"]
+
+
+@pytest.mark.parametrize("path", LIBRARY_SOURCES, ids=[p.name for p in LIBRARY_SOURCES])
+def test_only_the_cli_writes_output(path):
+    assert output_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("import csv\n", ["line 1: import of csv"]),
+        ("import csv as table\n", ["line 1: import of csv"]),
+        ("from csv import writer\n", ["line 1: import of csv"]),
+        ("x = 1\nprint(x)\n", ["line 2: print"]),
+        ("with open('f', 'w') as fh:\n    fh.write('x')\n", ["line 1: open"]),
+        ("emit = print\n", ["line 1: print"]),
+        ("def f(out):\n    out.write('x')\n", []),
+        ("import csvkit\nfrom io import StringIO\ns = 'print(1)'\n", []),
+    ],
+)
+def test_the_output_guard_reports_what_it_should(source, found):
+    assert output_uses(source) == found
