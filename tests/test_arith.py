@@ -208,7 +208,7 @@ def test_integer_nth_root_exact_powers():
     assert arith.integer_nth_root(10**60 + 7, 2) == 10**30
 
 
-@pytest.mark.parametrize("x", [2, 3, 10**8, 2**1000, 10**4000])
+@pytest.mark.parametrize("x", [2, 3, 10**8, 2**1000, 10**4000], ids=["2", "3", "1e8", "2^1000", "1e4000"])
 def test_integer_nth_root_with_an_exponent_past_the_float_range(x):
     # log2(x) / n overflows a float for n above about 1e308; x < 2**n, so 1
     assert arith.integer_nth_root(x, 10**400) == 1
