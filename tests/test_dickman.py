@@ -194,6 +194,23 @@ def test_table_step_not_power_of_two():
     assert abs(table.values[idx2 + 24] - oracle_rho_23(2.5)) <= 1e-8
 
 
+def test_table_csv(capsys):
+    # the table's CSV is written by the command line's one CSV writer
+    from degcert import cli
+
+    table = rho_table(2.0, 0.5)
+    assert cli.main(["dickman", "--table", "--u-max", "2", "--step", "0.5", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "u,rho,error_bound"
+    assert len(lines) == 1 + len(table.values)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(val) for _, val, _ in rows] == table.values.tolist()  # repr round-trips
+    u, val, err = rows[-1]
+    assert float(u) == 2.0
+    assert abs(float(val) - (1.0 - log(2.0))) <= 1e-9
+    assert float(err) <= 1e-9
+
+
 # --- Taylor-piece evaluator --------------------------------------------------------
 
 
