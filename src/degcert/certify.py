@@ -674,7 +674,8 @@ class RationalExampleReport:
 
 def verify_rational_example(d: int, qs: list[int]) -> RationalExampleReport:
     """Check the d = q**3 + 6k arithmetic for each q, and that qs are exactly
-    the prime divisors of d.
+    the prime divisors of d.  It passes only when at least one q is checked,
+    so d = 1, which has no prime divisor, does not pass.
 
     Per q the conditions are: q prime, q = 1 (mod 6), q**3 <= d,
     6 | d - q**3, q | k and k >= 38 where k = (d - q**3) / 6.  Primality is
@@ -715,7 +716,7 @@ def verify_rational_example(d: int, qs: list[int]) -> RationalExampleReport:
             rest //= c.q
     each_divides = all(c.q_is_prime and d % c.q == 0 for c in out)
     covers = each_divides and len(set(qs)) == len(qs) and rest == 1
-    passed = covers and all(c.passed for c in out)
+    passed = covers and bool(out) and all(c.passed for c in out)
     return RationalExampleReport(
         d=d, checks=tuple(out), covers_prime_divisors=covers, passed=passed
     )

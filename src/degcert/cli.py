@@ -9,7 +9,6 @@ is meant for trajectory plotting elsewhere.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
@@ -75,24 +74,19 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _emit_json(command: str, **fields) -> None:
-    """Print one command's JSON payload: the fields plus schema_version and
-    command, key-sorted; report dataclasses are passed through asdict."""
+    """Print one command's JSON payload: the fields (JSON types only) plus
+    schema_version and command, key-sorted; report dataclasses are passed
+    through asdict."""
     payload = {"schema_version": certify.SCHEMA_VERSION, "command": command, **fields}
-    print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _emit_csv(header, rows, file=None) -> None:
+def _emit_csv(header, rows) -> None:
     """Print a CSV table, LF-terminated: the header, then one line per row,
     each cell as str() gives it (a float's shortest repr, None as None)."""
     for row in (header, *rows):
-        print(",".join(map(str, row)), file=file)
+        print(",".join(map(str, row)))
 
 
 def cmd_certify(args) -> int:
@@ -170,10 +164,6 @@ def cmd_smallest(args) -> int:
 
 
 def cmd_dickman(args) -> int:
-    if args.out and not (args.table and args.format == "csv"):
-        raise ParameterError("--out is written only with --table --format csv")
-    if args.table and args.u is not None:
-        raise ParameterError("--u and --table exclude each other")
     if args.table:
         u_max = 3.0 if args.u_max is None else args.u_max
         step = 0.125 if args.step is None else args.step
@@ -181,16 +171,13 @@ def cmd_dickman(args) -> int:
         if args.format == "csv":
             rows = ((f"{i * table.step:.10g}", float(v), table.abs_error_bound)
                     for i, v in enumerate(table.values))
-            with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
-                _emit_csv(("u", "rho", "error_bound"), rows, file=out)
+            _emit_csv(("u", "rho", "error_bound"), rows)
         elif args.format == "json":
             _emit_json("dickman", **{**dataclasses.asdict(table), "values": table.values.tolist()})
         else:
             for idx, v in enumerate(table.values):
                 print(f"{idx * table.step:.6f} {float(v)!r}")
         return EXIT_OK
-    if args.u is None:
-        raise ParameterError("dickman needs --u or --table")
     if args.u_max is not None or args.step is not None or args.format == "csv":
         raise ParameterError("--u-max, --step and --format csv apply only to --table")
     value = dickman.rho(args.u)
@@ -208,7 +195,8 @@ def cmd_density(args) -> int:
     )
     if args.format == "json":
         fields = dataclasses.asdict(report)
-        fields["lambda"], fields["lambda_pow"] = fields.pop("lam"), fields.pop("lam_pow")
+        lams = (fields.pop("lam"), fields.pop("lam_pow"))  # Fractions, written as "4/5"
+        fields["lambda"], fields["lambda_pow"] = (None if v is None else str(v) for v in lams)
         _emit_json("density", **fields)
     elif args.format == "csv":
         samples = report.samples or ((report.N, report.count),)
@@ -258,6 +246,8 @@ def cmd_verify_q_example(args) -> int:
         _emit_json("verify-q-example", **dataclasses.asdict(report))
     else:
         print(f"d = {report.d}: {'PASS' if report.passed else 'FAIL'}")
+        if not report.checks:
+            print("  FAIL: no q to check")
         for q in (c.q for c in report.checks if not c.q_is_prime):
             why = f": it exceeds psi13 = {arith.PSI13}" if q > arith.PSI13 else ""
             print(f"  FAIL: q = {q} is not a proved prime{why}")
@@ -307,11 +297,11 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_smallest)
 
     p = sub.add_parser("dickman", help="evaluate rho(u) or tabulate it")
-    p.add_argument("--u", type=float)
-    p.add_argument("--table", action="store_true")
+    shape = p.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--u", type=float)
+    shape.add_argument("--table", action="store_true")
     p.add_argument("--u-max", dest="u_max", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--out")
     common(p, fmt=("text", "json", "csv"))
     p.set_defaults(fn=cmd_dickman)
 
@@ -372,6 +362,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # a closed stdout (`... | head -1`) ends the process by SIGPIPE, as it ends other
+    # Unix filters, not as a usage error; imported here so in-process main pays nothing
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

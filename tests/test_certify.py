@@ -1125,6 +1125,14 @@ def test_rational_example_repeated_q_does_not_pass():
     assert certify.verify_rational_example(53599, [31, 19, 13, 7]).passed  # order is free
 
 
+def test_rational_example_does_not_pass_without_a_q():
+    # 1 has no prime divisor, so the empty list covers it, yet nothing is
+    # checked; every q's conditions need d >= 7**3 + 228
+    rep = certify.verify_rational_example(1, [])
+    assert rep.covers_prime_divisors and rep.checks == ()
+    assert not rep.passed
+
+
 def test_rational_example_rejects_nonpositive_d():
     with pytest.raises(ParameterError, match="^d must be >= 1, got 0$"):
         certify.verify_rational_example(0, [7])

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -351,6 +353,11 @@ def test_density_lambda_prime_bound_exit3_at_once(capsys, argv, shown):
 
 # --- dickman --------------------------------------------------------------------
 
+_USAGE_DICKMAN = (
+    "usage: degcert dickman [-h] (--u U | --table) [--u-max U_MAX] [--step STEP]\n"
+    "                       [--format {text,json,csv}]\n"
+)
+
 
 def test_dickman_point(capsys):
     code, out, _ = run(capsys, "dickman", "--u", "2")
@@ -370,35 +377,31 @@ def test_dickman_table_csv(capsys):
     assert all(float(err) <= 1e-9 for _, _, err in rows)
 
 
-def test_dickman_table_csv_out_writes_the_file(tmp_path, capsys):
-    argv = ("dickman", "--table", "--u-max", "2", "--step", "0.5", "--format", "csv")
-    out_file = tmp_path / "rho.csv"
-    code, out, _ = run(capsys, *argv, "--out", str(out_file))
-    assert (code, out) == (0, "")
-    # the file holds exactly the bytes that stdout gets
-    assert out_file.read_bytes() == run(capsys, *argv)[1].encode()
-    assert out_file.read_text().splitlines()[0] == "u,rho,error_bound"
-
-
 @pytest.mark.parametrize(
     "argv",
-    [("--table", "--format", "json"), ("--table",), ("--u", "2"), ("--u", "2", "--format", "csv")],
+    [
+        ("--table", "--format", "json"),
+        ("--table",),
+        ("--u", "2"),
+        ("--u", "2", "--format", "csv"),
+        ("--table", "--format", "csv"),
+    ],
 )
-def test_dickman_out_without_csv_table_is_usage_error(tmp_path, capsys, argv):
-    # --out is written only by --table --format csv; anywhere else it was
-    # once ignored without a word
+def test_dickman_takes_no_out(tmp_path, capsys, argv):
+    # a table goes to stdout only; `> FILE` writes it to a file
     out_file = tmp_path / "rho.out"
     code, out, err = run(capsys, "dickman", *argv, "--out", str(out_file))
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and "--out" in err
+    assert f"error: unrecognized arguments: --out {out_file}\n" in err
     assert not out_file.exists()
 
 
-def test_dickman_u_with_table_is_usage_error(capsys):
+def test_dickman_u_with_table_is_usage_error(capsys, monkeypatch):
     # the table has no single u to evaluate
+    monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run(capsys, "dickman", "--table", "--u", "2")
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and "--u" in err
+    assert err == _USAGE_DICKMAN + "error: argument --u: not allowed with argument --table\n"
 
 
 @pytest.mark.parametrize(
@@ -418,9 +421,11 @@ def test_dickman_bad_tol_usage(capsys):
     assert err.endswith("error: unrecognized arguments: --tol 1e-15\n")
 
 
-def test_dickman_missing_u_usage(capsys):
+def test_dickman_missing_u_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     code, _, err = run(capsys, "dickman")
     assert code == 1
+    assert err == _USAGE_DICKMAN + "error: one of the arguments --u --table is required\n"
 
 
 @pytest.mark.parametrize("step", ["nan", "inf"])
@@ -746,6 +751,14 @@ def test_verify_q_example_with_qs_does_not_factor_d(capsys):
     assert f"FAIL: q = {PSI12} is not a proved prime\n" in out
 
 
+def test_verify_q_example_d_1_has_no_q_to_check(capsys):
+    # every q's condition needs d >= 7**3 + 228, and 1 has no prime divisor
+    assert run(capsys, "verify-q-example", "--d", "1") == (2, "d = 1: FAIL\n  FAIL: no q to check\n", "")
+    code, payload = run_json(capsys, "verify-q-example", "--d", "1", "--format", "json")
+    assert code == 2
+    assert (payload["checks"], payload["covers_prime_divisors"], payload["passed"]) == ([], True, False)
+
+
 def test_verify_q_example_empty_qs_means_the_prime_divisors(capsys):
     assert run(capsys, "verify-q-example", "--d", "53599", "--qs", ",") == run(capsys, "verify-q-example", "--d", "53599")
 
@@ -1001,12 +1014,17 @@ _COLD_CASES = [
 ]
 
 
-def _fresh_interpreter(script, *argv, timeout=60):
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _fresh_interpreter(script, *argv, timeout=60):
     return subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=timeout
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_src_env(), timeout=timeout
     )
 
 
@@ -1032,6 +1050,21 @@ def test_import_degcert_loads_no_degcert_module():
     # the package root holds only __version__; each name is imported from its module
     proc = _fresh_interpreter("import sys, degcert\nprint(*sorted(m for m in sys.modules if m.startswith('degcert.')))\n")
     assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_by_sigpipe():
+    # `degcert enumerate ... | head -1`: the 4 MB list overflows any pipe
+    # buffer, so a write after the reader has gone is certain to fail
+    argv = ["enumerate", "--n", "3", "--d-max", "1e8"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "degcert.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env()
+    )
+    assert proc.stdout.readline() == b"427006 qualifying degrees <= 100000000\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")
 
 
 # --- byte-exact JSON output ---------------------------------------------------------
@@ -1072,3 +1105,28 @@ def test_json_output_is_byte_exact(tmp_path, capsys, name, code, argv):
     got_code, out, err = run(capsys, *argv, "--format", "json")
     assert (got_code, err) == (code, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+# --- README ---------------------------------------------------------------------------
+
+
+def _readme_cli_lines():
+    """The `degcert ...` lines of README's CLI block, in order."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```\n")[1]
+    return [line for line in block.splitlines() if line.startswith("degcert ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    # in order, in one directory: `check --cert cert.json` reads the file that
+    # `certify ... --out cert.json` writes
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 14
+    outputs = {}
+    for line in lines:
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, ""), line
+        outputs[line.split("#")[0].strip()] = out
+    assert outputs["degcert smallest --n 3"] == "5005\n"
+    assert outputs["degcert dickman --u 2"].startswith("0.3068528194")
