@@ -27,23 +27,29 @@ buggy builder cannot validate itself.
 
 Every prime power of a qualifying d <= N is at most cap = iroot((N - c) // a, n),
 where a, b, c are the coefficients of the qualification inequality.  The
-minimum search and the enumeration therefore walk level by level over the
-products of such prime powers (the classical recursion over the largest
-prime that counts smooth numbers, one batch of numpy bisections per level)
-and take the last prime of each degree in bulk, as a run of the prime list;
-no integer that cannot qualify is visited.  Every density count of the
-density module runs the same walk: the lambda predicates
-den * v**n <= num * d are the same inequality with coefficients (den, 0, 0)
-and d scaled by num.  scan_qualifying lists the walk's degrees in a window,
-so its cost is set by the window's upper end, not by its width.
+enumeration therefore walks level by level over the products of such prime
+powers (the classical recursion over the largest prime that counts smooth
+numbers, one batch of numpy bisections per level) and takes the last prime
+of each degree in bulk, as a run of the prime list; no integer that cannot
+qualify is visited.  Every density count of the density module runs the
+same walk: the lambda predicates den * v**n <= num * d are the same
+inequality with coefficients (den, 0, 0) and d scaled by num.
+scan_qualifying lists the walk's degrees in a window, so its cost is set by
+the window's upper end, not by its width.  The minimum search walks
+nothing: d = v*t with v its largest prime power qualifies iff t >=
+ceil(thr(v) / v), so a branch and bound over t for each v, in Python
+integers, finds the least degree.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, takewhile
 from math import factorial, gcd, isqrt
+from typing import Iterable
 
 from . import arith
 from .errors import CapacityError, DecompositionError, ParameterError
@@ -591,6 +597,62 @@ def _walk_counts(
     return [one + int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]
 
 
+def _least_degree(n: int, primes: Iterable[int], a: int, b: int, c: int, best: int) -> int:
+    """The least d < best with gcd(d, n!) = 1 and thr(v) = a*v**n +
+    b*v**(n-1) + c <= d, v the largest prime power of d (a >= 1, b, c >= 0),
+    or best when there is none.  primes are the ascending primes above n, read
+    only while thr(p) < best.
+
+    Such a d is v*t, with t coprime to v and every prime power of t below v,
+    and it qualifies iff t >= ceil(thr(v) / v).  So for each v, ascending
+    while thr(v) < best, a depth-first branch and bound (Land & Doig, 1960)
+    gives each prime q in (n, v) but v's, largest first, one of its powers
+    below v or none.  A branch stops once its product t reaches that target
+    or the least t found (v*t >= best), or once the largest powers left
+    cannot lift t to the target.
+    """
+
+    def thr(v: int) -> int:
+        return a * v**n + b * v ** (n - 1) + c
+
+    ps = list(takewhile(lambda p: thr(p) < best, primes))
+    vs = []
+    for p in ps:
+        v = p
+        while thr(v) < best:
+            vs.append((v, p))
+            v *= p
+    for v, p in sorted(vs):
+        if thr(v) >= best:
+            break
+        target, top = -(-thr(v) // v), -(-best // v)  # v*t < best iff t < top
+        powers = []  # each q's powers below v, largest q and largest power first
+        for q in reversed(ps[: bisect_left(ps, v)]):
+            if q != p:
+                qf = [q]
+                while qf[-1] * q < v:
+                    qf.append(qf[-1] * q)
+                powers.append(qf[::-1])
+        reach = [1]  # reach[-1 - i]: the product of the largest powers of powers[i:]
+        for qf in reversed(powers):
+            reach.append(reach[-1] * qf[0])
+
+        def search(i: int, t: int) -> None:
+            nonlocal top
+            if t >= target:
+                top = t
+            elif t * reach[-1 - i] >= target:
+                for w in powers[i]:
+                    if t * w < top:
+                        search(i + 1, t * w)
+                if t < top:
+                    search(i + 1, t)
+
+        search(0, 1)
+        best = min(best, v * top)
+    return best
+
+
 def smallest_qualifying(
     n: int,
     mode: Mode = Mode.FULL,
@@ -599,13 +661,14 @@ def smallest_qualifying(
 ) -> int:
     """Minimal qualifying degree for (n, mode), at most budget.
 
-    One walk covers every d <= min(budget, SIEVE_BUDGET, x), x the product
-    of the consecutive primes above n up to the first p with thr(p) <= x
-    (if any): coprime to n! with largest prime power p, x qualifies, so it
-    bounds the least degree (x = 5005 for n = 3).  A budget below 1 is a
-    ParameterError; a CapacityError names the budget when nothing qualifies
-    within it, or SIEVE_BUDGET's excess when budget lies beyond it.  The
-    walk is sequential: threads cannot change the answer.
+    The least d <= min(budget, SIEVE_BUDGET) comes from _least_degree's
+    branch and bound, which runs no walk, no sieve and no numpy.  Its first
+    bound is x, the product of the consecutive primes above n up to the
+    first p with thr(p) <= x (if any): coprime to n! with largest prime
+    power p, x qualifies, so it bounds the least degree (x = 5005 for n =
+    3).  A budget below 1 is a ParameterError; a CapacityError names the
+    budget when nothing qualifies within it, or SIEVE_BUDGET's excess when
+    budget lies beyond it.  threads cannot change the answer.
 
     >>> smallest_qualifying(3)
     5005
@@ -616,19 +679,19 @@ def smallest_qualifying(
     limit = min(cap, arith.SIEVE_BUDGET)
     a, b, c = threshold_coefficients_upto(n, limit, mode)
     # x = the product of the primes n < p' <= p for the first p with thr(p) <= x;
-    # a p with thr(p) <= x <= limit has a*p**n <= limit, so the list misses none
-    primes = arith.primes_upto(arith.integer_nth_root(limit // a, n))
-    x = 1
-    for p in primes[primes.searchsorted(n, side="right") :].tolist():
+    # a p with thr(p) < limit + 1 has a*p**n <= limit, so the list misses none
+    primes = filter(arith.is_prime, range(n + 1, arith.integer_nth_root(limit // a, n) + 1))
+    seen, x = [], 1
+    for p in primes:
+        seen.append(p)
         x *= p
         if a * p**n + b * p ** (n - 1) + c <= x:
             break
     else:
-        x = limit
-    # a qualifying x exceeds 2**n, so limit's coefficients are min(x, limit)'s
-    P, (m, i, _) = _walk(n, min(x, limit), a, b, c)
-    if len(m):
-        return int((m * P[i]).min())
+        x = limit + 1  # no such p: limit, which need not qualify, stays in the search
+    d = _least_degree(n, chain(seen, primes), a, b, c, min(x, limit + 1))
+    if d <= limit:
+        return d
     if cap > arith.SIEVE_BUDGET:
         raise CapacityError(f"sieve bound {cap} exceeds budget {arith.SIEVE_BUDGET}")
     raise CapacityError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -348,11 +349,14 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # usage errors, --help and --version print and leave
-        return exc.code
-    try:
-        return args.fn(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # usage errors, --help and --version print and leave
+            code = exc.code
+        else:
+            code = args.fn(args)
+        sys.stdout.flush()  # a write error that the buffer holds surfaces here, not at exit
+        return code
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -368,7 +372,12 @@ def entry() -> None:
 
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main has reported it; the bytes left in the buffer go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

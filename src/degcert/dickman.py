@@ -102,9 +102,8 @@ def rho_table(u_max: float, step: float) -> DickmanTable:
     """
     import numpy as np
 
-    _validate(u_max)
-    if u_max < 1.0:
-        raise ParameterError(f"u_max must be >= 1, got {u_max}")
+    if not 1.0 <= u_max <= U_MAX_SUPPORTED:
+        raise ParameterError(f"u_max must be in [1, {U_MAX_SUPPORTED}], got {u_max}")
     if not (isfinite(step) and step > 0):
         raise ParameterError(f"step must be positive and finite, got {step}")
     # checked on the float count, so a step too small to invert stops here

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import time
 from bisect import bisect_left, bisect_right
@@ -584,8 +585,9 @@ def test_smallest_capacity():
 
 
 def test_smallest_and_enumerate_run_no_sieve(monkeypatch):
-    # the walk visits products of prime powers, never a sieve range, so an
-    # empty search to 3e7 for n = 5 (answer 393255863) cannot fill memory
+    # the walk and the search visit products of prime powers, never a sieve
+    # range, so an empty search to 3e7 for n = 5 (answer 393255863) cannot
+    # fill memory
     def no_sieve(*args):
         raise AssertionError("map_sieve called")
 
@@ -649,12 +651,66 @@ def test_smallest_is_the_first_enumerated_degree(n, mode, budget):
 
 
 @pytest.mark.parametrize("n, mode", SMALLEST)
-def test_smallest_walks_once(monkeypatch, n, mode):
-    calls = []
-    walk = certify._walk
-    monkeypatch.setattr(certify, "_walk", lambda *args: calls.append(args) or walk(*args))
+def test_smallest_runs_no_walk(monkeypatch, n, mode):
+    # the branch and bound over the largest prime power needs neither the
+    # walk nor a prime sieve
+    def refuse(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return fail
+
+    monkeypatch.setattr(certify, "_walk", refuse("_walk"))
+    monkeypatch.setattr(arith, "primes_upto", refuse("primes_upto"))
+    monkeypatch.setattr(arith, "map_sieve", refuse("map_sieve"))
     assert certify.smallest_qualifying(n, mode) == SMALLEST[n, mode]
-    assert len(calls) == 1
+
+
+def walk_least(n, N, a, b, c):
+    """The least degree of certify._walk(n, N, a, b, c), or N + 1 if it lists none."""
+    P, (m, i, _) = certify._walk(n, N, a, b, c)
+    return int((m * P[i]).min()) if len(m) else N + 1
+
+
+@pytest.mark.parametrize("n, mode", list(itertools.product([6, 7, 8], Mode)))
+def test_smallest_past_the_budget_equals_the_walk(monkeypatch, n, mode):
+    # 2**63 - 2 keeps the walk's N + 1 in int64; n = 8 WEAK is 9.16e18
+    monkeypatch.setattr(arith, "SIEVE_BUDGET", 2**63 - 2)
+    d = certify.smallest_qualifying(n, mode)
+    assert walk_least(n, d, *certify.threshold_coefficients(n, mode)) == d
+
+
+# the least degrees beyond int64, found by the branch and bound
+SMALLEST_BEYOND = {
+    (9, Mode.FULL): 151500319087724446807,
+    (9, Mode.WEAK): 18579448222667298067513,
+    (10, Mode.FULL): 204373930449340278742643,
+    (10, Mode.WEAK): 17631896363311265866069837,
+    (11, Mode.FULL): 1258346417564711429039986913,
+    (11, Mode.WEAK): 115612344454231970283819921209,
+    (12, Mode.FULL): 4040815261835565180000880080151,
+    (12, Mode.WEAK): 683949706126883603727332942627711,
+}
+
+
+@pytest.mark.parametrize("n, mode", SMALLEST_BEYOND)
+def test_smallest_beyond_int64_frozen_and_certified(monkeypatch, n, mode):
+    monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**40)
+    d = certify.smallest_qualifying(n, mode)
+    assert d == SMALLEST_BEYOND[n, mode]
+    assert certify.verify_certificate(certify.build_certificate(n, d, mode)).passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(1, 40))
+def test_least_degree_matches_the_walk_on_small_coefficients(data, n, a):
+    # the walk's run bisection needs thr(p) / p to ascend over the primes
+    # above n, which (n-1)*a*(n+1)**n > c ensures, and b = c = 0 for n = 1;
+    # for n <= 2 the least degree's largest prime power is often p**e, e >= 2
+    b = data.draw(st.integers(0, 2000 if n > 1 else 0))
+    c = data.draw(st.integers(0, max((n - 1) * a * (n + 1) ** n - 1, 0)))
+    N = data.draw(st.integers(1, 10**6 if n > 2 else 10**4))
+    primes = filter(arith.is_prime, itertools.count(n + 1))
+    assert certify._least_degree(n, primes, a, b, c, N + 1) == walk_least(n, N, a, b, c)
 
 
 @pytest.mark.parametrize(
@@ -691,11 +747,12 @@ def test_smallest_refuses_at_default_budget_at_once(n):
 
 
 def test_smallest_n7_past_the_budget_keeps_products_in_int64(monkeypatch):
-    # the walk to 62298863484143 tests m <= N // p before it forms m * p,
-    # where N * isqrt(N) would pass 2**63
+    # the walk to 62298863484143, the least degree, tests m <= N // p before
+    # it forms m * p, where N * isqrt(N) would pass 2**63
     monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**15)
     d = certify.smallest_qualifying(7)
     assert d == 62298863484143
+    assert walk_least(7, d, *certify.threshold_coefficients(7)) == d
     assert certify.verify_certificate(certify.build_certificate(7, d)).passed
 
 

@@ -435,6 +435,20 @@ def test_dickman_table_non_finite_step_usage(capsys, step):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("--table", "--u-max", "-1"), "error: u_max must be in [1, 50.0], got -1.0\n"),
+        (("--table", "--u-max", "0"), "error: u_max must be in [1, 50.0], got 0.0\n"),
+        (("--table", "--u-max", "60"), "error: u_max must be in [1, 50.0], got 60.0\n"),
+        (("--table", "--u-max", "nan"), "error: u_max must be in [1, 50.0], got nan\n"),
+        (("--u", "60"), "error: u must be in [0, 50.0], got 60.0\n"),
+    ],
+)
+def test_dickman_out_of_range_names_its_option(capsys, argv, err):
+    assert run(capsys, "dickman", *argv) == (1, "", err)
+
+
 def test_dickman_table_over_node_budget_exits_3_fast(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "dickman", "--table", "--u-max", "50", "--step", "1e-9")
@@ -1010,7 +1024,7 @@ _COLD_CASES = [
     (["verify-q-example", "--d", "53599"], 0, ""),
     (["--version"], 0, ""),
     (["certify", "--n", "3"], 1, ""),
-    (["smallest", "--n", "3"], 0, "numpy"),  # the walk still loads it
+    (["smallest", "--n", "3"], 0, ""),
 ]
 
 
@@ -1065,6 +1079,20 @@ def test_closed_stdout_ends_by_sigpipe():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [["smallest", "--n", "3"], ["--version"]])
+def test_full_stdout_is_an_error_with_exit_1(argv):
+    # a buffered stdout first fails to write when it is flushed: main flushes it,
+    # so the error is reported, and the interpreter's last flush finds nothing
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "degcert.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True, env=env
+        )
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
 
 # --- byte-exact JSON output ---------------------------------------------------------

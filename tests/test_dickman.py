@@ -175,6 +175,12 @@ def test_table_residual_of_delay_ode():
     assert worst <= 10 * tol
 
 
+@pytest.mark.parametrize("u_max", [-1.0, 0.0, 0.5, 60.0, float("nan")])
+def test_table_names_u_max_out_of_range(u_max):
+    with pytest.raises(ParameterError, match=rf"^u_max must be in \[1, 50.0\], got {u_max}$"):
+        rho_table(u_max, 0.5)
+
+
 def test_table_validation():
     with pytest.raises(ParameterError):
         rho_table(3.0, 0.3)  # 0.3 does not divide 1
