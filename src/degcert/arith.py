@@ -32,6 +32,10 @@ from .errors import CapacityError, ParameterError
 # bit-identical results, so the work split may never depend on thread count.
 SEGMENT_SIZE = 1 << 22
 
+# sieve_segment marks its odd-number mask in blocks of this many entries
+# (1 MiB of bools), so that the marks stay in a core's L2 cache.
+_SIEVE_BLOCK = 1 << 20
+
 # Segmented operations refuse ranges beyond this bound.
 SIEVE_BUDGET = 10**10
 
@@ -272,23 +276,31 @@ def map_sieve(lo: int, hi: int, fn: Callable, threads: int = 1) -> list:
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi), lo >= 2, given base primes covering sqrt(hi-1).
+    """Primes in [lo, hi), lo >= 2, given the base primes in ascending order
+    from 2 up to at least sqrt(hi-1).
 
     The mask covers only the odd numbers o, o + 2, ... of [lo, hi), o = lo | 1,
-    where the odd multiples of p lie p entries apart; 2 is prepended when
-    lo == 2.
+    where the odd multiples of p lie p entries apart; it is marked in blocks
+    of _SIEVE_BLOCK entries, so that the marks stay in cache.  2 is prepended
+    when lo == 2.
     """
     import numpy as np
 
     o = lo | 1
     mask = np.ones(max(0, (hi - o + 1) // 2), dtype=bool)
-    for p in base_primes[base_primes > 2].tolist():
-        if p * p >= hi:
-            break
-        start = max(p * p, -(-lo // p) * p)
-        start += p * (start % 2 == 0)  # first odd multiple; past hi slices empty
-        mask[(start - o) // 2 :: p] = False
-    primes = np.flatnonzero(mask).astype(np.int64, copy=False) * 2 + o
+    # the odd p with p * p < hi; p marks from p * m, m the least odd number
+    # >= max(p, lo / p), at mask index (p * m - o) // 2
+    ps = base_primes[1 : np.searchsorted(base_primes, isqrt(hi - 1), "right")]
+    firsts = (ps * (np.maximum(ps, -(-lo // ps)) | 1) - o) // 2
+    for b in range(0, len(mask), _SIEVE_BLOCK):
+        block = mask[b : b + _SIEVE_BLOCK]
+        for p, i in zip(ps.tolist(), firsts.tolist()):
+            block[i::p] = False  # a first multiple past the block slices empty
+        firsts -= _SIEVE_BLOCK  # each p's first multiple at or after the next block
+        np.maximum(firsts, firsts % ps, out=firsts)
+    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+    primes *= 2
+    primes += o
     return np.concatenate(([2], primes)) if lo == 2 < hi else primes
 
 
@@ -317,28 +329,30 @@ def prime_power_count(m: int, threads: int = 1) -> int:
 
 
 def _exact_sum(x: np.ndarray) -> float:
-    """fsum(x.tolist()) for an array of fewer than 2**36 positive floats below
-    2**53, without making a Python float per element.
+    """fsum(x.tolist()) for an array of positive normal floats below 2**53,
+    without making a Python float per element.
 
-    Each x = M * 2**(e - 53) with M the 53-bit integer mantissa of frexp.  The
-    high and low 26-bit halves of M are summed in int64, exactly, over each
-    run of equal exponent, and the run totals are shifted into one Python int
-    S = sum(x) * 2**(53 - min e).  Int true division rounds correctly, so
-    S / 2**(53 - min e) is the correctly rounded sum, as fsum's is.
+    Read from its bits, each x = M * 2**(e - 1075) with e its biased exponent
+    and M < 2**53 its integer mantissa, the implicit leading bit included.
+    One reduceat pass sums M in int64 over chunks of equal exponent cut every
+    1024 entries, so each chunk total stays below 2**63 and is exact.  The
+    chunk totals are shifted into one Python int S = sum(x) * 2**(1075 - min
+    e), and int true division rounds correctly, so S / 2**(1075 - min e) is
+    the correctly rounded sum, as fsum's is.
     """
     import numpy as np
 
     if len(x) == 0:
         return 0.0
-    mant, exp = np.frexp(x)
-    M = (mant * 2.0**53).astype(np.int64)
-    starts = np.flatnonzero(np.r_[True, exp[1:] != exp[:-1]])
-    highs = np.add.reduceat(M >> 26, starts).tolist()
-    lows = np.add.reduceat(M & (2**26 - 1), starts).tolist()
+    bits = x.view(np.int64)
+    exp = bits >> 52
+    mant = bits & ((1 << 52) - 1)
+    mant |= 1 << 52
+    starts = np.union1d(np.flatnonzero(exp[1:] != exp[:-1]) + 1, range(0, len(x), 1024))
+    totals = np.add.reduceat(mant, starts).tolist()
     es = exp[starts].tolist()
     e0 = min(es)
-    total = sum(((h << 26) + l) << (e - e0) for h, l, e in zip(highs, lows, es))
-    return total / 2 ** (53 - e0)
+    return sum(t << (e - e0) for t, e in zip(totals, es)) / 2 ** (1075 - e0)
 
 
 def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:

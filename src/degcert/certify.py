@@ -693,9 +693,9 @@ def smallest_qualifying(
     if d <= limit:
         return d
     if cap > arith.SIEVE_BUDGET:
-        raise CapacityError(f"sieve bound {cap} exceeds budget {arith.SIEVE_BUDGET}")
+        raise CapacityError(f"sieve bound {_show_int(cap)} exceeds budget {arith.SIEVE_BUDGET}")
     raise CapacityError(
-        f"no qualifying degree found for n = {n}, mode = {mode.value} up to budget {cap}"
+        f"no qualifying degree found for n = {_show_int(n)}, mode = {mode.value} up to budget {cap}"
     )
 
 

@@ -28,6 +28,12 @@ from .dickman import theoretical_density
 from .errors import CapacityError, ParameterError
 
 
+# ihc_fraction marks each sieve segment in blocks of this many integers, so
+# that its marks stay in a core's L2 cache; the segments, not the blocks, are
+# the unit of threading.
+_BLOCK = 1 << 20
+
+
 class DensityMode(str, Enum):
     PROP16_FULL = "PROP16_FULL"
     PROP16_WEAK = "PROP16_WEAK"
@@ -182,15 +188,26 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
         import numpy as np
 
         # a threshold below hi needs p**3 < hi, so base holds every such p
-        marks = np.zeros(hi - lo, dtype=bool)
+        marked = []
         for p in map(int, base):
             thr = a * p**n + b * p ** (n - 1) + c  # grows with p
             if thr >= hi:
                 break
-            first = -(-max(lo, thr) // p) * p
-            if p > n and first < hi:
-                marks[first - lo :: p] = True
-        return int(np.count_nonzero(marks))
+            if p > n:
+                marked.append((p, max(lo, thr)))
+        # mark the segment one cache-sized block at a time, in one buffer
+        buf = np.empty(min(_BLOCK, hi - lo), dtype=bool)
+        count = 0
+        for start in range(lo - lo % _BLOCK, hi, _BLOCK):
+            blo, bhi = max(lo, start), min(hi, start + _BLOCK)
+            marks = buf[: bhi - blo]
+            marks.fill(False)
+            for p, low in marked:  # low grows with p
+                if low >= bhi:
+                    break
+                marks[-(-max(blo, low) // p) * p - blo :: p] = True
+            count += int(np.count_nonzero(marks))
+        return count
 
     # every threshold exceeds c, so no d below c is counted
     count = sum(arith.map_sieve(max(range_lo, c), N + 1, work, threads))

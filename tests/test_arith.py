@@ -242,6 +242,22 @@ def test_sieve_segment_matches_oracle(half, odd, width):
     assert_sieve_segment_matches_oracle(lo, lo + width)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 150_000), st.booleans(), st.integers(1, 5000), st.integers(1, 300))
+def test_sieve_segment_in_small_blocks_matches_oracle(half, odd, width, block):
+    # block edges fall inside the mask, before, on and after a prime's multiples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SIEVE_BLOCK", block)
+        assert_sieve_segment_matches_oracle(2 * half + odd, 2 * half + odd + width)
+
+
+def test_prime_sums_keep_their_bits_in_small_blocks(monkeypatch):
+    want = arith.mertens_sum(10**6, 3)
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", 4099)
+    assert arith.mertens_sum(10**6, 3, threads=2) == want
+    assert arith.prime_count(10**6) == 78498
+
+
 @pytest.mark.parametrize(
     "lo, hi",
     [
@@ -345,6 +361,22 @@ def test_exact_sum_rounds_like_fsum_on_ties():
     for xs in ([], [0.5], [1.0, 2**-53], [1.0, 2**-53, 2**-53], [1 + 2**-52, 2**-53], [2**-53, 1.0]):
         got = arith._exact_sum(np.array(xs, dtype=np.float64))
         assert got.hex() == fsum(xs).hex()
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        # 0.5 + 2**-54 rounds to 0.5, so both runs share exponent 0: one run
+        # of 8000 mantissas, 5000 of them 2**53 - 1
+        [(5000, 1 - 2**-53), (3000, 0.5 + 2**-54)],
+        [(5000, 1 - 2**-53), (3000, 0.5 - 2**-54)],  # two runs of mantissa 2**53 - 1
+        [(1, 2.0), (4096, 2**53 - 1.0), (1025, 1 - 2**-53)],  # chunk edges off the run edges
+    ],
+)
+def test_exact_sum_of_long_runs_at_the_largest_mantissa(runs):
+    # 1024 mantissas near 2**53 fill a chunk's int64 total to just below 2**63
+    xs = [x for count, x in runs for _ in range(count)]
+    assert arith._exact_sum(np.array(xs)).hex() == fsum(xs).hex()
 
 
 @settings(max_examples=100, deadline=None)

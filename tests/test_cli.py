@@ -303,6 +303,13 @@ def test_smallest_budget_exit_codes(capsys, argv, code, shown):
     assert shown in out + err
 
 
+@pytest.mark.parametrize("budget", [(), ("--budget", "1e4000")])
+def test_smallest_shows_a_huge_n_or_budget_by_its_bit_length(capsys, budget):
+    code, out, err = run(capsys, "smallest", "--n", "1e4000", *budget)
+    assert code == 3 and out == ""
+    assert "<13288-bit integer>" in err and len(err.encode()) < 300
+
+
 @pytest.mark.parametrize(
     "argv, code, shown",
     [

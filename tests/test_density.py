@@ -1,5 +1,7 @@
 import time
+import tracemalloc
 from fractions import Fraction
+from functools import cache
 from math import exp, factorial, fsum, gcd, isqrt, log
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degcert import arith, certify
+from degcert import arith, certify, density
 from degcert.density import DensityMode, convergence_diagnostics, empirical_density, ihc_fraction
 from degcert.errors import CapacityError, ParameterError
 from test_arith import brute_factorize, brute_lpp
@@ -332,17 +334,18 @@ def test_ihc_small_examples():
     assert r.count == 1 and r.fraction == 1.0  # 380 = 2^2 * 5 * 19, p = 5 works
 
 
+@cache
+def ihc_brute_marks(n, N):
+    """Whether each d = 1..N has a prime p > n with threshold(p) <= d dividing
+    it, by trial division with the thresholds written out."""
+    thr = {3: lambda p: 2 * p**3 + 3 * p**2 + 54, 4: lambda p: 5 * p**4 + 18 * p**3 + 408}[n]
+    return tuple(any(p > n and thr(p) <= d for p, _ in brute_factorize(d)) for d in range(1, N + 1))
+
+
 def test_ihc_brute_force():
     # oracle: direct scan with pure-python arithmetic
     N = 3000
-    count = 0
-    for d in range(1, N + 1):
-        ok = False
-        for p, _ in brute_factorize(d):
-            if p > 3 and 2 * p**3 + 3 * p**2 + 54 <= d:
-                ok = True
-                break
-        count += ok
+    count = sum(ihc_brute_marks(3, N))
     r = ihc_fraction(3, N, 1)
     assert r.count == count
     assert r.fraction == count / N
@@ -350,16 +353,48 @@ def test_ihc_brute_force():
 
 def test_ihc_brute_force_n4():
     N = 60000
-    count = 0
-    for d in range(1, N + 1):
-        ok = False
-        for p, _ in brute_factorize(d):
-            if p > 4 and 5 * p**4 + 18 * p**3 + 408 <= d:
-                ok = True
-                break
-        count += ok
     r = ihc_fraction(4, N, 1)
-    assert r.count == count
+    assert r.count == sum(ihc_brute_marks(4, N))
+
+
+# The kernel marks each segment in blocks of density._BLOCK integers; a small
+# odd block puts block edges everywhere: inside segments, off the multiples of
+# every prime and next to range_lo.
+@pytest.mark.parametrize("n, N, range_lo", [(3, 3000, 1), (3, 3000, 1000), (4, 60000, 1), (4, 60000, 33333)])
+def test_ihc_small_odd_blocks_match_the_brute_force(monkeypatch, n, N, range_lo):
+    monkeypatch.setattr(density, "_BLOCK", 97)
+    want = sum(ihc_brute_marks(n, N)[range_lo - 1 :])
+    assert ihc_fraction(n, N, range_lo).count == want
+    assert ihc_fraction(n, N, range_lo, threads=2).count == want
+
+
+def test_ihc_frozen_count_with_range_lo_inside_a_block(monkeypatch):
+    monkeypatch.setattr(density, "_BLOCK", 4099)
+    assert (10**5 + 1) % 4099 != 0
+    a = ihc_fraction(3, 10**6, 10**5 + 1, threads=1)
+    assert a.count == 540702
+    assert ihc_fraction(3, 10**6, 10**5 + 1, threads=2) == a
+
+
+def test_ihc_blocks_that_straddle_segments_keep_the_count(monkeypatch):
+    # 99991 is prime, so blocks cross each multiple of SEGMENT_SIZE
+    N, lo = 3 * arith.SEGMENT_SIZE - 1, 12345
+    want = ihc_fraction(3, N, lo)
+    monkeypatch.setattr(density, "_BLOCK", 99991)
+    assert ihc_fraction(3, N, lo, threads=1) == want
+    assert ihc_fraction(3, N, lo, threads=2) == want
+
+
+def test_ihc_marks_in_a_block_not_a_segment():
+    # a segment's 2**22 bools are 4 MiB; one 2**20 block is 1 MiB
+    ihc_fraction(3, 2 * arith.SEGMENT_SIZE + 5, threads=1)  # warm-up: imports and base primes
+    tracemalloc.start()
+    try:
+        ihc_fraction(3, 2 * arith.SEGMENT_SIZE + 5, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_ihc_monotone_fraction_on_grid():
