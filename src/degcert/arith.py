@@ -32,8 +32,10 @@ from .errors import CapacityError, ParameterError
 # bit-identical results, so the work split may never depend on thread count.
 SEGMENT_SIZE = 1 << 22
 
-# sieve_segment marks its odd-number mask in blocks of this many entries
-# (1 MiB of bools), so that the marks stay in a core's L2 cache.
+# sieve_segment marks its odd-number mask, and density.ihc_fraction its
+# segment's degrees, in blocks of this many entries (1 MiB of bools), so that
+# the marks stay in a core's L2 cache; the segments, not the blocks, are the
+# unit of threading.
 _SIEVE_BLOCK = 1 << 20
 
 # Segmented operations refuse ranges beyond this bound.

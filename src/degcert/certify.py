@@ -44,12 +44,9 @@ integers, finds the least degree.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, takewhile
 from math import factorial, gcd, isqrt
-from typing import Iterable
 
 from . import arith
 from .errors import CapacityError, DecompositionError, ParameterError
@@ -597,37 +594,37 @@ def _walk_counts(
     return [one + int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]
 
 
-def _least_degree(n: int, primes: Iterable[int], a: int, b: int, c: int, best: int) -> int:
+def _least_degree(n: int, a: int, b: int, c: int, best: int) -> int:
     """The least d < best with gcd(d, n!) = 1 and thr(v) = a*v**n +
     b*v**(n-1) + c <= d, v the largest prime power of d (a >= 1, b, c >= 0),
-    or best when there is none.  primes are the ascending primes above n, read
-    only while thr(p) < best.
+    or best when there is none.
 
     Such a d is v*t, with t coprime to v and every prime power of t below v,
-    and it qualifies iff t >= ceil(thr(v) / v).  So for each v, ascending
-    while thr(v) < best, a depth-first branch and bound (Land & Doig, 1960)
-    gives each prime q in (n, v) but v's, largest first, one of its powers
-    below v or none.  A branch stops once its product t reaches that target
-    or the least t found (v*t >= best), or once the largest powers left
-    cannot lift t to the target.
+    and it qualifies iff t >= ceil(thr(v) / v).  So for each prime power v of
+    a prime above n, ascending while thr(v) < best, a depth-first branch and
+    bound (Land & Doig, 1960) gives each prime q in (n, v) but v's, largest
+    first, one of its powers below v or none.  A branch stops once its product
+    t reaches that target or the least t found (v*t >= best), or once the
+    largest powers left cannot lift t to the target.
     """
 
     def thr(v: int) -> int:
         return a * v**n + b * v ** (n - 1) + c
 
-    ps = list(takewhile(lambda p: thr(p) < best, primes))
-    vs = []
-    for p in ps:
-        v = p
-        while thr(v) < best:
-            vs.append((v, p))
-            v *= p
-    for v, p in sorted(vs):
+    ps = []  # the primes in (n, v]
+    # a*v**n < best bounds v, so a huge n stops before it forms v**n
+    for v in range(n + 1, arith.integer_nth_root(best // a, n) + 1):
         if thr(v) >= best:
             break
+        root = arith.prime_power_root(v)
+        if root is None or root[0] <= n:
+            continue
+        p, e = root
+        if e == 1:
+            ps.append(p)
         target, top = -(-thr(v) // v), -(-best // v)  # v*t < best iff t < top
         powers = []  # each q's powers below v, largest q and largest power first
-        for q in reversed(ps[: bisect_left(ps, v)]):
+        for q in reversed(ps):
             if q != p:
                 qf = [q]
                 while qf[-1] * q < v:
@@ -662,13 +659,10 @@ def smallest_qualifying(
     """Minimal qualifying degree for (n, mode), at most budget.
 
     The least d <= min(budget, SIEVE_BUDGET) comes from _least_degree's
-    branch and bound, which runs no walk, no sieve and no numpy.  Its first
-    bound is x, the product of the consecutive primes above n up to the
-    first p with thr(p) <= x (if any): coprime to n! with largest prime
-    power p, x qualifies, so it bounds the least degree (x = 5005 for n =
-    3).  A budget below 1 is a ParameterError; a CapacityError names the
-    budget when nothing qualifies within it, or SIEVE_BUDGET's excess when
-    budget lies beyond it.  threads cannot change the answer.
+    branch and bound, which runs no walk, no sieve and no numpy.  A budget
+    below 1 is a ParameterError; a CapacityError names the budget when
+    nothing qualifies within it, or SIEVE_BUDGET's excess when budget lies
+    beyond it.  threads cannot change the answer.
 
     >>> smallest_qualifying(3)
     5005
@@ -677,19 +671,7 @@ def smallest_qualifying(
     if cap < 1:
         raise ParameterError(f"budget must be >= 1, got {cap}")
     limit = min(cap, arith.SIEVE_BUDGET)
-    a, b, c = threshold_coefficients_upto(n, limit, mode)
-    # x = the product of the primes n < p' <= p for the first p with thr(p) <= x;
-    # a p with thr(p) < limit + 1 has a*p**n <= limit, so the list misses none
-    primes = filter(arith.is_prime, range(n + 1, arith.integer_nth_root(limit // a, n) + 1))
-    seen, x = [], 1
-    for p in primes:
-        seen.append(p)
-        x *= p
-        if a * p**n + b * p ** (n - 1) + c <= x:
-            break
-    else:
-        x = limit + 1  # no such p: limit, which need not qualify, stays in the search
-    d = _least_degree(n, chain(seen, primes), a, b, c, min(x, limit + 1))
+    d = _least_degree(n, *threshold_coefficients_upto(n, limit, mode), limit + 1)
     if d <= limit:
         return d
     if cap > arith.SIEVE_BUDGET:

@@ -25,13 +25,7 @@ from typing import Sequence
 
 from . import arith, certify
 from .dickman import theoretical_density
-from .errors import CapacityError, ParameterError
-
-
-# ihc_fraction marks each sieve segment in blocks of this many integers, so
-# that its marks stay in a core's L2 cache; the segments, not the blocks, are
-# the unit of threading.
-_BLOCK = 1 << 20
+from .errors import ParameterError
 
 
 class DensityMode(str, Enum):
@@ -196,10 +190,11 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
             if p > n:
                 marked.append((p, max(lo, thr)))
         # mark the segment one cache-sized block at a time, in one buffer
-        buf = np.empty(min(_BLOCK, hi - lo), dtype=bool)
+        size = arith._SIEVE_BLOCK
+        buf = np.empty(min(size, hi - lo), dtype=bool)
         count = 0
-        for start in range(lo - lo % _BLOCK, hi, _BLOCK):
-            blo, bhi = max(lo, start), min(hi, start + _BLOCK)
+        for start in range(lo - lo % size, hi, size):
+            blo, bhi = max(lo, start), min(hi, start + size)
             marks = buf[: bhi - blo]
             marks.fill(False)
             for p, low in marked:  # low grows with p
@@ -225,8 +220,6 @@ def convergence_diagnostics(
     cps = list(checkpoints)
     if not cps or cps != sorted(cps) or cps[0] < 2:
         raise ParameterError("checkpoints must be ascending integers >= 2")
-    if cps[-1] > arith.SIEVE_BUDGET:
-        raise CapacityError(f"sieve bound {cps[-1]} exceeds budget {arith.SIEVE_BUDGET}")
     if lam is not None:
         _, lam_pow = _resolve_lambda(n, lam, None)
         inv_lam_pow = float(Fraction(lam_pow.denominator, lam_pow.numerator))

@@ -709,8 +709,19 @@ def test_least_degree_matches_the_walk_on_small_coefficients(data, n, a):
     b = data.draw(st.integers(0, 2000 if n > 1 else 0))
     c = data.draw(st.integers(0, max((n - 1) * a * (n + 1) ** n - 1, 0)))
     N = data.draw(st.integers(1, 10**6 if n > 2 else 10**4))
-    primes = filter(arith.is_prime, itertools.count(n + 1))
-    assert certify._least_degree(n, primes, a, b, c, N + 1) == walk_least(n, N, a, b, c)
+    assert certify._least_degree(n, a, b, c, N + 1) == walk_least(n, N, a, b, c)
+
+
+def test_smallest_tests_only_the_integers_it_needs(monkeypatch):
+    seen = []
+    root = arith.prime_power_root
+    monkeypatch.setattr(arith, "prime_power_root", lambda v: seen.append(v) or root(v))
+    assert certify.smallest_qualifying(3) == 5005
+    assert seen == list(range(4, 14))  # thr(14) = 6130 >= 5005 ends the loop
+    seen.clear()
+    with pytest.raises(CapacityError, match="<13288-bit integer>"):
+        certify.smallest_qualifying(10**4000)
+    assert seen == []  # iroot(limit // a, n) = 1 leaves no v, so no v**n is formed
 
 
 @pytest.mark.parametrize(

@@ -357,19 +357,19 @@ def test_ihc_brute_force_n4():
     assert r.count == sum(ihc_brute_marks(4, N))
 
 
-# The kernel marks each segment in blocks of density._BLOCK integers; a small
+# The kernel marks each segment in blocks of arith._SIEVE_BLOCK integers; a small
 # odd block puts block edges everywhere: inside segments, off the multiples of
 # every prime and next to range_lo.
 @pytest.mark.parametrize("n, N, range_lo", [(3, 3000, 1), (3, 3000, 1000), (4, 60000, 1), (4, 60000, 33333)])
 def test_ihc_small_odd_blocks_match_the_brute_force(monkeypatch, n, N, range_lo):
-    monkeypatch.setattr(density, "_BLOCK", 97)
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", 97)
     want = sum(ihc_brute_marks(n, N)[range_lo - 1 :])
     assert ihc_fraction(n, N, range_lo).count == want
     assert ihc_fraction(n, N, range_lo, threads=2).count == want
 
 
 def test_ihc_frozen_count_with_range_lo_inside_a_block(monkeypatch):
-    monkeypatch.setattr(density, "_BLOCK", 4099)
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", 4099)
     assert (10**5 + 1) % 4099 != 0
     a = ihc_fraction(3, 10**6, 10**5 + 1, threads=1)
     assert a.count == 540702
@@ -380,7 +380,7 @@ def test_ihc_blocks_that_straddle_segments_keep_the_count(monkeypatch):
     # 99991 is prime, so blocks cross each multiple of SEGMENT_SIZE
     N, lo = 3 * arith.SEGMENT_SIZE - 1, 12345
     want = ihc_fraction(3, N, lo)
-    monkeypatch.setattr(density, "_BLOCK", 99991)
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", 99991)
     assert ihc_fraction(3, N, lo, threads=1) == want
     assert ihc_fraction(3, N, lo, threads=2) == want
 
