@@ -322,13 +322,13 @@ def test_smallest_shows_a_huge_n_or_budget_by_its_bit_length(capsys, budget):
         # the budget is refused before the least degree c is compared
         (("density", "--n", "2", "--N", "20000000000"), 1, "error: n must be >= 3, got 2"),
         (("enumerate", "--n", "2", "--d-max", "20000000000"), 1, "error: n must be >= 3, got 2"),
+        (("enumerate", "--n", "300000", "--d-max", "20000000000"), 3, "capacity error"),
         (("diagnostics", "--n", "0", "--checkpoints", "100000000000"), 1, "error: mertens_sum requires n >= 1, got 0"),
         (
             ("diagnostics", "--n", "3", "--checkpoints", "100000000000", "--lam", "0"),
             1,
             "error: lambda must be positive, got 0",
         ),
-        (("enumerate", "--n", "300000", "--d-max", "20000000000"), 3, "capacity error"),
     ],
 )
 def test_sieve_commands_answer_huge_n_at_once(capsys, argv, code, shown):
