@@ -7,8 +7,8 @@ counting by a sieve over odd numbers, and reciprocal-prime sums that are
 exact integer sums per segment rounded once.
 
 Every segmented sieve in the package runs through one function, map_sieve:
-it alone holds a sieve range to SIEVE_BUDGET, builds the base primes, cuts
-the range into segments and maps a per-segment function over them in order.
+it holds a range to SIEVE_BUDGET, builds the base primes and maps a function
+over its segments in order, and each segment marks through _strike_blocks.
 
 All integer arithmetic uses Python's arbitrary-precision integers, so
 intermediate products such as q**n can never wrap.  Vectorized kernels work
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt, log2
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapacityError, ParameterError
 
@@ -32,10 +32,8 @@ from .errors import CapacityError, ParameterError
 # bit-identical results, so the work split may never depend on thread count.
 SEGMENT_SIZE = 1 << 22
 
-# sieve_segment marks its odd-number mask, and density.ihc_fraction its
-# segment's degrees, in blocks of this many entries (1 MiB of bools), so that
-# the marks stay in a core's L2 cache; the segments, not the blocks, are the
-# unit of threading.
+# _strike_blocks marks a segment from its low end in blocks of this many entries
+# (1 MiB of bools), which stay in a core's L2 cache; segments are threaded.
 _SIEVE_BLOCK = 1 << 20
 
 # Segmented operations refuse ranges beyond this bound.
@@ -238,6 +236,17 @@ def power_root(q: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
+def _show_int(x: int) -> str:
+    """x in decimal, or its bit length when Python would refuse to print it."""
+    return str(x) if x.bit_length() < 10_000 else f"<{x.bit_length()}-bit integer>"
+
+
+def check_sieve_bound(bound: int) -> None:
+    """Refuse a sieve bound past SIEVE_BUDGET with the one CapacityError text."""
+    if bound > SIEVE_BUDGET:
+        raise CapacityError(f"sieve bound {_show_int(bound)} exceeds budget {SIEVE_BUDGET}")
+
+
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array, by sieve_segment on [2, limit]."""
     import numpy as np
@@ -267,8 +276,7 @@ def map_sieve(lo: int, hi: int, fn: Callable, threads: int = 1) -> list:
     SEGMENT_SIZE, and base holds the primes up to sqrt(hi - 1).  A range
     reaching past SIEVE_BUDGET is refused even when it is empty.
     """
-    if hi - 1 > SIEVE_BUDGET:
-        raise CapacityError(f"sieve bound {hi - 1} exceeds budget {SIEVE_BUDGET}")
+    check_sieve_bound(hi - 1)
     if hi <= lo:
         return []
     base = primes_upto(isqrt(hi - 1))
@@ -277,33 +285,45 @@ def map_sieve(lo: int, hi: int, fn: Callable, threads: int = 1) -> list:
     return _map_segments(lambda r: fn(r[0], r[1], base), ranges, threads)
 
 
+def _strike_blocks(size: int, ps: np.ndarray, firsts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (b, marks) for b = 0, _SIEVE_BLOCK, ... below size: marks, one
+    buffer refilled per block, covers the mask indices b, b + 1, ... and is
+    False at each index firsts[k] + t * ps[k], t >= 0, and True elsewhere.
+    firsts is updated in place."""
+    import numpy as np
+
+    buf = np.empty(min(size, _SIEVE_BLOCK), dtype=bool)
+    for b in range(0, size, _SIEVE_BLOCK):
+        marks = buf[: size - b]
+        marks.fill(True)
+        for p, i in zip(ps.tolist(), firsts.tolist()):
+            marks[i::p] = False  # a first index past the block slices empty
+        firsts -= _SIEVE_BLOCK  # each p's first index at or after the next block
+        np.maximum(firsts, firsts % ps, out=firsts)
+        yield b, marks
+
+
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi), lo >= 2, given the base primes in ascending order
     from 2 up to at least sqrt(hi-1).
 
-    The mask covers only the odd numbers o, o + 2, ... of [lo, hi), o = lo | 1,
-    where the odd multiples of p lie p entries apart; it is marked in blocks
-    of _SIEVE_BLOCK entries, so that the marks stay in cache.  2 is prepended
-    when lo == 2.
+    _strike_blocks marks a mask of only the odd numbers o, o + 2, ... of [lo,
+    hi), o = lo | 1, where the odd multiples of p lie p entries apart.  2 is
+    prepended when lo == 2.
     """
     import numpy as np
 
     o = lo | 1
-    mask = np.ones(max(0, (hi - o + 1) // 2), dtype=bool)
     # the odd p with p * p < hi; p marks from p * m, m the least odd number
     # >= max(p, lo / p), at mask index (p * m - o) // 2
     ps = base_primes[1 : np.searchsorted(base_primes, isqrt(hi - 1), "right")]
     firsts = (ps * (np.maximum(ps, -(-lo // ps)) | 1) - o) // 2
-    for b in range(0, len(mask), _SIEVE_BLOCK):
-        block = mask[b : b + _SIEVE_BLOCK]
-        for p, i in zip(ps.tolist(), firsts.tolist()):
-            block[i::p] = False  # a first multiple past the block slices empty
-        firsts -= _SIEVE_BLOCK  # each p's first multiple at or after the next block
-        np.maximum(firsts, firsts % ps, out=firsts)
-    primes = np.flatnonzero(mask).astype(np.int64, copy=False)
-    primes *= 2
-    primes += o
-    return np.concatenate(([2], primes)) if lo == 2 < hi else primes
+    primes = [np.array([2] if lo == 2 < hi else [], dtype=np.int64)]
+    for b, marks in _strike_blocks(max(0, (hi - o + 1) // 2), ps, firsts):
+        primes.append(np.flatnonzero(marks))
+        primes[-1] *= 2  # in place: a new array would cost a pass over fresh memory
+        primes[-1] += o + 2 * b
+    return np.concatenate(primes)
 
 
 def prime_count(x: int, threads: int = 1) -> int:

@@ -49,6 +49,7 @@ from enum import Enum
 from math import factorial, gcd, isqrt
 
 from . import arith
+from .arith import _show_int
 from .errors import CapacityError, DecompositionError, ParameterError
 
 SCHEMA_VERSION = 1
@@ -167,11 +168,6 @@ def qualification_threshold(n: int, q: int, mode: Mode = Mode.FULL) -> int:
     """
     a, b, c = threshold_coefficients(n, mode)
     return a * q**n + b * q ** (n - 1) + c
-
-
-def _show_int(x: int) -> str:
-    """x in decimal, or its bit length when Python would refuse to print it."""
-    return str(x) if x.bit_length() < 10_000 else f"<{x.bit_length()}-bit integer>"
 
 
 def condition_holds(n: int, d: int, mode: Mode = Mode.FULL) -> bool:
@@ -475,8 +471,7 @@ def _walk(
     """
     import numpy as np
 
-    if N > arith.SIEVE_BUDGET:
-        raise CapacityError(f"sieve bound {N} exceeds budget {arith.SIEVE_BUDGET}")
+    arith.check_sieve_bound(N)
     if scale * N < c:
         return np.empty(0, dtype=np.int64), np.empty((3, 0), dtype=np.int64)
     cap = min(arith.integer_nth_root((scale * N - c) // a, n), N)
@@ -674,8 +669,7 @@ def smallest_qualifying(
     d = _least_degree(n, *threshold_coefficients_upto(n, limit, mode), limit + 1)
     if d <= limit:
         return d
-    if cap > arith.SIEVE_BUDGET:
-        raise CapacityError(f"sieve bound {_show_int(cap)} exceeds budget {arith.SIEVE_BUDGET}")
+    arith.check_sieve_bound(cap)
     raise CapacityError(
         f"no qualifying degree found for n = {_show_int(n)}, mode = {mode.value} up to budget {cap}"
     )

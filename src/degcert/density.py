@@ -189,20 +189,9 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
                 break
             if p > n:
                 marked.append((p, max(lo, thr)))
-        # mark the segment one cache-sized block at a time, in one buffer
-        size = arith._SIEVE_BLOCK
-        buf = np.empty(min(size, hi - lo), dtype=bool)
-        count = 0
-        for start in range(lo - lo % size, hi, size):
-            blo, bhi = max(lo, start), min(hi, start + size)
-            marks = buf[: bhi - blo]
-            marks.fill(False)
-            for p, low in marked:  # low grows with p
-                if low >= bhi:
-                    break
-                marks[-(-max(blo, low) // p) * p - blo :: p] = True
-            count += int(np.count_nonzero(marks))
-        return count
+        ps, lows = np.array(marked, dtype=np.int64).reshape(-1, 2).T
+        blocks = arith._strike_blocks(hi - lo, ps, -(-lows // ps) * ps - lo)  # offsets from lo
+        return sum(len(marks) - int(np.count_nonzero(marks)) for _, marks in blocks)
 
     # every threshold exceeds c, so no d below c is counted
     count = sum(arith.map_sieve(max(range_lo, c), N + 1, work, threads))

@@ -5,7 +5,7 @@ from math import factorial, fsum, gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degcert import arith
@@ -249,6 +249,24 @@ def test_sieve_segment_in_small_blocks_matches_oracle(half, odd, width, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "_SIEVE_BLOCK", block)
         assert_sieve_segment_matches_oracle(2 * half + odd, 2 * half + odd + width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2000), st.integers(1, 300), st.lists(st.tuples(st.integers(1, 60), st.integers(0, 10**6)), max_size=8))
+@example(0, 1, [])
+@example(0, 7, [(3, 5)])
+@example(10, 3, [])
+def test_strike_blocks_match_a_brute_force_mask(size, block, pairs):
+    # first indices anywhere in [0, 3 * size), so some primes start past the first block
+    ps = [p for p, _ in pairs]
+    firsts = [f % (3 * size) if size else f for _, f in pairs]
+    want = [not any(i >= f and (i - f) % p == 0 for p, f in zip(ps, firsts)) for i in range(size)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SIEVE_BLOCK", block)
+        blocks = arith._strike_blocks(size, np.array(ps, dtype=np.int64), np.array(firsts, dtype=np.int64))
+        got = [(b, marks.tolist()) for b, marks in blocks]
+    assert [b for b, _ in got] == list(range(0, size, block))
+    assert all(marks == want[b : b + block] for b, marks in got)
 
 
 def test_prime_sums_keep_their_bits_in_small_blocks(monkeypatch):

@@ -689,12 +689,28 @@ SMALLEST_BEYOND = {
     (11, Mode.WEAK): 115612344454231970283819921209,
     (12, Mode.FULL): 4040815261835565180000880080151,
     (12, Mode.WEAK): 683949706126883603727332942627711,
+    (13, Mode.FULL): 7754324487462449580421688873809769,
+    (13, Mode.WEAK): 1612460569364597298600517605250140833,
+    (14, Mode.FULL): 28839581143093741777136811781826822267,
+    (14, Mode.WEAK): 9315184709219278594015190205530063592241,
+    (15, Mode.FULL): 413876828984538288243690385880996726353717,
+    (15, Mode.WEAK): 133682215762005867102711994639561942612250591,
+    (16, Mode.FULL): 2382517106534974475563428170602004154977220811,
+    (16, Mode.WEAK): 408186128461468766545948263554068944412027574759,
+    (17, Mode.FULL): 19616945114883528368708219489627901622625089916359,
+    (17, Mode.WEAK): 4049189432474903713463910369698515216582035761726249,
+    (18, Mode.FULL): 158566999446093883863862467177690368195350979383115101,
+    (18, Mode.WEAK): 65442388077922740336940412022419194984080373912405307699,
+    (19, Mode.FULL): 1256659528027959456849855759974809098618353509178719642777,
+    (19, Mode.WEAK): 418896726086783460896755577355505267093098473413306374581299,
+    (20, Mode.FULL): 17174765769558121896766978671575715950817037409945561357833259,
+    (20, Mode.WEAK): 3074283072750903819521289182212053155196249696380255483052153361,
 }
 
 
 @pytest.mark.parametrize("n, mode", SMALLEST_BEYOND)
 def test_smallest_beyond_int64_frozen_and_certified(monkeypatch, n, mode):
-    monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**40)
+    monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**70)
     d = certify.smallest_qualifying(n, mode)
     assert d == SMALLEST_BEYOND[n, mode]
     assert certify.verify_certificate(certify.build_certificate(n, d, mode)).passed

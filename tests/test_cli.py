@@ -311,6 +311,21 @@ def test_smallest_shows_a_huge_n_or_budget_by_its_bit_length(capsys, budget):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--n", "3", "--N", "1e4000"),
+        ("ihc", "--n", "3", "--N", "1e4000"),
+        ("enumerate", "--n", "3", "--d-max", "1e4000"),
+        ("diagnostics", "--n", "3", "--checkpoints", "1e4000"),
+    ],
+)
+def test_sieve_commands_show_a_huge_bound_by_its_bit_length(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "<13288-bit integer>" in err and len(err.encode()) < 300
+
+
+@pytest.mark.parametrize(
     "argv, code, shown",
     [
         (("enumerate", "--n", "300000", "--d-max", "100"), 0, "0 qualifying degrees <= 100"),

@@ -357,9 +357,9 @@ def test_ihc_brute_force_n4():
     assert r.count == sum(ihc_brute_marks(4, N))
 
 
-# The kernel marks each segment in blocks of arith._SIEVE_BLOCK integers; a small
-# odd block puts block edges everywhere: inside segments, off the multiples of
-# every prime and next to range_lo.
+# arith._strike_blocks marks each segment in blocks of arith._SIEVE_BLOCK
+# integers from the segment's low end; a small odd block puts block edges
+# everywhere inside the segment, off the multiples of every prime.
 @pytest.mark.parametrize("n, N, range_lo", [(3, 3000, 1), (3, 3000, 1000), (4, 60000, 1), (4, 60000, 33333)])
 def test_ihc_small_odd_blocks_match_the_brute_force(monkeypatch, n, N, range_lo):
     monkeypatch.setattr(arith, "_SIEVE_BLOCK", 97)
@@ -369,6 +369,9 @@ def test_ihc_small_odd_blocks_match_the_brute_force(monkeypatch, n, N, range_lo)
 
 
 def test_ihc_frozen_count_with_range_lo_inside_a_block(monkeypatch):
+    # blocks start at each segment's low end, so the one segment's first block
+    # starts at range_lo, which is no multiple of 4099, and its 900000
+    # degrees end in a partial block of 2319
     monkeypatch.setattr(arith, "_SIEVE_BLOCK", 4099)
     assert (10**5 + 1) % 4099 != 0
     a = ihc_fraction(3, 10**6, 10**5 + 1, threads=1)
@@ -377,7 +380,9 @@ def test_ihc_frozen_count_with_range_lo_inside_a_block(monkeypatch):
 
 
 def test_ihc_blocks_that_straddle_segments_keep_the_count(monkeypatch):
-    # 99991 is prime, so blocks cross each multiple of SEGMENT_SIZE
+    # blocks start at each segment's low end: with the prime 99991 the first
+    # segment's blocks start at lo, the others' at multiples of SEGMENT_SIZE,
+    # and each of the three segments ends in a partial block
     N, lo = 3 * arith.SEGMENT_SIZE - 1, 12345
     want = ihc_fraction(3, N, lo)
     monkeypatch.setattr(arith, "_SIEVE_BLOCK", 99991)
