@@ -320,7 +320,7 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     firsts = (ps * (np.maximum(ps, -(-lo // ps)) | 1) - o) // 2
     primes = [np.array([2] if lo == 2 < hi else [], dtype=np.int64)]
     for b, marks in _strike_blocks(max(0, (hi - o + 1) // 2), ps, firsts):
-        primes.append(np.flatnonzero(marks))
+        primes.append(np.flatnonzero(marks).astype(np.int64, copy=False))
         primes[-1] *= 2  # in place: a new array would cost a pass over fresh memory
         primes[-1] += o + 2 * b
     return np.concatenate(primes)
