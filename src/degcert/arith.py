@@ -9,6 +9,10 @@ exact integer sums per segment rounded once.
 Every segmented sieve in the package runs through one function, map_sieve:
 it holds a range to SIEVE_BUDGET, builds the base primes and maps a function
 over its segments in order, and each segment marks through _strike_blocks.
+Prime counts and reciprocal sums are formed per 1 MiB block of marks, as
+the blocks come, and a sum is rounded once per segment: a worker holds one
+block's marks and at most three arrays of that block's primes (about 0.9
+MB each near 1e8), never a segment's primes.
 
 All integer arithmetic uses Python's arbitrary-precision integers, so
 intermediate products such as q**n can never wrap.  Vectorized kernels work
@@ -303,14 +307,11 @@ def _strike_blocks(size: int, ps: np.ndarray, firsts: np.ndarray) -> Iterator[tu
         yield b, marks
 
 
-def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi), lo >= 2, given the base primes in ascending order
-    from 2 up to at least sqrt(hi-1).
-
-    _strike_blocks marks a mask of only the odd numbers o, o + 2, ... of [lo,
-    hi), o = lo | 1, where the odd multiples of p lie p entries apart.  2 is
-    prepended when lo == 2.
-    """
+def _odd_blocks(lo: int, hi: int, base_primes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (x, marks) over the odd numbers of [lo, hi), lo >= 2, one block
+    of _strike_blocks at a time: marks[t] is True iff x + 2t is prime.  marks
+    is the kernel's one buffer, refilled for the next block; base_primes as
+    for sieve_segment."""
     import numpy as np
 
     o = lo | 1
@@ -318,17 +319,49 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     # >= max(p, lo / p), at mask index (p * m - o) // 2
     ps = base_primes[1 : np.searchsorted(base_primes, isqrt(hi - 1), "right")]
     firsts = (ps * (np.maximum(ps, -(-lo // ps)) | 1) - o) // 2
-    primes = [np.array([2] if lo == 2 < hi else [], dtype=np.int64)]
     for b, marks in _strike_blocks(max(0, (hi - o + 1) // 2), ps, firsts):
-        primes.append(np.flatnonzero(marks).astype(np.int64, copy=False))
-        primes[-1] *= 2  # in place: a new array would cost a pass over fresh memory
-        primes[-1] += o + 2 * b
-    return np.concatenate(primes)
+        yield o + 2 * b, marks
+
+
+def _block_primes(lo: int, hi: int, base_primes: np.ndarray) -> Iterator[np.ndarray]:
+    """The primes of [lo, hi) as ascending int64 arrays, one per block of
+    _odd_blocks, after [2] alone when lo == 2."""
+    import numpy as np
+
+    if lo == 2 < hi:
+        yield np.array([2], dtype=np.int64)
+    for x, marks in _odd_blocks(lo, hi, base_primes):
+        ps = np.flatnonzero(marks).astype(np.int64, copy=False)
+        ps *= 2  # in place: a new array would cost a pass over fresh memory
+        ps += x
+        yield ps
+
+
+def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Primes in [lo, hi), lo >= 2, given the base primes in ascending order
+    from 2 up to at least sqrt(hi-1).
+
+    _strike_blocks marks only the odd numbers o, o + 2, ... of [lo, hi),
+    o = lo | 1, where the odd multiples of p lie p entries apart, 2^20 of
+    them (1 MiB) at a time; this joins the blocks' primes into one array.
+    prime_count and the reciprocal sums read the blocks instead and never
+    hold a segment's primes at once.
+    """
+    import numpy as np
+
+    return np.concatenate([np.empty(0, dtype=np.int64), *_block_primes(lo, hi, base_primes)])
 
 
 def prime_count(x: int, threads: int = 1) -> int:
-    """pi(x): the number of primes <= x, by segmented sieve."""
-    return sum(map_sieve(2, x + 1, lambda lo, hi, base: len(sieve_segment(lo, hi, base)), threads))
+    """pi(x): the number of primes <= x, by segmented sieve, counting each
+    block's marks where they lie."""
+
+    def work(lo: int, hi: int, base: np.ndarray) -> int:
+        import numpy as np
+
+        return int(lo == 2) + sum(int(np.count_nonzero(marks)) for _, marks in _odd_blocks(lo, hi, base))
+
+    return sum(map_sieve(2, x + 1, work, threads))
 
 
 def prime_powers_exp_ge2(limit: int) -> list[int]:
@@ -350,40 +383,42 @@ def prime_power_count(m: int, threads: int = 1) -> int:
     return prime_count(m, threads) + len(prime_powers_exp_ge2(m))
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """fsum(x.tolist()) for an array of positive normal floats below 2**53,
-    without making a Python float per element.
+def _exact_sum(x: np.ndarray) -> int:
+    """sum(x) * 2**1075 as an exact int, for an array of positive normal
+    floats, without making a Python float per element; x is overwritten.
 
     Read from its bits, each x = M * 2**(e - 1075) with e its biased exponent
-    and M < 2**53 its integer mantissa, the implicit leading bit included.
-    One reduceat pass sums M in int64 over chunks of equal exponent cut every
-    1024 entries, so each chunk total stays below 2**63 and is exact.  The
-    chunk totals are shifted into one Python int S = sum(x) * 2**(1075 - min
-    e), and int true division rounds correctly, so S / 2**(1075 - min e) is
-    the correctly rounded sum, as fsum's is.
+    and M < 2**53 its integer mantissa, the implicit leading bit included, so
+    x * 2**1075 = M << e.  One reduceat pass sums M in int64 over chunks of
+    equal exponent cut every 1024 entries, so each chunk total stays below
+    2**63 and is exact, and the chunk totals shift into one Python int.  Int
+    true division rounds correctly, so _exact_sum(x) / 2**1075 is the
+    correctly rounded sum, as fsum's is, and totals of several arrays add
+    exactly before that one rounding.
     """
     import numpy as np
 
     if len(x) == 0:
-        return 0.0
+        return 0
     bits = x.view(np.int64)
     exp = bits >> 52
-    mant = bits & ((1 << 52) - 1)
-    mant |= 1 << 52
     starts = np.union1d(np.flatnonzero(exp[1:] != exp[:-1]) + 1, range(0, len(x), 1024))
-    totals = np.add.reduceat(mant, starts).tolist()
     es = exp[starts].tolist()
-    e0 = min(es)
-    return sum(t << (e - e0) for t, e in zip(totals, es)) / 2 ** (1075 - e0)
+    bits &= (1 << 52) - 1
+    bits |= 1 << 52
+    return sum(t << e for t, e in zip(np.add.reduceat(bits, starts).tolist(), es))
 
 
 def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
     """Sum of 1/p over primes p in (x**(1/n), x].
 
-    Each fixed-size segment sums its reciprocals exactly in integers and
-    rounds once (_exact_sum, equal to fsum), and the segment partials are
-    combined with fsum in ascending order, so the result is a deterministic
-    bit pattern for fixed (x, n) regardless of thread count.
+    Each fixed-size segment adds its blocks' reciprocals exactly as one
+    integer (_exact_sum per 1 MiB block of the sieve) and rounds once, which
+    equals fsum over the segment, and the segment partials are combined with
+    fsum in ascending order, so the result is a deterministic bit pattern
+    for fixed (x, n) regardless of thread count.  A worker holds one block's
+    marks (1 MiB) and three arrays of that block's primes, never a
+    segment's.
     """
     if x < 2:
         raise ParameterError(f"mertens_sum requires x >= 2, got {x}")
@@ -394,15 +429,23 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
 
 def _prime_sums(lows: Sequence[int], highs: Sequence[int], threads: int = 1) -> list[PrimeSumResult]:
     """Sum of 1/p and count over the primes in each (lows[i], highs[i]], by one
-    map_sieve sweep; each interval's part in a segment is _exact_sum over its
-    primes there, so its fsum has the bits of a sweep of that interval alone."""
+    map_sieve sweep.  Each block's primes are cut at every interval's ends and
+    each distinct cut's _exact_sum is added to its intervals' integer totals;
+    a segment rounds each interval's total once, so its fsum has the bits of
+    a sweep of that interval alone, whatever the block size."""
 
     def work(lo: int, hi: int, base: np.ndarray) -> list[tuple[float, int]]:
-        ps = sieve_segment(lo, hi, base)
-        inv = 1.0 / ps
-        whole = _exact_sum(inv)
-        cuts = zip(ps.searchsorted(lows, "right").tolist(), ps.searchsorted(highs, "right").tolist())
-        return [(whole if b - a == len(ps) else _exact_sum(inv[a:b]), b - a) for a, b in cuts]
+        totals, counts = [0] * len(lows), [0] * len(lows)
+        for ps in _block_primes(lo, hi, base):
+            cuts = zip(ps.searchsorted(lows, "right").tolist(), ps.searchsorted(highs, "right").tolist())
+            # each distinct cut summed once, over fresh reciprocals: _exact_sum overwrites its input
+            part: dict[tuple[int, int], int] = {}
+            for i, (a, b) in enumerate(cuts):
+                if (a, b) not in part:
+                    part[a, b] = _exact_sum(1.0 / ps[a:b])
+                totals[i] += part[a, b]
+                counts[i] += b - a
+        return [(t / 2**1075, c) for t, c in zip(totals, counts)]
 
     parts = map_sieve(min(lows) + 1, max(highs) + 1, work, threads)
     return [PrimeSumResult(fsum(p[i][0] for p in parts), sum(p[i][1] for p in parts)) for i in range(len(lows))]

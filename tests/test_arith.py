@@ -375,10 +375,14 @@ def test_mertens_deterministic_across_threads():
     assert a.sum == b.sum and a.prime_count == b.prime_count
 
 
+def exact_sum_float(xs) -> float:
+    # _exact_sum's integer total is sum(xs) * 2**1075, rounded by one int division
+    return arith._exact_sum(np.array(xs, dtype=np.float64)) / 2**1075
+
+
 def test_exact_sum_rounds_like_fsum_on_ties():
     for xs in ([], [0.5], [1.0, 2**-53], [1.0, 2**-53, 2**-53], [1 + 2**-52, 2**-53], [2**-53, 1.0]):
-        got = arith._exact_sum(np.array(xs, dtype=np.float64))
-        assert got.hex() == fsum(xs).hex()
+        assert exact_sum_float(xs).hex() == fsum(xs).hex()
 
 
 @pytest.mark.parametrize(
@@ -394,7 +398,7 @@ def test_exact_sum_rounds_like_fsum_on_ties():
 def test_exact_sum_of_long_runs_at_the_largest_mantissa(runs):
     # 1024 mantissas near 2**53 fill a chunk's int64 total to just below 2**63
     xs = [x for count, x in runs for _ in range(count)]
-    assert arith._exact_sum(np.array(xs)).hex() == fsum(xs).hex()
+    assert exact_sum_float(xs).hex() == fsum(xs).hex()
 
 
 @settings(max_examples=100, deadline=None)
@@ -402,13 +406,37 @@ def test_exact_sum_of_long_runs_at_the_largest_mantissa(runs):
 def test_exact_sum_of_prime_reciprocals_equals_fsum(start, count):
     ps = arith.primes_upto(10**6)[start : start + count]
     x = 1.0 / ps
-    assert arith._exact_sum(x).hex() == fsum(x.tolist()).hex()
+    assert exact_sum_float(x).hex() == fsum(x.tolist()).hex()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(2**-60, 2**10), max_size=300))
 def test_exact_sum_of_mixed_floats_equals_fsum(xs):
-    assert arith._exact_sum(np.array(xs, dtype=np.float64)).hex() == fsum(xs).hex()
+    assert exact_sum_float(xs).hex() == fsum(xs).hex()
+
+
+# overlapping intervals with ends inside blocks of 97 and 4099 odd numbers:
+# the first set starts at 1, so 2 counts, and the second crosses the segment
+# edge at 2**22, so two threads each sweep a segment
+PRIME_SUM_INTERVALS = [
+    ([1, 1, 10, 1000, 9_000], [30, 99_991, 50_000, 99_990, 9_001]),
+    ([4_150_000, 4_150_000, 4_194_000, 4_190_000], [4_194_304, 4_200_000, 4_196_000, 4_194_303]),
+]
+
+
+@pytest.mark.parametrize("block", [97, 4099])
+@pytest.mark.parametrize("lows, highs", PRIME_SUM_INTERVALS, ids=["from 1", "across 2**22"])
+def test_prime_sums_in_small_blocks_keep_their_bits(monkeypatch, block, lows, highs):
+    bits = lambda rs: [(r.sum.hex(), r.prime_count) for r in rs]
+    got = arith._prime_sums(lows, highs)
+    oracle = _oracle(max(highs))
+    for r, lo, hi in zip(got, lows, highs):
+        assert r.prime_count == sum(oracle[lo + 1 : hi + 1])
+        assert r.sum == pytest.approx(fsum(1 / p for p in range(lo + 1, hi + 1) if oracle[p]), abs=1e-15)
+    want = bits(got)
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
+    for threads in (1, 2):
+        assert bits(arith._prime_sums(lows, highs, threads)) == want
 
 
 def test_mertens_validation():

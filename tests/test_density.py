@@ -390,16 +390,31 @@ def test_ihc_blocks_that_straddle_segments_keep_the_count(monkeypatch):
     assert ihc_fraction(3, N, lo, threads=2) == want
 
 
-def test_ihc_marks_in_a_block_not_a_segment():
-    # a segment's 2**22 bools are 4 MiB; one 2**20 block is 1 MiB
-    ihc_fraction(3, 2 * arith.SEGMENT_SIZE + 5, threads=1)  # warm-up: imports and base primes
+def traced_peak(call) -> int:
+    """Peak traced bytes of a second call, after one warm-up call (imports,
+    base primes)."""
+    call()
     tracemalloc.start()
     try:
-        ihc_fraction(3, 2 * arith.SEGMENT_SIZE + 5, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+
+
+def test_ihc_marks_in_a_block_not_a_segment():
+    # a segment's 2**22 bools are 4 MiB; one 2**20 block is 1 MiB
+    assert traced_peak(lambda: ihc_fraction(3, 2 * arith.SEGMENT_SIZE + 5, threads=1)) < 2 * 2**20
+
+
+def test_reciprocal_sums_hold_a_block_of_primes_not_a_segment():
+    # a segment's 2**22 integers hold about 270k primes here, 2.2 MB as int64,
+    # and the floats and exponents of their reciprocals as much again each
+    assert traced_peak(lambda: arith.mertens_sum(2 * arith.SEGMENT_SIZE + 5, 3, threads=1)) < 6 * 2**20
+
+
+def test_prime_count_counts_marks_in_a_block():
+    assert traced_peak(lambda: arith.prime_count(2 * arith.SEGMENT_SIZE + 5)) < 2 * 2**20
 
 
 def test_ihc_monotone_fraction_on_grid():
