@@ -398,7 +398,8 @@ def _ceil_thresholds(
 ) -> np.ndarray:
     """min(ceil(thr(q) / (scale * per)), top) as int64 for the ascending
     int64 array q >= 1, thr(q) = a*q**n + b*q**(n-1) + c >= 1, and per = 1
-    or an int64 array >= 1 of q's length.
+    or an int64 array >= 1 of q's length (per = q: the walk's H(q) and the
+    least cofactors t of ihc_fraction's marks q*t).
 
     Evaluated in place in int64 when thr(q[-1]) and scale prove that no
     term can wrap, otherwise on object arrays of Python integers.  It

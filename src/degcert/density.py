@@ -2,9 +2,9 @@
 
 Measures exactly how often degrees d satisfy the qualification predicates
 (certificate qualification, or largest prime power/factor below
-lambda * d**(1/n)), counts degrees certified to violate the integral Hodge
-conjecture via a single large prime divisor, and tracks the convergence of
-the prime-power ratio and of reciprocal prime sums toward their limits.
+lambda * d**(1/n)), counts the degrees d = p*t, t >= H(p) = ceil(thr(p)/p),
+that violate the integral Hodge conjecture via a large prime p, and tracks
+the convergence of the prime-power ratio and of reciprocal prime sums.
 
 All four density modes count on certify's walk over prime powers, which
 sieves nothing.  Certificate qualification uses the coefficients of its
@@ -166,8 +166,9 @@ def empirical_density(
 
 
 def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcReport:
-    """Count d in [range_lo, N] with a prime divisor p, gcd(p, n!) = 1,
-    whose qualification threshold is at most d.
+    """Count d in [range_lo, N] with a prime divisor p > n whose
+    qualification threshold is at most d: each segment [lo, hi) marks the
+    p*t with t >= max(ceil(lo/p), H(p)), H(p) = ceil(thr(p)/p) the walk's.
 
     Each such d has p | f_n(d), so f_n(d) != 1: the integral Hodge
     conjecture fails in degree d (conditional on the premises).
@@ -181,16 +182,12 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
     def work(lo: int, hi: int, base: np.ndarray) -> int:
         import numpy as np
 
-        # a threshold below hi needs p**3 < hi, so base holds every such p
-        marked = []
-        for p in map(int, base):
-            thr = a * p**n + b * p ** (n - 1) + c  # grows with p
-            if thr >= hi:
-                break
-            if p > n:
-                marked.append((p, max(lo, thr)))
-        ps, lows = np.array(marked, dtype=np.int64).reshape(-1, 2).T
-        blocks = arith._strike_blocks(hi - lo, ps, -(-lows // ps) * ps - lo)  # offsets from lo
+        # thr(p) > a * p**n, so no prime above iroot(hi // a, n) passes below hi
+        ps = base[base.searchsorted(n, "right") : base.searchsorted(arith.integer_nth_root(hi // a, n), "right")]
+        H = certify._ceil_thresholds(ps, n, a, b, c, 1, hi, per=ps)
+        firsts = np.maximum(-(-lo // ps), H) * ps - lo  # offsets from lo
+        keep = firsts < hi - lo
+        blocks = arith._strike_blocks(hi - lo, ps[keep], firsts[keep])
         return sum(len(marks) - int(np.count_nonzero(marks)) for _, marks in blocks)
 
     # every threshold exceeds c, so no d below c is counted

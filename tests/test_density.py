@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -366,6 +367,21 @@ def test_ihc_small_odd_blocks_match_the_brute_force(monkeypatch, n, N, range_lo)
     want = sum(ihc_brute_marks(n, N)[range_lo - 1 :])
     assert ihc_fraction(n, N, range_lo).count == want
     assert ihc_fraction(n, N, range_lo, threads=2).count == want
+
+
+# Segments of the prime 1009 put thresholds past the first segment: for n = 4
+# thr(5) = 5783 and thr(7) = 18587 first fall in later segments, and in the
+# segments below those a prime with a * p**n < hi <= thr(p) marks nothing.
+@pytest.mark.parametrize("n, N", [(3, 3000), (4, 60000)])
+def test_ihc_across_small_segments_matches_the_brute_force(monkeypatch, n, N):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 1009)
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", 97)
+    marks = ihc_brute_marks(n, N)
+    rng = random.Random(37 + n)
+    for range_lo in [1, *sorted(rng.randrange(1, N + 1) for _ in range(4))]:
+        want = sum(marks[range_lo - 1 :])
+        assert ihc_fraction(n, N, range_lo).count == want
+        assert ihc_fraction(n, N, range_lo, threads=2).count == want
 
 
 def test_ihc_frozen_count_with_range_lo_inside_a_block(monkeypatch):
