@@ -27,13 +27,13 @@ buggy builder cannot validate itself.
 
 Every prime power of a qualifying d <= N is at most cap = iroot((N - c) // a, n),
 where a, b, c are the coefficients of the qualification inequality.  The
-enumeration therefore walks level by level over the products of such prime
+enumeration therefore walks depth first over the products of such prime
 powers (the classical recursion over the largest prime that counts smooth
-numbers, one batch of numpy bisections per level) and takes the last prime
-of each degree in bulk, as a run of the prime list; no integer that cannot
-qualify is visited.  Every density count of the density module runs the
-same walk: the lambda predicates den * v**n <= num * d are the same
-inequality with coefficients (den, 0, 0) and d scaled by num.
+numbers, one batch of numpy bisections per bounded chunk) and hands the last
+prime of each degree in bulk, as a run of the prime list, to a consumer; no
+integer that cannot qualify is visited.  Every density count of the density
+module runs the same walk: the lambda predicates den * v**n <= num * d are
+the same inequality with coefficients (den, 0, 0) and d scaled by num.
 scan_qualifying lists the walk's degrees in a window, so its cost is set by
 the window's upper end, not by its width.  The minimum search walks
 nothing: d = v*t with v its largest prime power qualifies iff t >=
@@ -47,6 +47,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial, gcd, isqrt
+from typing import Callable
 
 from . import arith
 from .arith import _show_int
@@ -435,26 +436,40 @@ def _spans(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     return out
 
 
+# The most a chunk of the walk holds: the sum over its nodes of 1 + the
+# number of primes p that a child m*p may take.  2**13 walked 1e10 slower;
+# 2**16 to 2**18 walked 1e11 no faster and held up to 6 times as much.
+_CHUNK = 2**15
+
+
 def _walk(
-    n: int, N: int, a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P, runs): the d in [2, N] with gcd(d, n!) = 1 and
-    thr(v) = a*v**n + b*v**(n-1) + c <= scale*d, as runs of primes, where v
-    is the largest prime power of d (its largest prime when prime_factor is
-    set) and a >= 1, b, c >= 0.
+    n: int, N: int, a: int, b: int, c: int, consume: Callable[..., None],
+    scale: int = 1, prime_factor: bool = False, threads: int = 1,
+) -> None:
+    """Call consume(P, m, i, j) with runs of primes that together describe
+    the d in [2, N] with gcd(d, n!) = 1 and thr(v) = a*v**n + b*v**(n-1) + c
+    <= scale*d, where v is the largest prime power of d (its largest prime
+    when prime_factor is set) and a >= 1, b, c >= 0.
 
     P is the int64 array of the primes in (n, cap], cap = min(iroot((scale*N
     - c) // a, n), N), which bounds every prime power (every prime, under
-    prime_factor) of such a d.  runs is an int64 array of rows m, i, j: each
-    such d is exactly one m * P[k] with i <= k < j in one column, where P[k]
-    is the largest prime of d.  The walk goes level by level over the nodes
-    m = products of prime powers, primes ascending, each level one batch of
-    numpy bisections.  A node (m, u, s) has every prime of m below P[s] and
-    carries u, the largest U[e-1][k] over its factors P[k]**e, where row e
-    of U is min(ceil(thr(P[k]**e) / scale), N + 1) for P[k]**e <= cap, or
-    U[0][k] for P[k]**e <= N under prime_factor.  The last prime p with
-    exponent 1 is taken in bulk: m*p qualifies iff u <= m*p, m*p <= N and
-    m >= H(p) = min(ceil(thr(p) / (scale*p)), N + 1).  H ascends over P, so
+    prime_factor) of such a d.  m, i, j are int64 arrays of one length: each
+    such d is exactly one m[r] * P[k] with i[r] <= k < j[r], over all calls,
+    where P[k] is the largest prime of d.  The nodes m = products of prime
+    powers, primes ascending, wait on a stack in chunks of at most _CHUNK (a
+    node whose children alone pass it is a chunk of its own).  Each step pops
+    the top chunk, joined with those under it while they fit, finds its runs
+    and children with one batch of numpy bisections, hands the runs to
+    consume and pushes the children's chunks, so the walk goes depth first
+    and its stack stays bounded.  Once the stack holds more chunks than
+    threads, threads threads pop from it, so consume may run in several
+    threads at once, its calls in no fixed order.  A node (m, u, s) has
+    every prime of m below P[s] and carries u, the largest U[e-1][k] over
+    its factors P[k]**e, where row e of U is min(ceil(thr(P[k]**e) /
+    scale), N + 1) for P[k]**e <= cap, or U[0][k] for P[k]**e <= N under
+    prime_factor.  The last prime p with exponent 1 is taken in bulk: m*p
+    qualifies iff u <= m*p, m*p <= N and m >= H(p) = min(ceil(thr(p) /
+    (scale*p)), N + 1).  H ascends over P, so
     the qualifying p form one run of P, the intersection of intervals found
     by three bisections, the first at ceil(u / m): thr(p)/p = a*p**(n-1) +
     b*p**(n-2) + c/p is convex, and for the certificate coefficients it
@@ -474,7 +489,7 @@ def _walk(
 
     arith.check_sieve_bound(N)
     if scale * N < c:
-        return np.empty(0, dtype=np.int64), np.empty((3, 0), dtype=np.int64)
+        return
     cap = min(arith.integer_nth_root((scale * N - c) // a, n), N)
     if cap > 10**8:
         raise CapacityError(f"walk prime bound {cap} exceeds 10^8")
@@ -494,21 +509,32 @@ def _walk(
         e = len(U) + 1
         w = small.searchsorted(arith.integer_nth_root(N if prime_factor else cap, e), side="right")
         U.append(U[0][:w] if prime_factor else _ceil_thresholds(small[:w] ** e, n, a, b, c, scale, N + 1))
-    found = []  # rows m, i, j
-    M, Uu, S = np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64)
-    while len(M):
+
+    def take():
+        """The top chunk's arrays M, Uu, S and width, joined with those of
+        the chunks under it while together they hold at most _CHUNK."""
+        parts = [stack.pop()]
+        size = parts[0][4]
+        while stack and size + stack[-1][4] <= _CHUNK:
+            parts.append(stack.pop())
+            size += parts[-1][4]
+        return parts[0][:4] if len(parts) == 1 else [np.concatenate(col) for col in list(zip(*parts))[:4]]
+
+    def step(chunk):
+        """Hand the chunk's runs to consume; return its children's chunks,
+        each with its size, the first last."""
+        M, Uu, S, width = chunk
         lim = N // M
         i = np.maximum(S, P.searchsorted(-(-Uu // M)))
         j = np.minimum(P.searchsorted(lim, side="right"), H.searchsorted(M, side="right"))
         hit = i < j
-        found.append((M[hit], i[hit], j[hit]))
-        width = np.maximum(P2.searchsorted(lim, side="right") - S, 0)
+        found = [(M[hit], i[hit], j[hit])]  # rows m, i, j
         parent = np.arange(len(M)).repeat(width)
         k = _spans(S, width)
         p = small[k]
         m, u = M[parent] * p, Uu[parent]
         nodes, e = [], 0
-        while len(k):  # the children m*p**e of this level, e = 1, 2, ...
+        while len(k):  # the children m*p**e of the chunk, e = 1, 2, ...
             e += 1
             u = np.maximum(u, U[e - 1][k])
             if e > 1:
@@ -519,16 +545,89 @@ def _walk(
             alive = (m <= N // p) & (k < len(U[e]))
             k, p, m, u = k[alive], p[alive], m[alive], u[alive]
             m *= p
+        consume(P, *(np.concatenate(col) for col in zip(*found)))
         if not nodes:
-            break
+            return []
         M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
-    return P, np.array([np.concatenate(col) for col in zip(*found)])
+        width = np.maximum(P2.searchsorted(N // M, side="right") - S, 0)
+        size = len(M) + int(width.sum())
+        if size <= _CHUNK:
+            return [(M, Uu, S, width, size)]
+        ends = np.append(0, (width + 1).cumsum())
+        chunks, r = [], 0
+        while r < len(M):  # the longest chunk from r that holds at most _CHUNK, or one node
+            t = max(int(ends.searchsorted(ends[r] + _CHUNK, side="right")) - 1, r + 1)
+            chunks.append((M[r:t], Uu[r:t], S[r:t], width[r:t], int(ends[t] - ends[r])))
+            r = t
+        return chunks[::-1]
+
+    stack = [(np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, K), K + 1)]
+    while 0 < len(stack) <= threads:  # too few chunks to share
+        stack += step(take())
+    if stack:
+        _drain(stack, take, step, threads)
 
 
-def _degrees(P: np.ndarray, m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The degrees m * P[k], i <= k < j, of the runs (m, i, j), ascending."""
-    ds = P[_spans(i, j - i)]
-    ds *= m.repeat(j - i)
+def _drain(stack: list, take: Callable[[], object], step: Callable[..., list], threads: int) -> None:
+    """Run the calling thread and threads - 1 more, each taking take()'s
+    item from stack and pushing step(item) onto it, until the stack is empty
+    and no step is running.  An exception in a step empties the stack and is
+    raised here."""
+    from threading import Condition, Thread
+
+    cond, busy, errors = Condition(), [0], []
+
+    def work():
+        while True:
+            with cond:
+                while not stack and busy[0]:
+                    cond.wait()
+                if not stack:
+                    return
+                item = take()
+                busy[0] += 1
+            pushed = []
+            try:
+                pushed = step(item)
+            except BaseException as exc:
+                errors.append(exc)
+            with cond:
+                if errors:
+                    stack.clear()
+                else:
+                    stack.extend(pushed)
+                busy[0] -= 1
+                cond.notify_all()
+
+    workers = [Thread(target=work) for _ in range(threads - 1)]
+    for w in workers:
+        w.start()
+    work()  # the calling thread is one of the threads
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[0]
+
+
+def _degrees(n: int, lo: int, hi: int, mode: Mode, threads: int) -> np.ndarray:
+    """The qualifying degrees in [max(lo, 1), hi), ascending: the walk's to
+    hi - 1, each run clipped to the primes P[k] >= ceil(lo / m) as it comes."""
+    import numpy as np
+
+    lo, parts = max(lo, 1), [np.empty(0, dtype=np.int64)]
+
+    def consume(P, m, i, j):
+        if lo > 1:  # the runs that reach the window, from their first prime in it
+            keep = m * P[j - 1] >= lo
+            m, i, j = m[keep], i[keep], j[keep]
+            i = np.maximum(i, P.searchsorted(-(-lo // m)))
+        if len(m):
+            ds = P[_spans(i, j - i)]
+            ds *= m.repeat(j - i)
+            parts.append(ds)
+
+    _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode), consume, threads=threads)
+    ds = np.concatenate(parts)
     ds.sort()
     return ds
 
@@ -538,14 +637,13 @@ def enumerate_qualifying(
 ) -> list[int]:
     """All qualifying degrees d <= d_max, ascending.
 
-    The degrees come from one exact _walk, which is sequential: threads is
-    accepted for the callers that pass it and cannot change the answer.
+    The degrees come from one exact _walk, whose chunks threads threads
+    share; the answer is the same for every thread count.
 
     >>> enumerate_qualifying(3, 20000)
     [5005, 12155, 17017, 17765, 19019]
     """
-    P, (m, i, j) = _walk(n, d_max, *threshold_coefficients_upto(n, d_max, mode))
-    return _degrees(P, m, i, j).tolist()
+    return _degrees(n, 1, d_max + 1, mode, threads).tolist()
 
 
 def scan_qualifying(
@@ -555,39 +653,62 @@ def scan_qualifying(
     segment of [max(lo, 1), hi) cut at the absolute multiples of SEGMENT_SIZE.
 
     The degrees are the walk's to hi - 1, each run clipped to the primes
-    P[k] >= ceil(lo / m), so the cost is set by hi, not by the window width.
-    The walk holds hi - 1 to SIEVE_BUDGET even for an empty window, as
-    map_sieve does; threads cannot change the answer.
+    P[k] >= ceil(lo / m), so the cost is set by hi, not by the window width,
+    and only the window's degrees are kept.  The walk holds hi - 1 to
+    SIEVE_BUDGET even for an empty window, as map_sieve does; threads
+    threads share its chunks and cannot change the answer.
 
     >>> [a.tolist() for a in scan_qualifying(3, 12000, 18000)]
     [[12155, 17017, 17765]]
     """
     import numpy as np
 
-    P, (m, i, j) = _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode))
+    ds = _degrees(n, lo, hi, mode, threads)
     lo = max(lo, 1)
     if hi <= lo:
         return []
-    ds = _degrees(P, m, np.clip(P.searchsorted(-(-lo // m)), i, j), j)
     starts = range(lo - lo % arith.SEGMENT_SIZE, hi, arith.SEGMENT_SIZE)
     return np.split(ds, ds.searchsorted(starts[1:]))
 
 
 def _walk_counts(
-    n: int, xs: list[int], a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
+    n: int, xs: list[int], a: int, b: int, c: int,
+    scale: int = 1, prime_factor: bool = False, threads: int = 1,
 ) -> list[int]:
     """For each x of the ascending, nonempty xs >= 1, the number of d <= x
     that _walk(n, xs[-1], a, b, c, scale, prime_factor) describes, plus d = 1
-    when it qualifies: one walk, then one bisection of P per run and x.
+    when it qualifies.  One walk on threads threads; each chunk adds its run
+    lengths to every x at or past a run's last degree through one cumulative
+    sum, and bisects a run (m, i, j) only for the x with m*P[i] <= x <
+    m*P[j-1].
 
     >>> _walk_counts(3, [10**4, 2 * 10**4], *threshold_coefficients(3))
     [1, 5]
     """
     import numpy as np
+    from threading import Lock
 
-    P, (m, i, j) = _walk(n, xs[-1], a, b, c, scale, prime_factor)
+    arith.check_sieve_bound(xs[-1])  # before xs meets int64
+    X, total, lock = np.array(xs, dtype=np.int64), np.zeros(len(xs), dtype=np.int64), Lock()
+
+    def consume(P, m, i, j):
+        if not len(m):
+            return
+        whole = X.searchsorted(m * P[j - 1])  # the first x at or past a run's last degree
+        inside = X.searchsorted(m * P[i])
+        counts = np.zeros(len(X), dtype=np.int64)
+        np.add.at(counts, whole, j - i)
+        counts = counts.cumsum()
+        cut = whole - inside  # the number of x inside each run
+        if cut.any():
+            x = _spans(inside, cut)
+            np.add.at(counts, x, P.searchsorted(X[x] // m.repeat(cut), side="right") - i.repeat(cut))
+        with lock:
+            total[:] += counts
+
+    _walk(n, xs[-1], a, b, c, consume, scale, prime_factor, threads)
     one = int(a + b + c <= scale)  # d = 1, whose v is 1
-    return [one + int((np.clip(np.searchsorted(P, x // m, side="right"), i, j) - i).sum()) for x in xs]
+    return [one + int(t) for t in total]
 
 
 def _least_degree(n: int, a: int, b: int, c: int, best: int) -> int:

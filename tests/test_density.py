@@ -137,13 +137,48 @@ def test_validation_lambda_modes():
     ids=["prop16", "lambda_primepower", "lambda_prime"],
 )
 def test_density_threads_bit_identical(n, N, mode, kw, cps):
-    # every mode counts on certify's sequential walk, which threads cannot
-    # reach; a thread count must still leave every figure unchanged
+    # every mode counts on certify's walk, whose chunks threads threads
+    # share; a thread count must leave every figure unchanged
     a = empirical_density(n, N, mode, checkpoints=cps, **kw)
     b = empirical_density(n, N, mode, checkpoints=cps, threads=4, **kw)
     assert a.count == b.count
     assert a.samples == b.samples
     assert a.empirical == b.empirical
+
+
+# (n, N, mode, keywords, checkpoints): the four modes, with checkpoints that
+# fall inside runs and between them
+CHUNK_CASES = [
+    (3, 4 * 10**5, DensityMode.PROP16_FULL, {}, [5005, 10**5, 123457, 3 * 10**5]),
+    (3, 10**6, DensityMode.PROP16_WEAK, {}, [46189, 5 * 10**5]),
+    (3, 10**5, DensityMode.LAMBDA_PRIMEPOWER, {"lam_pow": Fraction(1, 2)}, [1, 999, 5 * 10**4]),
+    (2, 10**5, DensityMode.LAMBDA_PRIME, {"lam": Fraction(1)}, [2, 1000, 77777]),
+]
+
+
+def chunk_reports(threads):
+    return [
+        empirical_density(n, N, mode, checkpoints=cps, threads=threads, **kw)
+        for n, N, mode, kw, cps in CHUNK_CASES
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("chunk", [1, 7, 97])
+def test_density_does_not_depend_on_chunk_or_threads(monkeypatch, chunk, threads):
+    want = chunk_reports(1)
+    monkeypatch.setattr(certify, "_CHUNK", chunk)
+    assert chunk_reports(threads) == want
+    # and the default run against the strided sieve
+    for (n, N, mode, _, cps), r in zip(CHUNK_CASES, want):
+        if r.lam_pow is None:
+            cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
+            args = (*certify.threshold_coefficients(n, cmode), 1, False)
+        else:
+            args = (r.lam_pow.denominator, 0, 0, r.lam_pow.numerator, mode == DensityMode.LAMBDA_PRIME)
+        sieved = sieve_reference(1, N + 1, arith.primes_upto(isqrt(N)), n, *args)
+        assert r.samples == tuple((m, int(np.searchsorted(sieved, m, side="right"))) for m in cps)
+        assert r.count == len(sieved)
 
 
 def test_density_runs_no_sieve(monkeypatch):
@@ -431,6 +466,18 @@ def test_reciprocal_sums_hold_a_block_of_primes_not_a_segment():
 
 def test_prime_count_counts_marks_in_a_block():
     assert traced_peak(lambda: arith.prime_count(2 * arith.SEGMENT_SIZE + 5)) < 2 * 2**20
+
+
+def test_walk_holds_chunks_not_levels():
+    # the walk to 1e10 held whole levels and every run, 65 MiB traced; one
+    # step of a 2**15 chunk holds about a dozen int64 arrays of its children
+    assert traced_peak(lambda: empirical_density(3, 10**10, DensityMode.PROP16_FULL)) < 12 * 2**20
+
+
+def test_scan_window_holds_chunks_not_levels():
+    # the top benchmark window walks to 2**29 - 1 and keeps only its own
+    # degrees: 4.1 MiB traced with 2**15 chunks, 6.9 MiB as whole levels
+    assert traced_peak(lambda: certify.scan_qualifying(3, 2**29 - 2**23, 2**29)) < 5.5 * 2**20
 
 
 def test_ihc_monotone_fraction_on_grid():
