@@ -444,7 +444,7 @@ _CHUNK = 2**15
 
 def _walk(
     n: int, N: int, a: int, b: int, c: int, consume: Callable[..., None],
-    scale: int = 1, prime_factor: bool = False, threads: int = 1,
+    scale: int = 1, prime_factor: bool = False,
 ) -> None:
     """Call consume(P, m, i, j) with runs of primes that together describe
     the d in [2, N] with gcd(d, n!) = 1 and thr(v) = a*v**n + b*v**(n-1) + c
@@ -459,18 +459,19 @@ def _walk(
     powers, primes ascending, wait on a stack in chunks of at most _CHUNK (a
     node whose children alone pass it is a chunk of its own).  Each step pops
     the top chunk, joined with those under it while they fit, finds its runs
-    and children with one batch of numpy bisections, hands the runs to
-    consume and pushes the children's chunks, so the walk goes depth first
-    and its stack stays bounded.  Once the stack holds more chunks than
-    threads, threads threads pop from it, so consume may run in several
-    threads at once, its calls in no fixed order.  A node (m, u, s) has
-    every prime of m below P[s] and carries u, the largest U[e-1][k] over
-    its factors P[k]**e, where row e of U is min(ceil(thr(P[k]**e) /
-    scale), N + 1) for P[k]**e <= cap, or U[0][k] for P[k]**e <= N under
-    prime_factor.  The last prime p with exponent 1 is taken in bulk: m*p
-    qualifies iff u <= m*p, m*p <= N and m >= H(p) = min(ceil(thr(p) /
-    (scale*p)), N + 1).  H ascends over P, so
-    the qualifying p form one run of P, the intersection of intervals found
+    and children with one batch of numpy bisections and pushes the
+    children's chunks, so the walk goes depth first and its stack stays
+    bounded.  The runs wait until they number _CHUNK // 4, or the walk ends,
+    and then go to consume in one call: a walk of a few small steps makes
+    one call, and a large step holds at most that many waiting runs beside
+    its own arrays.  The walk is sequential.  A node (m, u, s) has every
+    prime of m below P[s] and carries u, the largest U[e-1][k] over its
+    factors P[k]**e, where row e of U is
+    min(ceil(thr(P[k]**e) / scale), N + 1) for P[k]**e <= cap, or U[0][k]
+    for P[k]**e <= N under prime_factor.  The last prime p with exponent 1
+    is taken in bulk: m*p qualifies iff u <= m*p, m*p <= N and m >= H(p) =
+    min(ceil(thr(p) / (scale*p)), N + 1).  H ascends over P, so the
+    qualifying p form one run of P, the intersection of intervals found
     by three bisections, the first at ceil(u / m): thr(p)/p = a*p**(n-1) +
     b*p**(n-2) + c/p is convex, and for the certificate coefficients it
     rises from p = n + 1 on, where its slope is positive (b >= 0 and
@@ -511,24 +512,24 @@ def _walk(
         U.append(U[0][:w] if prime_factor else _ceil_thresholds(small[:w] ** e, n, a, b, c, scale, N + 1))
 
     def take():
-        """The top chunk's arrays M, Uu, S and width, joined with those of
-        the chunks under it while together they hold at most _CHUNK."""
+        """The top chunk's arrays M, Uu, S, N // M and width, joined with
+        those of the chunks under it while together they hold at most
+        _CHUNK."""
         parts = [stack.pop()]
-        size = parts[0][4]
-        while stack and size + stack[-1][4] <= _CHUNK:
+        size = parts[0][5]
+        while stack and size + stack[-1][5] <= _CHUNK:
             parts.append(stack.pop())
-            size += parts[-1][4]
-        return parts[0][:4] if len(parts) == 1 else [np.concatenate(col) for col in list(zip(*parts))[:4]]
+            size += parts[-1][5]
+        return parts[0][:5] if len(parts) == 1 else [np.concatenate(col) for col in list(zip(*parts))[:5]]
 
     def step(chunk):
-        """Hand the chunk's runs to consume; return its children's chunks,
-        each with its size, the first last."""
-        M, Uu, S, width = chunk
-        lim = N // M
+        """The chunk's runs, and its children's chunks, each with its size,
+        the first last."""
+        M, Uu, S, lim, width = chunk
         i = np.maximum(S, P.searchsorted(-(-Uu // M)))
         j = np.minimum(P.searchsorted(lim, side="right"), H.searchsorted(M, side="right"))
         hit = i < j
-        found = [(M[hit], i[hit], j[hit])]  # rows m, i, j
+        runs = [(M[hit], i[hit], j[hit])]  # rows m, i, j
         parent = np.arange(len(M)).repeat(width)
         k = _spans(S, width)
         p = small[k]
@@ -539,77 +540,42 @@ def _walk(
             u = np.maximum(u, U[e - 1][k])
             if e > 1:
                 leaf = u <= m  # the run (m*p**(e-1), k, k+1)
-                found.append((m[leaf] // p[leaf], k[leaf], k[leaf] + 1))
+                runs.append((m[leaf] // p[leaf], k[leaf], k[leaf] + 1))
             down = m <= Mmax[k]
             nodes.append((m[down], u[down], k[down] + 1))
             alive = (m <= N // p) & (k < len(U[e]))
             k, p, m, u = k[alive], p[alive], m[alive], u[alive]
             m *= p
-        consume(P, *(np.concatenate(col) for col in zip(*found)))
         if not nodes:
-            return []
+            return runs, []
         M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
-        width = np.maximum(P2.searchsorted(N // M, side="right") - S, 0)
+        lim = N // M
+        width = np.maximum(P2.searchsorted(lim, side="right") - S, 0)
         size = len(M) + int(width.sum())
         if size <= _CHUNK:
-            return [(M, Uu, S, width, size)]
+            return runs, [(M, Uu, S, lim, width, size)]
         ends = np.append(0, (width + 1).cumsum())
         chunks, r = [], 0
         while r < len(M):  # the longest chunk from r that holds at most _CHUNK, or one node
             t = max(int(ends.searchsorted(ends[r] + _CHUNK, side="right")) - 1, r + 1)
-            chunks.append((M[r:t], Uu[r:t], S[r:t], width[r:t], int(ends[t] - ends[r])))
+            chunks.append((M[r:t], Uu[r:t], S[r:t], lim[r:t], width[r:t], int(ends[t] - ends[r])))
             r = t
-        return chunks[::-1]
+        return runs, chunks[::-1]
 
-    stack = [(np.ones(1, np.int64), np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, K), K + 1)]
-    while 0 < len(stack) <= threads:  # too few chunks to share
-        stack += step(take())
-    if stack:
-        _drain(stack, take, step, threads)
-
-
-def _drain(stack: list, take: Callable[[], object], step: Callable[..., list], threads: int) -> None:
-    """Run the calling thread and threads - 1 more, each taking take()'s
-    item from stack and pushing step(item) onto it, until the stack is empty
-    and no step is running.  An exception in a step empties the stack and is
-    raised here."""
-    from threading import Condition, Thread
-
-    cond, busy, errors = Condition(), [0], []
-
-    def work():
-        while True:
-            with cond:
-                while not stack and busy[0]:
-                    cond.wait()
-                if not stack:
-                    return
-                item = take()
-                busy[0] += 1
-            pushed = []
-            try:
-                pushed = step(item)
-            except BaseException as exc:
-                errors.append(exc)
-            with cond:
-                if errors:
-                    stack.clear()
-                else:
-                    stack.extend(pushed)
-                busy[0] -= 1
-                cond.notify_all()
-
-    workers = [Thread(target=work) for _ in range(threads - 1)]
-    for w in workers:
-        w.start()
-    work()  # the calling thread is one of the threads
-    for w in workers:
-        w.join()
-    if errors:
-        raise errors[0]
+    one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
+    stack = [(one, zero, zero, np.full(1, N), np.full(1, K), K + 1)]
+    found, held = [], 0  # the runs (m, i, j) not yet consumed, and their number
+    while stack:
+        runs, children = step(take())
+        stack += children
+        found += runs
+        held += sum(len(m) for m, _, _ in runs)
+        if held >= _CHUNK // 4 or not stack:
+            consume(P, *(np.concatenate(col) for col in zip(*found)))
+            found, held = [], 0
 
 
-def _degrees(n: int, lo: int, hi: int, mode: Mode, threads: int) -> np.ndarray:
+def _degrees(n: int, lo: int, hi: int, mode: Mode) -> np.ndarray:
     """The qualifying degrees in [max(lo, 1), hi), ascending: the walk's to
     hi - 1, each run clipped to the primes P[k] >= ceil(lo / m) as it comes."""
     import numpy as np
@@ -626,8 +592,8 @@ def _degrees(n: int, lo: int, hi: int, mode: Mode, threads: int) -> np.ndarray:
             ds *= m.repeat(j - i)
             parts.append(ds)
 
-    _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode), consume, threads=threads)
-    ds = np.concatenate(parts)
+    _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode), consume)
+    ds = parts[1] if len(parts) == 2 else np.concatenate(parts)  # one call's degrees are not copied
     ds.sort()
     return ds
 
@@ -637,13 +603,13 @@ def enumerate_qualifying(
 ) -> list[int]:
     """All qualifying degrees d <= d_max, ascending.
 
-    The degrees come from one exact _walk, whose chunks threads threads
-    share; the answer is the same for every thread count.
+    The degrees come from one exact _walk, which is sequential: threads is
+    accepted for the callers that pass it and cannot change the answer.
 
     >>> enumerate_qualifying(3, 20000)
     [5005, 12155, 17017, 17765, 19019]
     """
-    return _degrees(n, 1, d_max + 1, mode, threads).tolist()
+    return _degrees(n, 1, d_max + 1, mode).tolist()
 
 
 def scan_qualifying(
@@ -655,15 +621,15 @@ def scan_qualifying(
     The degrees are the walk's to hi - 1, each run clipped to the primes
     P[k] >= ceil(lo / m), so the cost is set by hi, not by the window width,
     and only the window's degrees are kept.  The walk holds hi - 1 to
-    SIEVE_BUDGET even for an empty window, as map_sieve does; threads
-    threads share its chunks and cannot change the answer.
+    SIEVE_BUDGET even for an empty window, as map_sieve does; it is
+    sequential, and threads cannot change the answer.
 
     >>> [a.tolist() for a in scan_qualifying(3, 12000, 18000)]
     [[12155, 17017, 17765]]
     """
     import numpy as np
 
-    ds = _degrees(n, lo, hi, mode, threads)
+    ds = _degrees(n, lo, hi, mode)
     lo = max(lo, 1)
     if hi <= lo:
         return []
@@ -672,24 +638,21 @@ def scan_qualifying(
 
 
 def _walk_counts(
-    n: int, xs: list[int], a: int, b: int, c: int,
-    scale: int = 1, prime_factor: bool = False, threads: int = 1,
+    n: int, xs: list[int], a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
 ) -> list[int]:
     """For each x of the ascending, nonempty xs >= 1, the number of d <= x
     that _walk(n, xs[-1], a, b, c, scale, prime_factor) describes, plus d = 1
-    when it qualifies.  One walk on threads threads; each chunk adds its run
-    lengths to every x at or past a run's last degree through one cumulative
-    sum, and bisects a run (m, i, j) only for the x with m*P[i] <= x <
-    m*P[j-1].
+    when it qualifies.  One walk; each consume call adds its run lengths to
+    every x at or past a run's last degree through one cumulative sum, and
+    bisects a run (m, i, j) only for the x with m*P[i] <= x < m*P[j-1].
 
     >>> _walk_counts(3, [10**4, 2 * 10**4], *threshold_coefficients(3))
     [1, 5]
     """
     import numpy as np
-    from threading import Lock
 
     arith.check_sieve_bound(xs[-1])  # before xs meets int64
-    X, total, lock = np.array(xs, dtype=np.int64), np.zeros(len(xs), dtype=np.int64), Lock()
+    X, total = np.array(xs, dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
 
     def consume(P, m, i, j):
         if not len(m):
@@ -703,10 +666,9 @@ def _walk_counts(
         if cut.any():
             x = _spans(inside, cut)
             np.add.at(counts, x, P.searchsorted(X[x] // m.repeat(cut), side="right") - i.repeat(cut))
-        with lock:
-            total[:] += counts
+        total[:] += counts
 
-    _walk(n, xs[-1], a, b, c, consume, scale, prime_factor, threads)
+    _walk(n, xs[-1], a, b, c, consume, scale, prime_factor)
     one = int(a + b + c <= scale)  # d = 1, whose v is 1
     return [one + int(t) for t in total]
 

@@ -124,8 +124,7 @@ def empirical_density(
 ) -> DensityReport:
     """Exact count of qualifying d <= N (all modes also require
     gcd(d, n!) = 1), with optional cumulative checkpoints.  Every mode counts
-    on certify's walk, whose chunks threads threads share once it holds more
-    chunks than threads; the counts are the same for every thread count.  A lambda
+    on certify's sequential walk, which threads cannot reach.  A lambda
     mode whose walk would list the primes beyond 10**8, min(N,
     iroot(lambda**n * N, n)) > 10**8, is a CapacityError."""
     if n < 1:
@@ -148,7 +147,7 @@ def empirical_density(
         # v <= lam * d**(1/n)  <=>  den * v**n <= num * d, for lam**n = num/den
         den, num = lam_pow_val.denominator, lam_pow_val.numerator
         args = (den, 0, 0, num, mode == DensityMode.LAMBDA_PRIME)
-    counts = certify._walk_counts(n, xs, *args, threads=threads)
+    counts = certify._walk_counts(n, xs, *args)
     count = counts[-1]
 
     theoretical = theoretical_density(n) if n <= 10 else None

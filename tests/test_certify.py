@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import json
-import threading
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -666,17 +665,17 @@ def test_smallest_runs_no_walk(monkeypatch, n, mode):
     assert certify.smallest_qualifying(n, mode) == SMALLEST[n, mode]
 
 
-def walk_runs(n, N, a, b, c, threads=1):
+def walk_runs(n, N, a, b, c):
     """(P, runs) of certify._walk(n, N, a, b, c): P as a list (empty when
     consume is never called) and the runs (m, i, j) of every consume call as
-    a sorted list, as the calls come in no fixed order."""
+    a sorted list."""
     P, runs = [], []
 
     def consume(primes, m, i, j):
         P[:] = primes.tolist()
         runs.extend(zip(m.tolist(), i.tolist(), j.tolist()))
 
-    certify._walk(n, N, a, b, c, consume, threads=threads)
+    certify._walk(n, N, a, b, c, consume)
     return P, sorted(runs)
 
 
@@ -882,11 +881,11 @@ def reference_runs(n, N, mode):
     return P, runs
 
 
-def canonical_runs(n, N, mode, threads=1):
+def canonical_runs(n, N, mode):
     """(P, runs) of certify._walk for the inequality of (n, mode) as a list
     and a sorted list of (m, i, j): the walk emits its runs chunk by chunk,
     the reference node by node, so only the set of runs is compared."""
-    return walk_runs(n, N, *certify.threshold_coefficients_upto(n, N, mode), threads=threads)
+    return walk_runs(n, N, *certify.threshold_coefficients_upto(n, N, mode))
 
 
 def sorted_reference_runs(n, N, mode):
@@ -952,7 +951,7 @@ def test_walk_matches_reference_walk_at_scale(n, N):
     assert canonical_runs(n, N, Mode.FULL) == sorted_reference_runs(n, N, Mode.FULL)
 
 
-# --- the walk's answers do not depend on its chunks or its threads -------------
+# --- the walk's answers do not depend on its chunks -----------------------------
 
 # (n, lo, hi, mode) windows: from 1, across the first segment edge, and one
 # whose degrees are few
@@ -964,57 +963,44 @@ CHUNK_WINDOWS = [
 ]
 
 
-def chunk_answers(threads):
+def chunk_answers():
     return [
-        (certify.enumerate_qualifying(n, hi - 1, mode, threads),
-         [a.tolist() for a in certify.scan_qualifying(n, lo, hi, mode, threads)])
+        (certify.enumerate_qualifying(n, hi - 1, mode),
+         [a.tolist() for a in certify.scan_qualifying(n, lo, hi, mode)])
         for n, lo, hi, mode in CHUNK_WINDOWS
     ]
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("chunk", [1, 7, 97])
-def test_walk_answers_do_not_depend_on_chunk_or_threads(monkeypatch, chunk, threads):
-    # a chunk of 1 holds one node, so every node is its own step, and with
-    # threads > 1 the steps run in several threads in no fixed order
-    want = chunk_answers(1)
+def test_walk_answers_do_not_depend_on_chunk(monkeypatch, chunk):
+    # a chunk of 1 holds one node, so every node is its own step, and the
+    # runs go to the consumer a few at a time
+    want = chunk_answers()
     monkeypatch.setattr(certify, "_CHUNK", chunk)
-    assert chunk_answers(threads) == want
+    assert chunk_answers() == want
     for n, mode, N in ((3, Mode.FULL, 10**5), (4, Mode.WEAK, 10**7), (5, Mode.FULL, 10**9)):
-        assert canonical_runs(n, N, mode, threads) == sorted_reference_runs(n, N, mode)
+        assert canonical_runs(n, N, mode) == sorted_reference_runs(n, N, mode)
     for (n, lo, hi, mode), (listed, _) in zip(CHUNK_WINDOWS, want):
         base = arith.primes_upto(isqrt(hi - 1))
         sieved = sieve_reference(1, hi, base, n, *certify.threshold_coefficients(n, mode))
         assert listed == sieved.tolist()
 
 
-def test_walk_starts_threads_only_past_one_chunk(monkeypatch):
-    # these n = 3 and 4 walks to 1e8 never hold two chunks, so threads = 4
-    # starts none; the n = 3 walk to 1e9 does, and threads = 2 then starts
-    # one thread beside the caller
-    started = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
-    assert len(certify.enumerate_qualifying(3, 10**7, threads=4)) == 29850
-    assert len(certify.enumerate_qualifying(4, 10**7, threads=4)) == 43
-    coeffs = certify.threshold_coefficients(3)
-    assert certify._walk_counts(3, [10**8], *coeffs, threads=4) == [427006]
-    assert certify._walk_counts(3, [10**9], *coeffs, threads=1) == [5438892]
-    assert started == []
-    assert certify._walk_counts(3, [10**9], *coeffs, threads=2) == [5438892]
-    assert len(started) == 1
+def test_walk_hands_runs_on_in_batches(monkeypatch):
+    # the runs wait until they number _CHUNK // 4, so a walk of a few small
+    # steps makes one consume call, as the walk by whole levels did, and a
+    # walk of many steps makes several
+    calls = []
 
-
-def test_walk_raises_what_a_worker_raises(monkeypatch):
-    # a consume that fails in a worker thread stops the walk, and the error
-    # reaches the caller instead of being lost with the worker
     def consume(P, m, i, j):
-        if threading.current_thread() is not threading.main_thread():
-            raise ValueError("consume failed")
+        calls.append(len(m))
 
+    certify._walk(4, 10**7, *certify.threshold_coefficients(4), consume)
+    assert len(calls) == 1
     monkeypatch.setattr(certify, "_CHUNK", 7)
-    with pytest.raises(ValueError, match="consume failed"):
-        certify._walk(3, 10**6, *certify.threshold_coefficients(3), consume, threads=2)
+    calls.clear()
+    certify._walk(3, 10**6, *certify.threshold_coefficients(3), consume)
+    assert len(calls) > 1
 
 
 # --- the strided sieve reference against a scalar oracle -----------------------

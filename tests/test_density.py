@@ -137,8 +137,8 @@ def test_validation_lambda_modes():
     ids=["prop16", "lambda_primepower", "lambda_prime"],
 )
 def test_density_threads_bit_identical(n, N, mode, kw, cps):
-    # every mode counts on certify's walk, whose chunks threads threads
-    # share; a thread count must leave every figure unchanged
+    # every mode counts on certify's sequential walk, which threads cannot
+    # reach; a thread count must still leave every figure unchanged
     a = empirical_density(n, N, mode, checkpoints=cps, **kw)
     b = empirical_density(n, N, mode, checkpoints=cps, threads=4, **kw)
     assert a.count == b.count
@@ -156,19 +156,15 @@ CHUNK_CASES = [
 ]
 
 
-def chunk_reports(threads):
-    return [
-        empirical_density(n, N, mode, checkpoints=cps, threads=threads, **kw)
-        for n, N, mode, kw, cps in CHUNK_CASES
-    ]
+def chunk_reports():
+    return [empirical_density(n, N, mode, checkpoints=cps, **kw) for n, N, mode, kw, cps in CHUNK_CASES]
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("chunk", [1, 7, 97])
-def test_density_does_not_depend_on_chunk_or_threads(monkeypatch, chunk, threads):
-    want = chunk_reports(1)
+def test_density_does_not_depend_on_chunk(monkeypatch, chunk):
+    want = chunk_reports()
     monkeypatch.setattr(certify, "_CHUNK", chunk)
-    assert chunk_reports(threads) == want
+    assert chunk_reports() == want
     # and the default run against the strided sieve
     for (n, N, mode, _, cps), r in zip(CHUNK_CASES, want):
         if r.lam_pow is None:
@@ -470,13 +466,14 @@ def test_prime_count_counts_marks_in_a_block():
 
 def test_walk_holds_chunks_not_levels():
     # the walk to 1e10 held whole levels and every run, 65 MiB traced; one
-    # step of a 2**15 chunk holds about a dozen int64 arrays of its children
+    # step of a 2**15 chunk holds about a dozen int64 arrays of its children,
+    # and at most 2**13 runs wait for the consumer
     assert traced_peak(lambda: empirical_density(3, 10**10, DensityMode.PROP16_FULL)) < 12 * 2**20
 
 
 def test_scan_window_holds_chunks_not_levels():
     # the top benchmark window walks to 2**29 - 1 and keeps only its own
-    # degrees: 4.1 MiB traced with 2**15 chunks, 6.9 MiB as whole levels
+    # degrees: 3.7 MiB traced with 2**15 chunks, 6.9 MiB as whole levels
     assert traced_peak(lambda: certify.scan_qualifying(3, 2**29 - 2**23, 2**29)) < 5.5 * 2**20
 
 

@@ -140,11 +140,16 @@ def unread_parameters(source: str) -> list[str]:
     return found
 
 
-# The minimum search runs no walk and ignores threads; it keeps the
-# parameter only because the committed benchmark (perfbench/workloads.py)
-# passes threads= to it.  Any other unread parameter is an option that
+# The walk functions run one sequential walk and ignore threads; they keep
+# the parameter only because the committed benchmark (perfbench/workloads.py)
+# passes threads= to all four.  Any other unread parameter is an option that
 # changes nothing, and should go.
-BENCHMARK_PINNED = ["certify.smallest_qualifying.threads"]
+BENCHMARK_PINNED = [
+    "certify.enumerate_qualifying.threads",
+    "certify.scan_qualifying.threads",
+    "certify.smallest_qualifying.threads",
+    "density.empirical_density.threads",
+]
 
 
 def test_every_parameter_is_read_except_the_benchmark_pinned_threads():
