@@ -458,13 +458,12 @@ def _walk(
     where P[k] is the largest prime of d.  The nodes m = products of prime
     powers, primes ascending, wait on a stack in chunks of at most _CHUNK (a
     node whose children alone pass it is a chunk of its own).  Each step pops
-    the top chunk, joined with those under it while they fit, finds its runs
-    and children with one batch of numpy bisections and pushes the
-    children's chunks, so the walk goes depth first and its stack stays
-    bounded.  The runs wait until they number _CHUNK // 4, or the walk ends,
-    and then go to consume in one call: a walk of a few small steps makes
-    one call, and a large step holds at most that many waiting runs beside
-    its own arrays.  The walk is sequential.  A node (m, u, s) has every
+    the top chunk, finds its runs and children with one batch of numpy
+    bisections and pushes the children's chunks, so the walk goes depth
+    first and its stack stays bounded.  The runs wait until they number
+    _CHUNK // 4, or the walk ends, and then go to consume in one call: a
+    walk of a few small steps makes one call, and a large step holds at most
+    that many waiting runs beside its own arrays.  A node (m, u, s) has every
     prime of m below P[s] and carries u, the largest U[e-1][k] over its
     factors P[k]**e, where row e of U is
     min(ceil(thr(P[k]**e) / scale), N + 1) for P[k]**e <= cap, or U[0][k]
@@ -511,20 +510,8 @@ def _walk(
         w = small.searchsorted(arith.integer_nth_root(N if prime_factor else cap, e), side="right")
         U.append(U[0][:w] if prime_factor else _ceil_thresholds(small[:w] ** e, n, a, b, c, scale, N + 1))
 
-    def take():
-        """The top chunk's arrays M, Uu, S, N // M and width, joined with
-        those of the chunks under it while together they hold at most
-        _CHUNK."""
-        parts = [stack.pop()]
-        size = parts[0][5]
-        while stack and size + stack[-1][5] <= _CHUNK:
-            parts.append(stack.pop())
-            size += parts[-1][5]
-        return parts[0][:5] if len(parts) == 1 else [np.concatenate(col) for col in list(zip(*parts))[:5]]
-
     def step(chunk):
-        """The chunk's runs, and its children's chunks, each with its size,
-        the first last."""
+        """The chunk's runs, and its children's chunks, the first last."""
         M, Uu, S, lim, width = chunk
         i = np.maximum(S, P.searchsorted(-(-Uu // M)))
         j = np.minimum(P.searchsorted(lim, side="right"), H.searchsorted(M, side="right"))
@@ -551,22 +538,21 @@ def _walk(
         M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
         lim = N // M
         width = np.maximum(P2.searchsorted(lim, side="right") - S, 0)
-        size = len(M) + int(width.sum())
-        if size <= _CHUNK:
-            return runs, [(M, Uu, S, lim, width, size)]
+        if len(M) + int(width.sum()) <= _CHUNK:
+            return runs, [(M, Uu, S, lim, width)]
         ends = np.append(0, (width + 1).cumsum())
         chunks, r = [], 0
         while r < len(M):  # the longest chunk from r that holds at most _CHUNK, or one node
             t = max(int(ends.searchsorted(ends[r] + _CHUNK, side="right")) - 1, r + 1)
-            chunks.append((M[r:t], Uu[r:t], S[r:t], lim[r:t], width[r:t], int(ends[t] - ends[r])))
+            chunks.append((M[r:t], Uu[r:t], S[r:t], lim[r:t], width[r:t]))
             r = t
         return runs, chunks[::-1]
 
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
-    stack = [(one, zero, zero, np.full(1, N), np.full(1, K), K + 1)]
+    stack = [(one, zero, zero, np.full(1, N), np.full(1, K))]
     found, held = [], 0  # the runs (m, i, j) not yet consumed, and their number
     while stack:
-        runs, children = step(take())
+        runs, children = step(stack.pop())
         stack += children
         found += runs
         held += sum(len(m) for m, _, _ in runs)
@@ -587,13 +573,12 @@ def _degrees(n: int, lo: int, hi: int, mode: Mode) -> np.ndarray:
             keep = m * P[j - 1] >= lo
             m, i, j = m[keep], i[keep], j[keep]
             i = np.maximum(i, P.searchsorted(-(-lo // m)))
-        if len(m):
-            ds = P[_spans(i, j - i)]
-            ds *= m.repeat(j - i)
-            parts.append(ds)
+        ds = P[_spans(i, j - i)]
+        ds *= m.repeat(j - i)
+        parts.append(ds)
 
     _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode), consume)
-    ds = parts[1] if len(parts) == 2 else np.concatenate(parts)  # one call's degrees are not copied
+    ds = np.concatenate(parts)
     ds.sort()
     return ds
 
@@ -615,8 +600,8 @@ def enumerate_qualifying(
 def scan_qualifying(
     n: int, lo: int, hi: int, mode: Mode = Mode.FULL, threads: int = 1
 ) -> list[np.ndarray]:
-    """The qualifying degrees in [lo, hi), ascending, as one int64 array per
-    segment of [max(lo, 1), hi) cut at the absolute multiples of SEGMENT_SIZE.
+    """The qualifying degrees in [lo, hi) as a list of one ascending int64
+    array, empty when the window is.
 
     The degrees are the walk's to hi - 1, each run clipped to the primes
     P[k] >= ceil(lo / m), so the cost is set by hi, not by the window width,
@@ -627,14 +612,7 @@ def scan_qualifying(
     >>> [a.tolist() for a in scan_qualifying(3, 12000, 18000)]
     [[12155, 17017, 17765]]
     """
-    import numpy as np
-
-    ds = _degrees(n, lo, hi, mode)
-    lo = max(lo, 1)
-    if hi <= lo:
-        return []
-    starts = range(lo - lo % arith.SEGMENT_SIZE, hi, arith.SEGMENT_SIZE)
-    return np.split(ds, ds.searchsorted(starts[1:]))
+    return [_degrees(n, lo, hi, mode)]
 
 
 def _walk_counts(
@@ -655,8 +633,6 @@ def _walk_counts(
     X, total = np.array(xs, dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
 
     def consume(P, m, i, j):
-        if not len(m):
-            return
         whole = X.searchsorted(m * P[j - 1])  # the first x at or past a run's last degree
         inside = X.searchsorted(m * P[i])
         counts = np.zeros(len(X), dtype=np.int64)

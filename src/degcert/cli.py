@@ -241,7 +241,8 @@ def cmd_diagnostics(args) -> int:
 
 
 def cmd_verify_q_example(args) -> int:
-    qs = args.qs or [p for p, _ in arith.factorize(args.d).factors]
+    # a d below 1 goes unfactored, for verify_rational_example to refuse
+    qs = args.qs or ([p for p, _ in arith.factorize(args.d).factors] if args.d >= 1 else [])
     report = certify.verify_rational_example(args.d, qs)
     if args.format == "json":
         _emit_json("verify-q-example", **dataclasses.asdict(report))

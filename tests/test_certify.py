@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import sys
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -319,7 +320,7 @@ def test_sieve_entry_points_answer_huge_n_without_n_factorial(monkeypatch):
 
     monkeypatch.setattr(certify, "factorial", no_factorial)
     n = 300000
-    assert [len(arr) for arr in certify.scan_qualifying(n, 1, 10**7)] == [0, 0, 0]
+    assert [len(arr) for arr in certify.scan_qualifying(n, 1, 10**7)] == [0]
     assert certify.enumerate_qualifying(n, 10**6) == []
     with pytest.raises(CapacityError, match="budget 10000000000"):
         certify.smallest_qualifying(n)
@@ -605,8 +606,7 @@ def test_scan_runs_no_sieve(monkeypatch):
 
     monkeypatch.setattr(arith, "map_sieve", no_sieve)
     parts = certify.scan_qualifying(3, 1, 10**7 + 1, threads=2)
-    assert len(parts) == 3
-    assert sum(len(a) for a in parts) == 29850
+    assert [len(a) for a in parts] == [29850]
 
 
 def test_smallest_budget_below_one_is_parameter_error():
@@ -820,16 +820,17 @@ def test_enumerate_matches_sieve(n, mode, N):
     st.integers(-10, 3 * 10**5),
 )
 def test_scan_matches_sieve_reference_per_segment(n, mode, lo, width):
-    # the walk's degrees in the window, cut where map_sieve cuts the sieve
+    # the walk's degrees in the window, as one array, against the reference
+    # sieve run segment by segment
     hi = lo + width
-    got = certify.scan_qualifying(n, lo, hi, mode)
+    (got,) = certify.scan_qualifying(n, lo, hi, mode)
+    assert got.dtype == np.int64
     if hi <= lo:
-        assert got == []
+        assert got.tolist() == []
         return
     coeffs = certify.threshold_coefficients(n, mode)
     want = arith.map_sieve(lo, hi, lambda s, e, base: sieve_reference(s, e, base, n, *coeffs))
-    assert [a.dtype for a in got] == [np.dtype(np.int64)] * len(want)
-    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert got.tolist() == [int(d) for a in want for d in a]
 
 
 # --- the walk's bulk runs against a key-function reference walk ---------------
@@ -1003,6 +1004,25 @@ def test_walk_hands_runs_on_in_batches(monkeypatch):
     assert len(calls) > 1
 
 
+@pytest.mark.parametrize("chunk", [7, 97, certify._CHUNK])
+def test_a_step_holds_one_chunk(monkeypatch, chunk):
+    # step spans its chunk's children from the chunk's S and width, so each
+    # call it makes shows the chunk it popped: at most _CHUNK, or one node
+    spans, steps = certify._spans, []
+
+    def recording(lo, width):
+        if sys._getframe(1).f_code.co_name == "step":
+            steps.append((len(lo), int(width.sum())))
+        return spans(lo, width)
+
+    monkeypatch.setattr(certify, "_spans", recording)
+    monkeypatch.setattr(certify, "_CHUNK", chunk)
+    certify.scan_qualifying(3, 2**29 - 2**23, 2**29)
+    certify._walk_counts(3, [10**9], *certify.threshold_coefficients(3))
+    assert len(steps) > 2
+    assert all(nodes + width <= chunk or nodes == 1 for nodes, width in steps)
+
+
 # --- the strided sieve reference against a scalar oracle -----------------------
 
 # the two certificate modes and the two lambda predicates of density
@@ -1084,10 +1104,9 @@ def test_qualifying_segment_high_window_matches_oracle():
 def test_qualifying_segment_across_segment_boundary():
     lo, hi = arith.SEGMENT_SIZE - 2048, arith.SEGMENT_SIZE + 2048
     assert assert_reference_matches_oracle(lo, hi, 3, Fraction(1, 2)) == 4
-    # scan_qualifying splits the same range at the boundary
-    parts = certify.scan_qualifying(3, lo, hi)
-    assert len(parts) == 2
-    assert [int(d) for arr in parts for d in arr] == oracle_hits(lo, hi, 3, Mode.FULL, None)
+    # scan_qualifying lists the same range as one array
+    (got,) = certify.scan_qualifying(3, lo, hi)
+    assert got.tolist() == oracle_hits(lo, hi, 3, Mode.FULL, None)
 
 
 def test_qualifying_segment_near_sieve_budget():

@@ -91,6 +91,13 @@ def test_certify_d_below_two(capsys, d, code):
     assert ("d must be >= 1" in err) if code == 1 else ("d = 1 < 2^n for n = 3" in out)
 
 
+@pytest.mark.parametrize("qs", [(), ("--qs", "7")])
+@pytest.mark.parametrize("d", ["0", "-5"])
+def test_verify_q_example_d_below_one(capsys, d, qs):
+    # without --qs, d is not factored before the checker refuses it
+    assert run(capsys, "verify-q-example", "--d", d, *qs) == (1, "", f"error: d must be >= 1, got {d}\n")
+
+
 def test_certify_json_failure_payload(capsys):
     code, payload = run_json(capsys, "certify", "--n", "3", "--d", "5004", "--format", "json")
     assert code == 2

@@ -147,9 +147,11 @@ def test_density_threads_bit_identical(n, N, mode, kw, cps):
 
 
 # (n, N, mode, keywords, checkpoints): the four modes, with checkpoints that
-# fall inside runs and between them
+# fall inside runs and between them, and repeated ones on listed degrees and
+# one below them
 CHUNK_CASES = [
     (3, 4 * 10**5, DensityMode.PROP16_FULL, {}, [5005, 10**5, 123457, 3 * 10**5]),
+    (3, 20000, DensityMode.PROP16_FULL, {}, [5004, 5005, 5005, 12155, 17016, 17017, 17017, 20000]),
     (3, 10**6, DensityMode.PROP16_WEAK, {}, [46189, 5 * 10**5]),
     (3, 10**5, DensityMode.LAMBDA_PRIMEPOWER, {"lam_pow": Fraction(1, 2)}, [1, 999, 5 * 10**4]),
     (2, 10**5, DensityMode.LAMBDA_PRIME, {"lam": Fraction(1)}, [2, 1000, 77777]),

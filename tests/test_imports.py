@@ -16,7 +16,8 @@ A fifth keeps the CLI to one integer reader: no option of cli.py passes
 type=int, which would refuse the e-notation that cli._integer reads exactly.
 A sixth keeps output in the CLI: no other module imports csv or reads the
 builtins print or open, so the library only computes and cli.py alone decides
-what a command writes.
+what a command writes.  A seventh keeps the sieve's segment and block lengths
+in arith: no other module reads SEGMENT_SIZE or _SIEVE_BLOCK.
 """
 
 import ast
@@ -171,13 +172,17 @@ def test_the_unread_parameter_guard_reports_what_it_should(source, found):
     assert unread_parameters(source) == found
 
 
+def _read(n: ast.AST) -> str | None:
+    """The name that the node n itself reads, if it is a loaded name or
+    attribute or an import."""
+    if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+        return n.id if isinstance(n, ast.Name) else n.attr
+    return n.name if isinstance(n, ast.alias) else None
+
+
 def _reads(node: ast.AST) -> list[str]:
     """Every name that node reads: loaded names and attributes, and imports."""
-    return [
-        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.alias)
-    ]
+    return [name for n in ast.walk(node) if (name := _read(n)) is not None]
 
 
 def uncalled_functions(sources: dict[str, str], outside: list[str]) -> list[str]:
@@ -323,3 +328,33 @@ def test_only_the_cli_writes_output(path):
 )
 def test_the_output_guard_reports_what_it_should(source, found):
     assert output_uses(source) == found
+
+
+SIEVE_LENGTHS = ("SEGMENT_SIZE", "_SIEVE_BLOCK")
+
+
+def sieve_length_reads(source: str) -> list[str]:
+    """line N: name, for every read or import of a name of SIEVE_LENGTHS."""
+    return [f"line {n.lineno}: {_read(n)}" for n in ast.walk(ast.parse(source)) if _read(n) in SIEVE_LENGTHS]
+
+
+NOT_ARITH = [path for path in SOURCES if path.name != "arith.py"]
+
+
+@pytest.mark.parametrize("path", NOT_ARITH, ids=[p.name for p in NOT_ARITH])
+def test_only_arith_reads_the_sieve_lengths(path):
+    assert sieve_length_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("from . import arith\nx = arith.SEGMENT_SIZE\n", ["line 2: SEGMENT_SIZE"]),
+        ("from .arith import _SIEVE_BLOCK\n", ["line 1: _SIEVE_BLOCK"]),
+        ("import degcert.arith as a\n\ndef f():\n    return range(0, 9, a._SIEVE_BLOCK)\n", ["line 4: _SIEVE_BLOCK"]),
+        ("SEGMENT_SIZE = 4\n", []),
+        ("x = 'SEGMENT_SIZE'\nsize = 1 << 22\n", []),
+    ],
+)
+def test_the_sieve_length_guard_reports_what_it_should(source, found):
+    assert sieve_length_reads(source) == found
