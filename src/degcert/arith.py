@@ -25,6 +25,7 @@ that certificates need, start without either.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import fsum, gcd, isqrt, log2
 from typing import Callable, Iterator, Sequence
@@ -264,12 +265,18 @@ def primes_upto(limit: int) -> np.ndarray:
 
 
 def _map_segments(fn: Callable, ranges: Sequence[tuple[int, int]], threads: int) -> list:
-    """Apply fn to each (lo, hi) range, preserving range order in the result."""
+    """Apply fn to each (lo, hi) range, preserving range order in the result,
+    on at most threads workers and no more than the CPUs this process may
+    run on: a worker past them wins no time and costs memory."""
     if threads <= 1 or len(ranges) <= 1:
         return [fn(r) for r in ranges]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(threads, cpus)) as pool:
         return list(pool.map(fn, ranges))
 
 

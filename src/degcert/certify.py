@@ -29,14 +29,14 @@ Every prime power of a qualifying d <= N is at most cap = iroot((N - c) // a, n)
 where a, b, c are the coefficients of the qualification inequality.  The
 enumeration therefore walks depth first over the products of such prime
 powers (the classical recursion over the largest prime that counts smooth
-numbers, one batch of numpy bisections per bounded chunk) and hands the last
-prime of each degree in bulk, as a run of the prime list, to a consumer; no
+numbers, one batch of numpy bisections per bounded chunk) and yields the last
+prime of each degree in bulk, as a run of the prime list, in batches; no
 integer that cannot qualify is visited.  Every density count of the density
 module runs the same walk: the lambda predicates den * v**n <= num * d are
 the same inequality with coefficients (den, 0, 0) and d scaled by num.
-scan_qualifying lists the walk's degrees in a window, so its cost is set by
-the window's upper end, not by its width.  The minimum search walks
-nothing: d = v*t with v its largest prime power qualifies iff t >=
+scan_qualifying lists the degrees of each yielded batch in a window, so its
+cost is set by the window's upper end, not by its width.  The minimum search
+walks nothing: d = v*t with v its largest prime power qualifies iff t >=
 ceil(thr(v) / v), so a branch and bound over t for each v, in Python
 integers, finds the least degree.
 """
@@ -47,7 +47,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial, gcd, isqrt
-from typing import Callable
+from typing import Iterator
 
 from . import arith
 from .arith import _show_int
@@ -443,10 +443,9 @@ _CHUNK = 2**15
 
 
 def _walk(
-    n: int, N: int, a: int, b: int, c: int, consume: Callable[..., None],
-    scale: int = 1, prime_factor: bool = False,
-) -> None:
-    """Call consume(P, m, i, j) with runs of primes that together describe
+    n: int, N: int, a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (P, m, i, j), batches of runs of primes that together describe
     the d in [2, N] with gcd(d, n!) = 1 and thr(v) = a*v**n + b*v**(n-1) + c
     <= scale*d, where v is the largest prime power of d (its largest prime
     when prime_factor is set) and a >= 1, b, c >= 0.
@@ -454,17 +453,17 @@ def _walk(
     P is the int64 array of the primes in (n, cap], cap = min(iroot((scale*N
     - c) // a, n), N), which bounds every prime power (every prime, under
     prime_factor) of such a d.  m, i, j are int64 arrays of one length: each
-    such d is exactly one m[r] * P[k] with i[r] <= k < j[r], over all calls,
+    such d is exactly one m[r] * P[k] with i[r] <= k < j[r], over all batches,
     where P[k] is the largest prime of d.  The nodes m = products of prime
     powers, primes ascending, wait on a stack in chunks of at most _CHUNK (a
     node whose children alone pass it is a chunk of its own).  Each step pops
     the top chunk, finds its runs and children with one batch of numpy
     bisections and pushes the children's chunks, so the walk goes depth
     first and its stack stays bounded.  The runs wait until they number
-    _CHUNK // 4, or the walk ends, and then go to consume in one call: a
-    walk of a few small steps makes one call, and a large step holds at most
-    that many waiting runs beside its own arrays.  A node (m, u, s) has every
-    prime of m below P[s] and carries u, the largest U[e-1][k] over its
+    _CHUNK // 4, or the walk ends, and then leave as one yielded batch: a
+    walk of a few small steps yields one batch, and a large step holds at
+    most that many waiting runs beside its own arrays.  A node (m, u, s) has
+    every prime of m below P[s] and carries u, the largest U[e-1][k] over its
     factors P[k]**e, where row e of U is
     min(ceil(thr(P[k]**e) / scale), N + 1) for P[k]**e <= cap, or U[0][k]
     for P[k]**e <= N under prime_factor.  The last prime p with exponent 1
@@ -483,7 +482,7 @@ def _walk(
     P[k+1] <= N // (m*p**e).  A product m*p is formed only once m <= N // p
     shows it is at most N, so with N + 1 < 2**63 int64 is exact.  d = 1,
     whose v is 1, is in no run.  An N beyond SIEVE_BUDGET is a CapacityError,
-    then a cap beyond 10**8.
+    then a cap beyond 10**8, raised by the first next().
     """
     import numpy as np
 
@@ -550,51 +549,27 @@ def _walk(
 
     one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
     stack = [(one, zero, zero, np.full(1, N), np.full(1, K))]
-    found, held = [], 0  # the runs (m, i, j) not yet consumed, and their number
+    found, held = [], 0  # the runs (m, i, j) not yet yielded, and their number
     while stack:
         runs, children = step(stack.pop())
         stack += children
         found += runs
         held += sum(len(m) for m, _, _ in runs)
         if held >= _CHUNK // 4 or not stack:
-            consume(P, *(np.concatenate(col) for col in zip(*found)))
+            yield P, *(np.concatenate(col) for col in zip(*found))
             found, held = [], 0
-
-
-def _degrees(n: int, lo: int, hi: int, mode: Mode) -> np.ndarray:
-    """The qualifying degrees in [max(lo, 1), hi), ascending: the walk's to
-    hi - 1, each run clipped to the primes P[k] >= ceil(lo / m) as it comes."""
-    import numpy as np
-
-    lo, parts = max(lo, 1), [np.empty(0, dtype=np.int64)]
-
-    def consume(P, m, i, j):
-        if lo > 1:  # the runs that reach the window, from their first prime in it
-            keep = m * P[j - 1] >= lo
-            m, i, j = m[keep], i[keep], j[keep]
-            i = np.maximum(i, P.searchsorted(-(-lo // m)))
-        ds = P[_spans(i, j - i)]
-        ds *= m.repeat(j - i)
-        parts.append(ds)
-
-    _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode), consume)
-    ds = np.concatenate(parts)
-    ds.sort()
-    return ds
 
 
 def enumerate_qualifying(
     n: int, d_max: int, mode: Mode = Mode.FULL, threads: int = 1
 ) -> list[int]:
-    """All qualifying degrees d <= d_max, ascending.
-
-    The degrees come from one exact _walk, which is sequential: threads is
-    accepted for the callers that pass it and cannot change the answer.
+    """All qualifying degrees d <= d_max, ascending: scan_qualifying's window
+    [1, d_max + 1).  threads cannot change the answer.
 
     >>> enumerate_qualifying(3, 20000)
     [5005, 12155, 17017, 17765, 19019]
     """
-    return _degrees(n, 1, d_max + 1, mode).tolist()
+    return scan_qualifying(n, 1, d_max + 1, mode)[0].tolist()
 
 
 def scan_qualifying(
@@ -603,16 +578,30 @@ def scan_qualifying(
     """The qualifying degrees in [lo, hi) as a list of one ascending int64
     array, empty when the window is.
 
-    The degrees are the walk's to hi - 1, each run clipped to the primes
-    P[k] >= ceil(lo / m), so the cost is set by hi, not by the window width,
-    and only the window's degrees are kept.  The walk holds hi - 1 to
-    SIEVE_BUDGET even for an empty window, as map_sieve does; it is
-    sequential, and threads cannot change the answer.
+    The degrees are the walk's to hi - 1, and each yielded batch is clipped
+    to the runs that reach max(lo, 1), from their primes P[k] >= ceil(lo /
+    m), so the cost is set by hi, not by the window width, and only the
+    window's degrees are kept.  The walk holds hi - 1 to SIEVE_BUDGET even
+    for an empty window, as map_sieve does; it is sequential, and threads
+    cannot change the answer.
 
     >>> [a.tolist() for a in scan_qualifying(3, 12000, 18000)]
     [[12155, 17017, 17765]]
     """
-    return [_degrees(n, lo, hi, mode)]
+    import numpy as np
+
+    lo, parts = max(lo, 1), [np.empty(0, dtype=np.int64)]
+    for P, m, i, j in _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode)):
+        if lo > 1:  # the runs that reach the window, from their first prime in it
+            keep = m * P[j - 1] >= lo
+            m, i, j = m[keep], i[keep], j[keep]
+            i = np.maximum(i, P.searchsorted(-(-lo // m)))
+        ds = P[_spans(i, j - i)]
+        ds *= m.repeat(j - i)
+        parts.append(ds)
+    ds = np.concatenate(parts)
+    ds.sort()
+    return [ds]
 
 
 def _walk_counts(
@@ -620,9 +609,10 @@ def _walk_counts(
 ) -> list[int]:
     """For each x of the ascending, nonempty xs >= 1, the number of d <= x
     that _walk(n, xs[-1], a, b, c, scale, prime_factor) describes, plus d = 1
-    when it qualifies.  One walk; each consume call adds its run lengths to
-    every x at or past a run's last degree through one cumulative sum, and
-    bisects a run (m, i, j) only for the x with m*P[i] <= x < m*P[j-1].
+    when it qualifies.  One walk; each yielded batch adds its run lengths at
+    the first x at or past each run's last degree, one cumulative sum after
+    the walk counts them at every later x, and a run (m, i, j) is bisected
+    only for the x with m*P[i] <= x < m*P[j-1].
 
     >>> _walk_counts(3, [10**4, 2 * 10**4], *threshold_coefficients(3))
     [1, 5]
@@ -630,23 +620,19 @@ def _walk_counts(
     import numpy as np
 
     arith.check_sieve_bound(xs[-1])  # before xs meets int64
-    X, total = np.array(xs, dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
-
-    def consume(P, m, i, j):
-        whole = X.searchsorted(m * P[j - 1])  # the first x at or past a run's last degree
+    X = np.array(xs, dtype=np.int64)
+    # run lengths at the first x at or past a run's end, and each cut run's degrees <= x
+    whole, part = np.zeros((2, len(xs)), dtype=np.int64)
+    for P, m, i, j in _walk(n, xs[-1], a, b, c, scale, prime_factor):
+        past = X.searchsorted(m * P[j - 1])  # the first x at or past a run's last degree
+        np.add.at(whole, past, j - i)
         inside = X.searchsorted(m * P[i])
-        counts = np.zeros(len(X), dtype=np.int64)
-        np.add.at(counts, whole, j - i)
-        counts = counts.cumsum()
-        cut = whole - inside  # the number of x inside each run
+        cut = past - inside  # the number of x inside each run
         if cut.any():
             x = _spans(inside, cut)
-            np.add.at(counts, x, P.searchsorted(X[x] // m.repeat(cut), side="right") - i.repeat(cut))
-        total[:] += counts
-
-    _walk(n, xs[-1], a, b, c, consume, scale, prime_factor)
+            np.add.at(part, x, P.searchsorted(X[x] // m.repeat(cut), side="right") - i.repeat(cut))
     one = int(a + b + c <= scale)  # d = 1, whose v is 1
-    return [one + int(t) for t in total]
+    return [one + int(t) for t in whole.cumsum() + part]
 
 
 def _least_degree(n: int, a: int, b: int, c: int, best: int) -> int:

@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 from functools import lru_cache
@@ -456,6 +457,35 @@ def test_map_sieve_cuts_at_absolute_segment_multiples():
         seen = arith.map_sieve(lo, hi, lambda s, e, b: (s, e, b), threads)
         assert [(s, e) for s, e, _ in seen] == [(lo, size), (size, 2 * size), (2 * size, hi)]
         assert all(np.array_equal(b, base) for _, _, b in seen)
+
+
+def test_segment_map_starts_no_more_workers_than_cpus(monkeypatch):
+    # 4096 workers asked for over 3 segments on one CPU: the pool gets one
+    # worker, and the recording pool maps in this thread, so none starts
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    x = 3 * arith.SEGMENT_SIZE
+    want = arith.prime_count(x, threads=1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert arith.prime_count(x, threads=4096) == want
+    assert pools == [1]
 
 
 def test_map_sieve_refuses_past_budget_even_when_empty():

@@ -667,15 +667,12 @@ def test_smallest_runs_no_walk(monkeypatch, n, mode):
 
 def walk_runs(n, N, a, b, c):
     """(P, runs) of certify._walk(n, N, a, b, c): P as a list (empty when
-    consume is never called) and the runs (m, i, j) of every consume call as
-    a sorted list."""
+    the walk yields no batch) and the runs (m, i, j) of every yielded batch
+    as a sorted list."""
     P, runs = [], []
-
-    def consume(primes, m, i, j):
+    for primes, m, i, j in certify._walk(n, N, a, b, c):
         P[:] = primes.tolist()
         runs.extend(zip(m.tolist(), i.tolist(), j.tolist()))
-
-    certify._walk(n, N, a, b, c, consume)
     return P, sorted(runs)
 
 
@@ -975,7 +972,7 @@ def chunk_answers():
 @pytest.mark.parametrize("chunk", [1, 7, 97])
 def test_walk_answers_do_not_depend_on_chunk(monkeypatch, chunk):
     # a chunk of 1 holds one node, so every node is its own step, and the
-    # runs go to the consumer a few at a time
+    # walk yields its runs a few at a time
     want = chunk_answers()
     monkeypatch.setattr(certify, "_CHUNK", chunk)
     assert chunk_answers() == want
@@ -989,19 +986,13 @@ def test_walk_answers_do_not_depend_on_chunk(monkeypatch, chunk):
 
 def test_walk_hands_runs_on_in_batches(monkeypatch):
     # the runs wait until they number _CHUNK // 4, so a walk of a few small
-    # steps makes one consume call, as the walk by whole levels did, and a
-    # walk of many steps makes several
-    calls = []
-
-    def consume(P, m, i, j):
-        calls.append(len(m))
-
-    certify._walk(4, 10**7, *certify.threshold_coefficients(4), consume)
-    assert len(calls) == 1
+    # steps yields one batch, as the walk by whole levels did, and a walk of
+    # many steps yields several
+    batches = [len(m) for _, m, _, _ in certify._walk(4, 10**7, *certify.threshold_coefficients(4))]
+    assert len(batches) == 1
     monkeypatch.setattr(certify, "_CHUNK", 7)
-    calls.clear()
-    certify._walk(3, 10**6, *certify.threshold_coefficients(3), consume)
-    assert len(calls) > 1
+    batches = [len(m) for _, m, _, _ in certify._walk(3, 10**6, *certify.threshold_coefficients(3))]
+    assert len(batches) > 1
 
 
 @pytest.mark.parametrize("chunk", [7, 97, certify._CHUNK])

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import shlex
@@ -103,6 +104,23 @@ def test_certify_json_failure_payload(capsys):
     assert code == 2
     assert payload["qualifies"] is False
     assert "gcd" in payload["reason"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_certify_reports_a_failed_verification(monkeypatch, capsys, fmt):
+    # no certificate the builder makes fails its verifier, so the verifier
+    # returns the real report of 5005 with its first check flipped
+    real = certify.verify_certificate(certify.build_certificate(3, 5005))
+    first = dataclasses.replace(real.checks[0], passed=False, detail="flipped")
+    flipped = dataclasses.replace(real, passed=False, checks=(first, *real.checks[1:]))
+    monkeypatch.setattr(certify, "verify_certificate", lambda cert: flipped)
+    code, out, _ = run(capsys, "certify", "--n", "3", "--d", "5005", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out)["verification"]["passed"] is False
+    else:
+        assert f"verification: FAIL ({len(real.checks)} checks)\n" in out
+        assert f"\n  FAIL {first.name} [{first.context}]: flipped\n" in out
 
 
 # --- check (serialized certificate round trip) ---------------------------------

@@ -469,7 +469,7 @@ def test_prime_count_counts_marks_in_a_block():
 def test_walk_holds_chunks_not_levels():
     # the walk to 1e10 held whole levels and every run, 65 MiB traced; one
     # step of a 2**15 chunk holds about a dozen int64 arrays of its children,
-    # and at most 2**13 runs wait for the consumer
+    # and at most 2**13 runs wait to be yielded
     assert traced_peak(lambda: empirical_density(3, 10**10, DensityMode.PROP16_FULL)) < 12 * 2**20
 
 
