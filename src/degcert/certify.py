@@ -699,11 +699,11 @@ def smallest_qualifying(
 ) -> int:
     """Minimal qualifying degree for (n, mode), at most budget.
 
-    The least d <= min(budget, SIEVE_BUDGET) comes from _least_degree's
-    branch and bound, which runs no walk, no sieve and no numpy.  A budget
-    below 1 is a ParameterError; a CapacityError names the budget when
-    nothing qualifies within it, or SIEVE_BUDGET's excess when budget lies
-    beyond it.  threads cannot change the answer.
+    The least d <= budget (default SIEVE_BUDGET) comes from _least_degree's
+    branch and bound, which runs no walk, no sieve and no numpy, so the
+    budget may lie beyond SIEVE_BUDGET.  A budget below 1 is a
+    ParameterError; a CapacityError names the budget when nothing qualifies
+    within it.  threads cannot change the answer.
 
     >>> smallest_qualifying(3)
     5005
@@ -711,13 +711,11 @@ def smallest_qualifying(
     cap = budget if budget is not None else arith.SIEVE_BUDGET
     if cap < 1:
         raise ParameterError(f"budget must be >= 1, got {cap}")
-    limit = min(cap, arith.SIEVE_BUDGET)
-    d = _least_degree(n, *threshold_coefficients_upto(n, limit, mode), limit + 1)
-    if d <= limit:
+    d = _least_degree(n, *threshold_coefficients_upto(n, cap, mode), cap + 1)
+    if d <= cap:
         return d
-    arith.check_sieve_bound(cap)
     raise CapacityError(
-        f"no qualifying degree found for n = {_show_int(n)}, mode = {mode.value} up to budget {cap}"
+        f"no qualifying degree found for n = {_show_int(n)}, mode = {mode.value} up to budget {_show_int(cap)}"
     )
 
 

@@ -68,13 +68,6 @@ def _integers(text: str) -> list[int]:
     return [_integer(t) for t in text.split(",") if t.strip()]
 
 
-def _thread_count(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _emit_json(command: str, **fields) -> None:
     """Print one command's JSON payload: the fields (JSON types only) plus
     schema_version and command, key-sorted; report dataclasses are passed
@@ -215,7 +208,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_ihc(args) -> int:
-    report = density.ihc_fraction(args.n, args.N, args.range_lo, threads=args.threads)
+    report = density.ihc_fraction(args.n, args.N, args.range_lo, threads=os.cpu_count() or 1)
     if args.format == "json":
         _emit_json("ihc", **dataclasses.asdict(report))
     else:
@@ -225,7 +218,7 @@ def cmd_ihc(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    rows = density.convergence_diagnostics(args.n, args.checkpoints, lam=args.lam, threads=args.threads)
+    rows = density.convergence_diagnostics(args.n, args.checkpoints, lam=args.lam, threads=os.cpu_count() or 1)
     if args.format == "json":
         _emit_json("diagnostics", n=args.n, rows=[dataclasses.asdict(r) for r in rows])
     elif args.format == "csv":
@@ -328,7 +321,6 @@ def build_parser() -> _Parser:
     p.add_argument("--N", type=_integer, required=True)
     p.add_argument("--range-lo", dest="range_lo", type=_integer, default=1)
     common(p)
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(fn=cmd_ihc)
 
     p = sub.add_parser("diagnostics", help="Pi(m)/m and mertens convergence checkpoints")
@@ -336,7 +328,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoints", type=_integers, required=True)
     p.add_argument("--lam", type=_parse_fraction, help="enable exponent>=2 tail bounds with this lambda")
     common(p, fmt=("text", "json", "csv"))
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(fn=cmd_diagnostics)
 
     p = sub.add_parser("verify-q-example", help="check the d = q^3 + 6k example arithmetic")

@@ -173,11 +173,9 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
     Each such d has p | f_n(d), so f_n(d) != 1: the integral Hodge
     conjecture fails in degree d (conditional on the premises).
     """
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
+    a, b, c = certify.threshold_coefficients_upto(n, N)  # refuses n < 3
     if not 1 <= range_lo <= N:
         raise ParameterError(f"need 1 <= range_lo <= N, got {range_lo}, {N}")
-    a, b, c = certify.threshold_coefficients_upto(n, N)
 
     def work(lo: int, hi: int, base: np.ndarray) -> int:
         import numpy as np

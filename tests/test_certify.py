@@ -616,9 +616,15 @@ def test_smallest_budget_below_one_is_parameter_error():
 
 
 def test_smallest_budget_beyond_sieve_budget():
+    # the branch and bound runs no sieve, so the budget alone bounds it
     assert certify.smallest_qualifying(3, budget=10**11) == 5005
-    with pytest.raises(CapacityError, match="^sieve bound 100000000000 exceeds budget 10000000000$"):
+    assert certify.smallest_qualifying(6, budget=2 * 10**11) == 192875738341
+    refusal = "^no qualifying degree found for n = 7, mode = FULL up to budget 100000000000$"
+    with pytest.raises(CapacityError, match=refusal):
         certify.smallest_qualifying(7, budget=10**11)
+    with pytest.raises(CapacityError, match="up to budget <16610-bit integer>$") as exc:
+        certify.smallest_qualifying(10**4000, budget=10**5000)
+    assert len(str(exc.value).encode()) < 300
 
 
 # (n, mode) -> least qualifying degree; 6685349671 agrees with a sieve to 7e9
@@ -720,9 +726,8 @@ SMALLEST_BEYOND = {
 
 
 @pytest.mark.parametrize("n, mode", SMALLEST_BEYOND)
-def test_smallest_beyond_int64_frozen_and_certified(monkeypatch, n, mode):
-    monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**70)
-    d = certify.smallest_qualifying(n, mode)
+def test_smallest_beyond_int64_frozen_and_certified(n, mode):
+    d = certify.smallest_qualifying(n, mode, budget=10**70)
     assert d == SMALLEST_BEYOND[n, mode]
     assert certify.verify_certificate(certify.build_certificate(n, d, mode)).passed
 

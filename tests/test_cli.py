@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degcert import arith, certify, cli
+from degcert import arith, certify, cli, density
 from test_certify import (
     M89, M89_DEGREE, M89_Q_EXAMPLE, M89_QS, PSI12, assembled_certificate, pseudoprime_certificate,
 )
@@ -318,8 +318,9 @@ def test_smallest_budget_capacity_exit3(capsys):
         (("--n", "3", "--budget", "0"), 1, "error: budget must be >= 1, got 0"),
         (("--n", "3", "--budget", "-5"), 1, "error: budget must be >= 1, got -5"),
         (("--n", "3", "--budget", "100000000000"), 0, "5005"),
-        (("--n", "7", "--budget", "100000000000"), 3, "sieve bound 100000000000 exceeds budget 10000000000"),
+        (("--n", "7", "--budget", "1e11"), 3, "no qualifying degree found for n = 7, mode = FULL up to budget 100000000000"),
         (("--n", "6"), 3, "no qualifying degree found for n = 6, mode = FULL up to budget 10000000000"),
+        (("--n", "6", "--budget", "2e11"), 0, "192875738341"),
     ],
 )
 def test_smallest_budget_exit_codes(capsys, argv, code, shown):
@@ -560,34 +561,37 @@ def test_density_nonpositive_lam_pow_exit1(capsys, lam_pow):
     assert err == f"error: lambda**n must be positive, got {lam_pow.split('=')[1]}\n"
 
 
-def test_threads_not_an_integer_exit1(capsys):
-    code, out, err = run(capsys, "ihc", "--n", "3", "--N", "10", "--threads", "x")
-    assert (code, out) == (1, "")
-    assert err.endswith("error: argument --threads: not an integer: 'x'\n")
-
-
-@pytest.mark.parametrize("threads", ["0", "-5"])
-def test_threads_below_one_exit1(capsys, threads):
-    code, _, err = run(capsys, "ihc", "--n", "3", "--N", "10", "--threads", threads)
-    assert code == 1
-    assert "--threads" in err
-
-
 @pytest.mark.parametrize(
     "argv",
-    [("enumerate", "--n", "3", "--d-max", "1000"), ("smallest", "--n", "3"), ("density", "--n", "3", "--N", "1000")],
+    [
+        ("enumerate", "--n", "3", "--d-max", "1000"),
+        ("smallest", "--n", "3"),
+        ("density", "--n", "3", "--N", "1000"),
+        ("ihc", "--n", "3", "--N", "1000"),
+        ("diagnostics", "--n", "3", "--checkpoints", "1000"),
+    ],
 )
 def test_walk_commands_refuse_threads(capsys, argv):
-    # each runs one sequential walk, so a thread count would change nothing
+    # no command asks for a worker count: the sieves take the CPU count
     code, out, err = run(capsys, *argv, "--threads", "2")
     assert (code, out) == (1, "")
     assert "unrecognized arguments: --threads 2" in err
 
 
 @pytest.mark.parametrize("command", ["ihc", "diagnostics"])
-def test_sieve_commands_take_threads(capsys, command):
-    argv = (command, "--n", "3") + (("--N", "100000") if command == "ihc" else ("--checkpoints", "1000,100000"))
-    assert run(capsys, *argv, "--threads", "2") == run(capsys, *argv)
+def test_sieve_commands_take_threads(capsys, monkeypatch, command):
+    # the worker count is the CPU count; the recorded calls stand in for the
+    # sieves, so this starts no threads
+    calls = []
+    report = density.IhcReport(n=3, N=1000, range_lo=1, count=0, fraction=0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(density, "ihc_fraction", lambda *args, threads: calls.append(("ihc", threads)) or report)
+    monkeypatch.setattr(
+        density, "convergence_diagnostics", lambda *args, lam, threads: calls.append(("diagnostics", threads)) or []
+    )
+    argv = ("--N", "1000") if command == "ihc" else ("--checkpoints", "1000")
+    assert run(capsys, command, "--n", "3", *argv)[0] == 0
+    assert calls == [(command, 3)]
 
 
 def test_density_csv_trajectory(capsys):
@@ -846,8 +850,8 @@ _INTEGER_ARGV = {
     "enumerate": ["--n", "3", "--d-max", "20000"],
     "smallest": ["--n", "3", "--budget", "10000"],
     "density": ["--n", "3", "--N", "20000", "--checkpoints", "5005,10000"],
-    "ihc": ["--n", "3", "--N", "1000", "--range-lo", "100", "--threads", "2"],
-    "diagnostics": ["--n", "3", "--checkpoints", "10,100", "--threads", "2"],
+    "ihc": ["--n", "3", "--N", "1000", "--range-lo", "100"],
+    "diagnostics": ["--n", "3", "--checkpoints", "10,100"],
     "verify-q-example": ["--d", "53599", "--qs", "7,13,19,31"],
 }
 _INTEGER_OPTIONS = [(command, argv[i]) for command, argv in _INTEGER_ARGV.items() for i in range(0, len(argv), 2)]
@@ -981,10 +985,6 @@ _USAGE_CERTIFY = (
     "usage: degcert certify [-h] --n N --d D [--mode {full,weak}] [--out OUT]\n"
     "                       [--format {text,json}]\n"
 )
-_USAGE_IHC = (
-    "usage: degcert ihc [-h] --n N --N N [--range-lo RANGE_LO]\n"
-    "                   [--format {text,json}] [--threads THREADS]\n"
-)
 _COMMANDS = "certify,check,enumerate,smallest,dickman,density,ihc,diagnostics,verify-q-example"
 _USAGE_TOP = f"usage: degcert [-h] [--version]\n               {{{_COMMANDS}}}\n               ...\n"
 _CHOICES = ", ".join(f"'{c}'" for c in _COMMANDS.split(","))
@@ -1040,7 +1040,7 @@ TEXT_CASES = [
         ["ihc", "--n", "3", "--N", "10", "--threads", "0"],
         1,
         "",
-        _USAGE_IHC + "error: argument --threads: must be >= 1, got 0\n",
+        _USAGE_TOP + "error: unrecognized arguments: --threads 0\n",
     ),
     (
         ["frobnicate"],

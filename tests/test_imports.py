@@ -17,7 +17,9 @@ type=int, which would refuse the e-notation that cli._integer reads exactly.
 A sixth keeps output in the CLI: no other module imports csv or reads the
 builtins print or open, so the library only computes and cli.py alone decides
 what a command writes.  A seventh keeps the sieve's segment and block lengths
-in arith: no other module reads SEGMENT_SIZE or _SIEVE_BLOCK.
+in arith: no other module reads SEGMENT_SIZE or _SIEVE_BLOCK.  An eighth holds
+only the sieves and the walks to the sieve budget: no function but
+arith.map_sieve, certify._walk and certify._walk_counts reads check_sieve_bound.
 """
 
 import ast
@@ -358,3 +360,37 @@ def test_only_arith_reads_the_sieve_lengths(path):
 )
 def test_the_sieve_length_guard_reports_what_it_should(source, found):
     assert sieve_length_reads(source) == found
+
+
+def sieve_bound_readers(sources: dict[str, str]) -> list[str]:
+    """module.name for every top-level function or class of sources, module
+    name -> text, that reads check_sieve_bound in its body, and module for a
+    read outside them, such as an import."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if "check_sieve_bound" in _reads(node):
+                named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                found.append(f"{module}.{node.name}" if named else module)
+    return found
+
+
+def test_only_the_sieve_and_the_walks_check_the_sieve_bound():
+    # smallest's branch and bound runs no sieve, so --budget alone bounds it
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert sieve_bound_readers(sources) == ["arith.map_sieve", "certify._walk", "certify._walk_counts"]
+
+
+@pytest.mark.parametrize(
+    "sources,found",
+    [
+        ({"m": "def f():\n    arith.check_sieve_bound(9)\n"}, ["m.f"]),
+        ({"m": "def f():\n    def g():\n        check_sieve_bound(9)\n\n    return g\n"}, ["m.f"]),
+        ({"m": "class C:\n    def f(self):\n        check_sieve_bound(9)\n"}, ["m.C"]),
+        ({"m": "from .arith import check_sieve_bound\n"}, ["m"]),
+        ({"m": "def check_sieve_bound(bound):\n    return bound\n"}, []),
+        ({"m": "def f():\n    return 'check_sieve_bound'\n"}, []),
+    ],
+)
+def test_the_sieve_bound_guard_reports_what_it_should(sources, found):
+    assert sieve_bound_readers(sources) == found
