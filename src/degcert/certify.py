@@ -25,15 +25,16 @@ verifier re-checks everything from scratch using only multiplication,
 addition, divisibility and primality (no shared decomposition logic), so a
 buggy builder cannot validate itself.
 
-Every prime power of a qualifying d <= N is at most cap = iroot((N - c) // a, n),
-where a, b, c are the coefficients of the qualification inequality.  The
-enumeration therefore walks depth first over the products of such prime
-powers (the classical recursion over the largest prime that counts smooth
-numbers, one batch of numpy bisections per bounded chunk) and yields the last
-prime of each degree in bulk, as a run of the prime list, in batches; no
-integer that cannot qualify is visited.  Every density count of the density
+The walk, the density counts, the least-degree search and the builder read
+the qualification inequality a*q**n + b*q**(n-1) + c <= d as one value,
+_Inequality.  Every prime power of a qualifying d <= N is at most cap =
+iroot((N - c) // a, n).  The enumeration therefore walks depth first over
+the products of such prime powers (the classical recursion over the largest
+prime that counts smooth numbers, one batch of numpy bisections per bounded
+chunk) and yields the last prime of each degree in bulk, as a run of the
+prime list, in batches; no integer that cannot qualify is visited.  Every density count of the density
 module runs the same walk: the lambda predicates den * v**n <= num * d are
-the same inequality with coefficients (den, 0, 0) and d scaled by num.
+an _Inequality with coefficients (den, 0, 0) and scale num.
 scan_qualifying lists the degrees of each yielded batch in a window, so its
 cost is set by the window's upper end, not by its width.  The minimum search
 walks nothing: d = v*t with v its largest prime power qualifies iff t >=
@@ -47,7 +48,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial, gcd, isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import arith
 from .arith import _show_int
@@ -150,25 +151,60 @@ def threshold_coefficients(n: int, mode: Mode = Mode.FULL) -> tuple[int, int, in
     return fact - 1, 0, c
 
 
-def threshold_coefficients_upto(n: int, bound: int, mode: Mode = Mode.FULL) -> tuple[int, int, int]:
-    """threshold_coefficients(n, mode), or (1, 0, bound + 1) when bound < 2**n.
+class _Inequality(NamedTuple):
+    """The qualification inequality thr(v) = a*v**n + b*v**(n-1) + c <= scale*d
+    on v, the largest prime power of d (its largest prime under prime_factor),
+    with a >= 1 and b, c >= 0; den * v**n <= num * d is (den, 0, 0), scale num."""
 
-    Both inequalities fail for every d <= bound < 2**n < (2**n + 1) * n!, and
-    the second needs no n!, which for a huge n would take seconds to build.
-    """
+    n: int
+    a: int
+    b: int
+    c: int
+    scale: int = 1
+    prime_factor: bool = False
+
+    def thr(self, v: int) -> int:
+        """a*v**n + b*v**(n-1) + c in exact Python integers, which cannot wrap."""
+        return self.a * v**self.n + self.b * v ** (self.n - 1) + self.c
+
+    def ceil(self, q: np.ndarray, top: int, per: np.ndarray | None = None) -> np.ndarray:
+        """min(ceil(thr(q) / (scale * per)), top) as int64 for the ascending
+        int64 array q >= 1 with thr(q) >= 1, and per = 1 or an int64 array
+        >= 1 of q's length (per = q: the walk's H(q) and the least cofactors
+        t of ihc_fraction's marks q*t).
+
+        Evaluated in place in int64 when thr(q[-1]) and scale prove that no
+        term can wrap, otherwise on object arrays of Python integers.  It
+        divides by scale, then by per: ceil(ceil(t / s) / p) = ceil(t / (s*p)).
+        The clamp at top comes last and keeps an ascending quotient ascending.
+        """
+        import numpy as np
+
+        n, a, b, c, scale, _ = self
+        if len(q) == 0:
+            return np.empty(0, dtype=np.int64)
+        if self.thr(int(q[-1])) >= 2**63 or scale >= 2**63:
+            q = q.astype(object)
+        t = q**n
+        t *= a
+        if b:
+            t += b * q ** (n - 1)
+        t += c
+        for den in (scale,) if per is None else (scale, per):
+            np.negative(t, out=t)
+            t //= den
+            np.negative(t, out=t)
+        np.minimum(t, top, out=t)
+        return t.astype(np.int64, copy=False)
+
+
+def _inequality(n: int, bound: int, mode: Mode = Mode.FULL) -> _Inequality:
+    """The inequality of (n, mode), or coefficients (1, 0, bound + 1) when bound
+    < 2**n: both fail for every d <= bound < 2**n < (2**n + 1) * n!, and the
+    second needs no n!, which for a huge n would take seconds to build."""
     if n >= 3 and n >= bound.bit_length():
-        return 1, 0, bound + 1
-    return threshold_coefficients(n, mode)
-
-
-def qualification_threshold(n: int, q: int, mode: Mode = Mode.FULL) -> int:
-    """Right-hand side of the qualification inequality for a given q.
-
-    Exact integer arithmetic throughout; Python integers cannot overflow,
-    so thresholds near and beyond 2**63 are handled without wrapping.
-    """
-    a, b, c = threshold_coefficients(n, mode)
-    return a * q**n + b * q ** (n - 1) + c
+        return _Inequality(n, 1, 0, bound + 1)
+    return _Inequality(n, *threshold_coefficients(n, mode))
 
 
 def condition_holds(n: int, d: int, mode: Mode = Mode.FULL) -> bool:
@@ -246,7 +282,7 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     q_max = fi.largest_prime_power
     # thr > q**n >= 2**e > d: a threshold beyond _show_int's decimals is not built
     e = n * (q_max.bit_length() - 1)
-    thr = None if e >= max(d.bit_length(), 10_000) else qualification_threshold(n, q_max, mode)
+    thr = None if e >= max(d.bit_length(), 10_000) else _Inequality(n, *threshold_coefficients(n, mode)).thr(q_max)
     if thr is None or thr > d:
         shown = f"> 2^{e}" if thr is None else _show_int(thr)
         raise DecompositionError(
@@ -394,39 +430,6 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _ceil_thresholds(
-    q: np.ndarray, n: int, a: int, b: int, c: int, scale: int, top: int, per: np.ndarray | None = None
-) -> np.ndarray:
-    """min(ceil(thr(q) / (scale * per)), top) as int64 for the ascending
-    int64 array q >= 1, thr(q) = a*q**n + b*q**(n-1) + c >= 1, and per = 1
-    or an int64 array >= 1 of q's length (per = q: the walk's H(q) and the
-    least cofactors t of ihc_fraction's marks q*t).
-
-    Evaluated in place in int64 when thr(q[-1]) and scale prove that no
-    term can wrap, otherwise on object arrays of Python integers.  It
-    divides by scale, then by per: ceil(ceil(t / s) / p) = ceil(t / (s*p)).
-    The clamp at top comes last and keeps an ascending quotient ascending.
-    """
-    import numpy as np
-
-    if len(q) == 0:
-        return np.empty(0, dtype=np.int64)
-    qmax = int(q[-1])
-    if a * qmax**n + b * qmax ** (n - 1) + c >= 2**63 or scale >= 2**63:
-        q = q.astype(object)
-    t = q**n
-    t *= a
-    if b:
-        t += b * q ** (n - 1)
-    t += c
-    for den in (scale,) if per is None else (scale, per):
-        np.negative(t, out=t)
-        t //= den
-        np.negative(t, out=t)
-    np.minimum(t, top, out=t)
-    return t.astype(np.int64, copy=False)
-
-
 def _spans(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     """The ranges [lo[r], lo[r] + width[r]) one after another, as one array."""
     import numpy as np
@@ -442,13 +445,10 @@ def _spans(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
 _CHUNK = 2**15
 
 
-def _walk(
-    n: int, N: int, a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+def _walk(ineq: _Inequality, N: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (P, m, i, j), batches of runs of primes that together describe
-    the d in [2, N] with gcd(d, n!) = 1 and thr(v) = a*v**n + b*v**(n-1) + c
-    <= scale*d, where v is the largest prime power of d (its largest prime
-    when prime_factor is set) and a >= 1, b, c >= 0.
+    the d in [2, N] with gcd(d, n!) = 1 that satisfy the inequality ineq,
+    thr(v) <= scale*d.
 
     P is the int64 array of the primes in (n, cap], cap = min(iroot((scale*N
     - c) // a, n), N), which bounds every prime power (every prime, under
@@ -486,6 +486,7 @@ def _walk(
     """
     import numpy as np
 
+    n, a, _, c, scale, prime_factor = ineq
     arith.check_sieve_bound(N)
     if scale * N < c:
         return
@@ -495,7 +496,7 @@ def _walk(
     assert N + 1 < 2**63
     primes = arith.primes_upto(cap)
     P = primes[primes.searchsorted(n, side="right") :]
-    H = _ceil_thresholds(P, n, a, b, c, scale, N + 1, per=P)
+    H = ineq.ceil(P, N + 1, per=P)
     # children have p*p <= N; a child m*p**e of P[k] is a node iff
     # m*p**e <= Mmax[k] = N // P[k+1] (0 past the end)
     K = int(P.searchsorted(isqrt(N), side="right"))
@@ -503,11 +504,11 @@ def _walk(
     Mmax = N // np.append(P[1 : K + 1], N + 1)
     P2 = small * small
     # the rows of U end with an empty one
-    U = [_ceil_thresholds(small, n, a, b, c, scale, N + 1)]
+    U = [ineq.ceil(small, N + 1)]
     while len(U[-1]):
         e = len(U) + 1
         w = small.searchsorted(arith.integer_nth_root(N if prime_factor else cap, e), side="right")
-        U.append(U[0][:w] if prime_factor else _ceil_thresholds(small[:w] ** e, n, a, b, c, scale, N + 1))
+        U.append(U[0][:w] if prime_factor else ineq.ceil(small[:w] ** e, N + 1))
 
     def step(chunk):
         """The chunk's runs, and its children's chunks, the first last."""
@@ -591,7 +592,7 @@ def scan_qualifying(
     import numpy as np
 
     lo, parts = max(lo, 1), [np.empty(0, dtype=np.int64)]
-    for P, m, i, j in _walk(n, hi - 1, *threshold_coefficients_upto(n, hi - 1, mode)):
+    for P, m, i, j in _walk(_inequality(n, hi - 1, mode), hi - 1):
         if lo > 1:  # the runs that reach the window, from their first prime in it
             keep = m * P[j - 1] >= lo
             m, i, j = m[keep], i[keep], j[keep]
@@ -604,17 +605,15 @@ def scan_qualifying(
     return [ds]
 
 
-def _walk_counts(
-    n: int, xs: list[int], a: int, b: int, c: int, scale: int = 1, prime_factor: bool = False
-) -> list[int]:
+def _walk_counts(ineq: _Inequality, xs: list[int]) -> list[int]:
     """For each x of the ascending, nonempty xs >= 1, the number of d <= x
-    that _walk(n, xs[-1], a, b, c, scale, prime_factor) describes, plus d = 1
-    when it qualifies.  One walk; each yielded batch adds its run lengths at
-    the first x at or past each run's last degree, one cumulative sum after
-    the walk counts them at every later x, and a run (m, i, j) is bisected
-    only for the x with m*P[i] <= x < m*P[j-1].
+    that _walk(ineq, xs[-1]) describes, plus d = 1 when it satisfies ineq.
+    One walk; each yielded batch adds its run lengths at the first x at or
+    past each run's last degree, one cumulative sum after the walk counts
+    them at every later x, and a run (m, i, j) is bisected only for the x
+    with m*P[i] <= x < m*P[j-1].
 
-    >>> _walk_counts(3, [10**4, 2 * 10**4], *threshold_coefficients(3))
+    >>> _walk_counts(_Inequality(3, *threshold_coefficients(3)), [10**4, 2 * 10**4])
     [1, 5]
     """
     import numpy as np
@@ -623,7 +622,7 @@ def _walk_counts(
     X = np.array(xs, dtype=np.int64)
     # run lengths at the first x at or past a run's end, and each cut run's degrees <= x
     whole, part = np.zeros((2, len(xs)), dtype=np.int64)
-    for P, m, i, j in _walk(n, xs[-1], a, b, c, scale, prime_factor):
+    for P, m, i, j in _walk(ineq, xs[-1]):
         past = X.searchsorted(m * P[j - 1])  # the first x at or past a run's last degree
         np.add.at(whole, past, j - i)
         inside = X.searchsorted(m * P[i])
@@ -631,14 +630,14 @@ def _walk_counts(
         if cut.any():
             x = _spans(inside, cut)
             np.add.at(part, x, P.searchsorted(X[x] // m.repeat(cut), side="right") - i.repeat(cut))
-    one = int(a + b + c <= scale)  # d = 1, whose v is 1
+    one = int(ineq.thr(1) <= ineq.scale)  # d = 1, whose v is 1
     return [one + int(t) for t in whole.cumsum() + part]
 
 
-def _least_degree(n: int, a: int, b: int, c: int, best: int) -> int:
-    """The least d < best with gcd(d, n!) = 1 and thr(v) = a*v**n +
-    b*v**(n-1) + c <= d, v the largest prime power of d (a >= 1, b, c >= 0),
-    or best when there is none.
+def _least_degree(ineq: _Inequality, best: int) -> int:
+    """The least d < best with gcd(d, n!) = 1 that satisfies ineq, a scale-1
+    inequality on the largest prime power v of d, thr(v) <= d, or best when
+    there is none.
 
     Such a d is v*t, with t coprime to v and every prime power of t below v,
     and it qualifies iff t >= ceil(thr(v) / v).  So for each prime power v of
@@ -648,10 +647,7 @@ def _least_degree(n: int, a: int, b: int, c: int, best: int) -> int:
     t reaches that target or the least t found (v*t >= best), or once the
     largest powers left cannot lift t to the target.
     """
-
-    def thr(v: int) -> int:
-        return a * v**n + b * v ** (n - 1) + c
-
+    n, a, thr = ineq.n, ineq.a, ineq.thr
     ps = []  # the primes in (n, v]
     # a*v**n < best bounds v, so a huge n stops before it forms v**n
     for v in range(n + 1, arith.integer_nth_root(best // a, n) + 1):
@@ -711,7 +707,7 @@ def smallest_qualifying(
     cap = budget if budget is not None else arith.SIEVE_BUDGET
     if cap < 1:
         raise ParameterError(f"budget must be >= 1, got {cap}")
-    d = _least_degree(n, *threshold_coefficients_upto(n, cap, mode), cap + 1)
+    d = _least_degree(_inequality(n, cap, mode), cap + 1)
     if d <= cap:
         return d
     raise CapacityError(

@@ -143,8 +143,7 @@ def cmd_enumerate(args) -> int:
         )
     else:
         print("d" if args.format == "csv" else f"{len(ds)} qualifying degrees <= {args.d_max}")
-        for d in ds:
-            print(d)
+        sys.stdout.writelines(f"{d}\n" for d in ds)
     return EXIT_OK
 
 

@@ -7,11 +7,11 @@ that violate the integral Hodge conjecture via a large prime p, and tracks
 the convergence of the prime-power ratio and of reciprocal prime sums.
 
 All four density modes count on certify's walk over prime powers, which
-sieves nothing.  Certificate qualification uses the coefficients of its
-inequality; in the lambda modes a comparison v <= lambda * d**(1/n) has
-lambda enter as an exact rational (or as the exact rational value num/den of
-lambda**n) and becomes den * v**n <= num * d, the same inequality with
-coefficients (den, 0, 0) and d scaled by num.
+sieves nothing, and each hands it one certify._Inequality.  Certificate
+qualification is its own inequality; in the lambda modes a comparison v <=
+lambda * d**(1/n) has lambda enter as an exact rational (or as the exact
+rational value num/den of lambda**n) and becomes den * v**n <= num * d, the
+inequality with coefficients (den, 0, 0) and scale num.
 """
 
 from __future__ import annotations
@@ -140,14 +140,14 @@ def empirical_density(
         if lam is not None or lam_pow is not None:
             raise ParameterError("lam and lam_pow apply only to the LAMBDA modes")
         cmode = certify.Mode.FULL if mode == DensityMode.PROP16_FULL else certify.Mode.WEAK
-        args = (*certify.threshold_coefficients_upto(n, N, cmode), 1, False)
+        ineq = certify._inequality(n, N, cmode)
         lam_val = lam_pow_val = None
     else:
         lam_val, lam_pow_val = _resolve_lambda(n, lam, lam_pow)
         # v <= lam * d**(1/n)  <=>  den * v**n <= num * d, for lam**n = num/den
         den, num = lam_pow_val.denominator, lam_pow_val.numerator
-        args = (den, 0, 0, num, mode == DensityMode.LAMBDA_PRIME)
-    counts = certify._walk_counts(n, xs, *args)
+        ineq = certify._Inequality(n, den, 0, 0, num, mode == DensityMode.LAMBDA_PRIME)
+    counts = certify._walk_counts(ineq, xs)
     count = counts[-1]
 
     theoretical = theoretical_density(n) if n <= 10 else None
@@ -173,7 +173,7 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
     Each such d has p | f_n(d), so f_n(d) != 1: the integral Hodge
     conjecture fails in degree d (conditional on the premises).
     """
-    a, b, c = certify.threshold_coefficients_upto(n, N)  # refuses n < 3
+    ineq = certify._inequality(n, N)  # refuses n < 3
     if not 1 <= range_lo <= N:
         raise ParameterError(f"need 1 <= range_lo <= N, got {range_lo}, {N}")
 
@@ -181,15 +181,15 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
         import numpy as np
 
         # thr(p) > a * p**n, so no prime above iroot(hi // a, n) passes below hi
-        ps = base[base.searchsorted(n, "right") : base.searchsorted(arith.integer_nth_root(hi // a, n), "right")]
-        H = certify._ceil_thresholds(ps, n, a, b, c, 1, hi, per=ps)
+        ps = base[base.searchsorted(n, "right") : base.searchsorted(arith.integer_nth_root(hi // ineq.a, n), "right")]
+        H = ineq.ceil(ps, hi, per=ps)
         firsts = np.maximum(-(-lo // ps), H) * ps - lo  # offsets from lo
         keep = firsts < hi - lo
         blocks = arith._strike_blocks(hi - lo, ps[keep], firsts[keep])
         return sum(len(marks) - int(np.count_nonzero(marks)) for _, marks in blocks)
 
     # every threshold exceeds c, so no d below c is counted
-    count = sum(arith.map_sieve(max(range_lo, c), N + 1, work, threads))
+    count = sum(arith.map_sieve(max(range_lo, ineq.c), N + 1, work, threads))
     return IhcReport(n=n, N=N, range_lo=range_lo, count=count, fraction=count / (N - range_lo + 1))
 
 

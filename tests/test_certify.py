@@ -58,13 +58,18 @@ def test_condition_holds_takes_no_q():
         certify.condition_holds(3, 5005, Mode.FULL, q=13)
 
 
+def qualification_threshold(n, q, mode=Mode.FULL):
+    """The left-hand side of the qualification inequality of (n, mode) at q."""
+    return certify._Inequality(n, *certify.threshold_coefficients(n, mode)).thr(q)
+
+
 def test_threshold_values():
-    assert certify.qualification_threshold(3, 13, Mode.FULL) == 2 * 2197 + 3 * 169 + 54
-    assert certify.qualification_threshold(3, 13, Mode.WEAK) == 5 * 2197 + 54
+    assert qualification_threshold(3, 13, Mode.FULL) == 2 * 2197 + 3 * 169 + 54
+    assert qualification_threshold(3, 13, Mode.WEAK) == 5 * 2197 + 54
     # near-2^63 bases stay exact (Python integers, no wrap possible)
     q = 4294967291
-    assert certify.qualification_threshold(3, q) == 2 * q**3 + 3 * q**2 + 54
-    assert certify.qualification_threshold(3, q) > 2**63
+    assert qualification_threshold(3, q) == 2 * q**3 + 3 * q**2 + 54
+    assert qualification_threshold(3, q) > 2**63
 
 
 def test_weak_implies_full_qualification():
@@ -74,7 +79,7 @@ def test_weak_implies_full_qualification():
     # and the threshold comparison behind it, for a spread of q and n
     for n in (3, 4, 5, 7):
         for q in (1, 5, 7, 11, 125, 10**6 + 3):
-            assert certify.qualification_threshold(n, q, Mode.WEAK) >= certify.qualification_threshold(n, q, Mode.FULL)
+            assert qualification_threshold(n, q, Mode.WEAK) >= qualification_threshold(n, q, Mode.FULL)
 
 
 # --- witness ------------------------------------------------------------------
@@ -178,7 +183,7 @@ def test_build_certificate_gates_on_the_inequality():
     # 6545 = 5*7*11*17 fails the inequality for q = 17, yet every entry has a
     # witness and the assembled certificate verifies: build_certificate
     # refuses some degrees that have a certificate
-    assert certify.qualification_threshold(3, 17) == 10747
+    assert qualification_threshold(3, 17) == 10747
     for mode in Mode:
         with pytest.raises(DecompositionError, match="qualification inequality fails"):
             certify.build_certificate(3, 6545, mode)
@@ -233,7 +238,7 @@ M89_DEGREE = M89 * (5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
 
 
 def test_builder_refuses_a_prime_above_psi13():
-    assert certify.qualification_threshold(3, M89) <= M89_DEGREE
+    assert qualification_threshold(3, M89) <= M89_DEGREE
     with pytest.raises(DecompositionError, match=f"^prime factor {M89} exceeds psi13 = {arith.PSI13}"):
         certify.build_certificate(3, M89_DEGREE)
     assert not certify.condition_holds(3, M89_DEGREE)
@@ -338,7 +343,7 @@ def test_sieve_entry_points_answer_huge_n_without_n_factorial(monkeypatch):
 def test_build_certificate_refuses_a_huge_threshold_unbuilt(monkeypatch):
     # q = d, a 45-digit prime: q**100 has 4500 digits, past int-to-str
     d = 10**44 + 31
-    monkeypatch.setattr(certify, "qualification_threshold", None)
+    monkeypatch.setattr(certify._Inequality, "thr", None)
     reason = f"^qualification inequality fails for q = {d}: threshold > 2\\^14600 > d = {d}$"
     with pytest.raises(DecompositionError, match=reason):
         certify.build_certificate(100, d)
@@ -671,20 +676,20 @@ def test_smallest_runs_no_walk(monkeypatch, n, mode):
     assert certify.smallest_qualifying(n, mode) == SMALLEST[n, mode]
 
 
-def walk_runs(n, N, a, b, c):
-    """(P, runs) of certify._walk(n, N, a, b, c): P as a list (empty when
-    the walk yields no batch) and the runs (m, i, j) of every yielded batch
-    as a sorted list."""
+def walk_runs(ineq, N):
+    """(P, runs) of certify._walk(ineq, N): P as a list (empty when the walk
+    yields no batch) and the runs (m, i, j) of every yielded batch as a
+    sorted list."""
     P, runs = [], []
-    for primes, m, i, j in certify._walk(n, N, a, b, c):
+    for primes, m, i, j in certify._walk(ineq, N):
         P[:] = primes.tolist()
         runs.extend(zip(m.tolist(), i.tolist(), j.tolist()))
     return P, sorted(runs)
 
 
-def walk_least(n, N, a, b, c):
-    """The least degree of certify._walk(n, N, a, b, c), or N + 1 if it lists none."""
-    P, runs = walk_runs(n, N, a, b, c)
+def walk_least(ineq, N):
+    """The least degree of certify._walk(ineq, N), or N + 1 if it lists none."""
+    P, runs = walk_runs(ineq, N)
     return min((m * P[i] for m, i, _ in runs), default=N + 1)
 
 
@@ -693,7 +698,7 @@ def test_smallest_past_the_budget_equals_the_walk(monkeypatch, n, mode):
     # 2**63 - 2 keeps the walk's N + 1 in int64; n = 8 WEAK is 9.16e18
     monkeypatch.setattr(arith, "SIEVE_BUDGET", 2**63 - 2)
     d = certify.smallest_qualifying(n, mode)
-    assert walk_least(n, d, *certify.threshold_coefficients(n, mode)) == d
+    assert walk_least(certify._Inequality(n, *certify.threshold_coefficients(n, mode)), d) == d
 
 
 # the least degrees beyond int64, found by the branch and bound
@@ -741,7 +746,8 @@ def test_least_degree_matches_the_walk_on_small_coefficients(data, n, a):
     b = data.draw(st.integers(0, 2000 if n > 1 else 0))
     c = data.draw(st.integers(0, max((n - 1) * a * (n + 1) ** n - 1, 0)))
     N = data.draw(st.integers(1, 10**6 if n > 2 else 10**4))
-    assert certify._least_degree(n, a, b, c, N + 1) == walk_least(n, N, a, b, c)
+    ineq = certify._Inequality(n, a, b, c)
+    assert certify._least_degree(ineq, N + 1) == walk_least(ineq, N)
 
 
 def test_smallest_tests_only_the_integers_it_needs(monkeypatch):
@@ -774,7 +780,7 @@ def test_least_degree_equals_the_consecutive_prime_product(n, mode, d):
     x = 1
     for p in filter(arith.is_prime, range(n + 1, 100)):
         x *= p
-        if certify.qualification_threshold(n, p, mode) <= x:
+        if qualification_threshold(n, p, mode) <= x:
             break
     assert x == d
     assert certify.condition_holds(n, d, mode)
@@ -795,7 +801,7 @@ def test_smallest_n7_past_the_budget_keeps_products_in_int64(monkeypatch):
     monkeypatch.setattr(arith, "SIEVE_BUDGET", 10**15)
     d = certify.smallest_qualifying(7)
     assert d == 62298863484143
-    assert walk_least(7, d, *certify.threshold_coefficients(7)) == d
+    assert walk_least(certify._Inequality(7, *certify.threshold_coefficients(7)), d) == d
     assert certify.verify_certificate(certify.build_certificate(7, d)).passed
 
 
@@ -843,7 +849,7 @@ def reference_runs(n, N, mode):
     bisecting the concave g(k) = m * P[k] - max(thr(L), thr(P[k])) through
     key functions: the peak of g, then the rise to 0 before it and the fall
     below 0 after it."""
-    a, b, c = certify.threshold_coefficients_upto(n, N, mode)
+    _, a, b, c, _, _ = certify._inequality(n, N, mode)
     if N < c:
         return [], []
     cap = arith.integer_nth_root((N - c) // a, n)
@@ -888,7 +894,7 @@ def canonical_runs(n, N, mode):
     """(P, runs) of certify._walk for the inequality of (n, mode) as a list
     and a sorted list of (m, i, j): the walk emits its runs chunk by chunk,
     the reference node by node, so only the set of runs is compared."""
-    return walk_runs(n, N, *certify.threshold_coefficients_upto(n, N, mode))
+    return walk_runs(certify._inequality(n, N, mode), N)
 
 
 def sorted_reference_runs(n, N, mode):
@@ -917,10 +923,10 @@ def test_threshold_per_prime_rises_past_n():
     st.integers(1, 10**12),
     st.booleans(),
 )
-def test_ceil_thresholds_match_exact_integers(qs, n, a, b, c, scale, top, per):
+def test_inequality_ceil_matches_exact_integers(qs, n, a, b, c, scale, top, per):
     # min(ceil(thr(q) / (scale * q**per)), top) on the int64 and object paths
     q = np.array(sorted(qs), dtype=np.int64)
-    got = certify._ceil_thresholds(q, n, a, b, c, scale, top, per=q if per else None)
+    got = certify._Inequality(n, a, b, c, scale).ceil(q, top, per=q if per else None)
     thr = [a * x**n + b * x ** (n - 1) + c for x in sorted(qs)]
     want = [min(-(-t // (scale * (x if per else 1))), top) for t, x in zip(thr, sorted(qs))]
     assert got.dtype == np.int64 and got.tolist() == want
@@ -993,10 +999,10 @@ def test_walk_hands_runs_on_in_batches(monkeypatch):
     # the runs wait until they number _CHUNK // 4, so a walk of a few small
     # steps yields one batch, as the walk by whole levels did, and a walk of
     # many steps yields several
-    batches = [len(m) for _, m, _, _ in certify._walk(4, 10**7, *certify.threshold_coefficients(4))]
+    batches = [len(m) for _, m, _, _ in certify._walk(certify._inequality(4, 10**7), 10**7)]
     assert len(batches) == 1
     monkeypatch.setattr(certify, "_CHUNK", 7)
-    batches = [len(m) for _, m, _, _ in certify._walk(3, 10**6, *certify.threshold_coefficients(3))]
+    batches = [len(m) for _, m, _, _ in certify._walk(certify._inequality(3, 10**6), 10**6)]
     assert len(batches) > 1
 
 
@@ -1014,7 +1020,7 @@ def test_a_step_holds_one_chunk(monkeypatch, chunk):
     monkeypatch.setattr(certify, "_spans", recording)
     monkeypatch.setattr(certify, "_CHUNK", chunk)
     certify.scan_qualifying(3, 2**29 - 2**23, 2**29)
-    certify._walk_counts(3, [10**9], *certify.threshold_coefficients(3))
+    certify._walk_counts(certify._inequality(3, 10**9), [10**9])
     assert len(steps) > 2
     assert all(nodes + width <= chunk or nodes == 1 for nodes, width in steps)
 

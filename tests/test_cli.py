@@ -300,6 +300,15 @@ def test_enumerate_csv(capsys):
     assert out.splitlines() == ["d", "5005"]
 
 
+@pytest.mark.parametrize("fmt, header", [("text", "1734 qualifying degrees <= 1000000"), ("csv", "d")])
+def test_enumerate_lists_one_degree_a_line(capsys, fmt, header):
+    # the listing's exact bytes: the header, then each degree and a newline
+    ds = certify.enumerate_qualifying(3, 10**6)
+    assert len(ds) == 1734
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--d-max", "1e6", "--format", fmt)
+    assert (code, out) == (0, header + "\n" + "".join(f"{d}\n" for d in ds))
+
+
 def test_smallest_text(capsys):
     code, out, _ = run(capsys, "smallest", "--n", "3")
     assert code == 0

@@ -247,9 +247,9 @@ def test_walk_counts_with_an_astronomical_scale():
     # divided by the scale is 1, and at the budget the prime bound refuses
     xs = [1, 10**5, 10**6]
     want = [sum(1 for d in range(1, x + 1) if d % 2 and d % 3) for x in xs]
-    assert certify._walk_counts(3, xs, 1, 0, 0, 10**400) == want
+    assert certify._walk_counts(certify._Inequality(3, 1, 0, 0, 10**400), xs) == want
     with pytest.raises(CapacityError, match=r"^walk prime bound 10000000000 exceeds 10\^8$"):
-        certify._walk_counts(3, [arith.SIEVE_BUDGET], 1, 0, 0, 10**400)
+        certify._walk_counts(certify._Inequality(3, 1, 0, 0, 10**400), [arith.SIEVE_BUDGET])
 
 
 @pytest.mark.parametrize("mode", [DensityMode.LAMBDA_PRIMEPOWER, DensityMode.LAMBDA_PRIME])
@@ -300,15 +300,15 @@ def test_lambda_density_matches_the_sieve(n, mode, lam_pow, log_n, fracs):
 
 # --- exact threshold comparator ---------------------------------------------------
 # The walk decides a*v**n + b*v**(n-1) + c <= m*d as ceil(thr(v) / m) <= d, by
-# certify._ceil_thresholds; the LAMBDA modes have (a, b, c, m) = (den, 0, 0, num)
+# certify._Inequality.ceil; the LAMBDA modes have (a, b, c, m) = (den, 0, 0, num)
 # for lambda**n = num/den.
 
 
 def le(v, d, n, a, b, c, m):
-    # one call per pair, as _ceil_thresholds takes an ascending v; the clamp
+    # one call per pair, as _Inequality.ceil takes an ascending v; the clamp
     # at d + 1 keeps every ceiling above d above it
     return np.array(
-        [certify._ceil_thresholds(np.array([x], dtype=np.int64), n, a, b, c, m, y + 1)[0] <= y for x, y in zip(v, d)]
+        [certify._Inequality(n, a, b, c, m).ceil(np.array([x], dtype=np.int64), y + 1)[0] <= y for x, y in zip(v, d)]
     )
 
 

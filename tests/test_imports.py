@@ -20,6 +20,9 @@ what a command writes.  A seventh keeps the sieve's segment and block lengths
 in arith: no other module reads SEGMENT_SIZE or _SIEVE_BLOCK.  An eighth holds
 only the sieves and the walks to the sieve budget: no function but
 arith.map_sieve, certify._walk and certify._walk_counts reads check_sieve_bound.
+A ninth keeps the qualification inequality in one value: no function takes
+parameters named a, b and c together, so its coefficients are passed as one
+certify._Inequality, not by position.
 """
 
 import ast
@@ -394,3 +397,39 @@ def test_only_the_sieve_and_the_walks_check_the_sieve_bound():
 )
 def test_the_sieve_bound_guard_reports_what_it_should(sources, found):
     assert sieve_bound_readers(sources) == found
+
+
+def coefficient_parameters(source: str) -> list[str]:
+    """The name of every function (lambda for a lambda) that takes
+    parameters named a, b and c together."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = fn.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if {"a", "b", "c"} <= {a.arg for a in every if a is not None}:
+                found.append(getattr(fn, "name", "lambda"))
+    return found
+
+
+def test_no_function_takes_the_coefficients_by_position():
+    found = [f"{path.stem}.{name}" for path in SOURCES for name in coefficient_parameters(path.read_text())]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("def f(a, b, c):\n    return a\n", ["f"]),
+        ("def f(n, N, a, b, c, scale=1):\n    return n\n", ["f"]),
+        ("def f(x, *, a, b, c=0):\n    return x\n", ["f"]),
+        ("def f(x):\n    def g(a, b, c):\n        return a\n    return g\n", ["g"]),
+        ("h = lambda a, b, c: a\n", ["lambda"]),
+        ("def f(a, b, *c):\n    return a\n", ["f"]),
+        ("def f(a, b):\n    return a\n", []),
+        ("def f(ineq):\n    n, a, b, c = ineq\n    return a\n", []),
+        ("class I:\n    a: int\n    b: int\n    c: int\n\n    def thr(self, v):\n        return self.a * v\n", []),
+    ],
+)
+def test_the_coefficient_guard_reports_what_it_should(source, found):
+    assert coefficient_parameters(source) == found
