@@ -26,9 +26,8 @@ that certificates need, start without either.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import fsum, gcd, isqrt, log2
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, ParameterError
 
@@ -56,8 +55,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 BRENT_MAX_R = 1 << 22
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(NamedTuple):
     """A positive integer with its full prime factorization.
 
     factors is sorted by prime; largest_prime_power is max(p**e) over the
@@ -68,8 +66,7 @@ class FactoredInteger:
     largest_prime_power: int
 
 
-@dataclass(frozen=True)
-class PrimeSumResult:
+class PrimeSumResult(NamedTuple):
     """The sum of 1/p and the count of the primes p in an interval; for
     mertens_sum(x, n) the interval is x**(1/n) < p <= x."""
 

@@ -45,7 +45,6 @@ integers, finds the least degree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from math import factorial, gcd, isqrt
 from typing import Iterator, NamedTuple
@@ -75,8 +74,7 @@ class Mode(str, Enum):
     WEAK = "WEAK"
 
 
-@dataclass(frozen=True)
-class Premise:
+class Premise(NamedTuple):
     """One use of a divisibility premise, identified by kind and payload."""
 
     kind: str
@@ -84,8 +82,7 @@ class Premise:
     k: int | None = None
 
 
-@dataclass(frozen=True)
-class PrimePowerCertificate:
+class PrimePowerCertificate(NamedTuple):
     """Witness that q | f_n(d) via d = i*q**n + j*q**(n-1) + k*n!."""
 
     q: int
@@ -94,8 +91,7 @@ class PrimePowerCertificate:
     k: int
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A full witness that d | f_n(d): one entry per maximal prime power."""
 
     n: int
@@ -105,16 +101,14 @@ class Certificate:
     premises: tuple[Premise, ...]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     context: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     d: int
     mode: Mode
@@ -720,8 +714,7 @@ def smallest_qualifying(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalExampleCheck:
+class RationalExampleCheck(NamedTuple):
     """Per-q arithmetic for the degree-d example defined over the rationals.
 
     near_miss_k marks k in [9, 37]: above the generic abelian bound
@@ -741,8 +734,7 @@ class RationalExampleCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class RationalExampleReport:
+class RationalExampleReport(NamedTuple):
     """covers_prime_divisors: qs are exactly the prime divisors of d, each once."""
 
     d: int

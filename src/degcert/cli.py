@@ -9,7 +9,7 @@ is meant for trajectory plotting elsewhere.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -70,10 +70,14 @@ def _integers(text: str) -> list[int]:
 
 def _emit_json(command: str, **fields) -> None:
     """Print one command's JSON payload: the fields (JSON types only) plus
-    schema_version and command, key-sorted; report dataclasses are passed
-    through asdict."""
+    schema_version and command, key-sorted; report records are passed
+    through _asdict.  The text is streamed in batches of encoder chunks, so
+    a long listing is never held as one string."""
     payload = {"schema_version": certify.SCHEMA_VERSION, "command": command, **fields}
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _emit_csv(header, rows) -> None:
@@ -166,7 +170,7 @@ def cmd_dickman(args) -> int:
                     for i, v in enumerate(table.values))
             _emit_csv(("u", "rho", "error_bound"), rows)
         elif args.format == "json":
-            _emit_json("dickman", **{**dataclasses.asdict(table), "values": table.values.tolist()})
+            _emit_json("dickman", **{**table._asdict(), "values": table.values.tolist()})
         else:
             for idx, v in enumerate(table.values):
                 print(f"{idx * table.step:.6f} {float(v)!r}")
@@ -187,7 +191,7 @@ def cmd_density(args) -> int:
         args.n, args.N, mode, lam=args.lam, lam_pow=args.lam_pow, checkpoints=args.checkpoints
     )
     if args.format == "json":
-        fields = dataclasses.asdict(report)
+        fields = report._asdict()
         lams = (fields.pop("lam"), fields.pop("lam_pow"))  # Fractions, written as "4/5"
         fields["lambda"], fields["lambda_pow"] = (None if v is None else str(v) for v in lams)
         _emit_json("density", **fields)
@@ -209,7 +213,7 @@ def cmd_density(args) -> int:
 def cmd_ihc(args) -> int:
     report = density.ihc_fraction(args.n, args.N, args.range_lo, threads=os.cpu_count() or 1)
     if args.format == "json":
-        _emit_json("ihc", **dataclasses.asdict(report))
+        _emit_json("ihc", **report._asdict())
     else:
         print(f"count = {report.count} in [{report.range_lo}, {report.N}]")
         print(f"fraction = {report.fraction!r}")
@@ -219,10 +223,10 @@ def cmd_ihc(args) -> int:
 def cmd_diagnostics(args) -> int:
     rows = density.convergence_diagnostics(args.n, args.checkpoints, lam=args.lam, threads=os.cpu_count() or 1)
     if args.format == "json":
-        _emit_json("diagnostics", n=args.n, rows=[dataclasses.asdict(r) for r in rows])
+        _emit_json("diagnostics", n=args.n, rows=[r._asdict() for r in rows])
     elif args.format == "csv":
         # one column per field, in field order, as the JSON rows name them
-        _emit_csv([f.name for f in dataclasses.fields(density.DiagnosticsRow)], map(dataclasses.astuple, rows))
+        _emit_csv(density.DiagnosticsRow._fields, rows)
     else:
         for r in rows:
             extra = ""
@@ -237,7 +241,7 @@ def cmd_verify_q_example(args) -> int:
     qs = args.qs or ([p for p, _ in arith.factorize(args.d).factors] if args.d >= 1 else [])
     report = certify.verify_rational_example(args.d, qs)
     if args.format == "json":
-        _emit_json("verify-q-example", **dataclasses.asdict(report))
+        _emit_json("verify-q-example", **{**report._asdict(), "checks": [c._asdict() for c in report.checks]})
     else:
         print(f"d = {report.d}: {'PASS' if report.passed else 'FAIL'}")
         if not report.checks:

@@ -17,11 +17,10 @@ inequality with coefficients (den, 0, 0) and scale num.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import arith, certify
 from .dickman import theoretical_density
@@ -35,8 +34,7 @@ class DensityMode(str, Enum):
     LAMBDA_PRIME = "LAMBDA_PRIME"
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Exact count of qualifying degrees d <= N and comparison targets.
 
     theoretical carries phi(n!)/n! * rho(n); for the LAMBDA_* modes the
@@ -57,8 +55,7 @@ class DensityReport:
     samples: tuple[tuple[int, int], ...] | None
 
 
-@dataclass(frozen=True)
-class IhcReport:
+class IhcReport(NamedTuple):
     """Fraction of d in [range_lo, N] with a certified nontrivial divisor of
     f_n(d), i.e. with a prime divisor p coprime to n! large enough to pass
     the qualification inequality yet small enough that its threshold is
@@ -71,8 +68,7 @@ class IhcReport:
     fraction: float
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
+class DiagnosticsRow(NamedTuple):
     """One checkpoint of the convergence diagnostics.
 
     prime_power_ratio = Pi(m)/m tends to 0; mertens tends to log(n).  When a
@@ -204,11 +200,11 @@ def convergence_diagnostics(
     cps = list(checkpoints)
     if not cps or cps != sorted(cps) or cps[0] < 2:
         raise ParameterError("checkpoints must be ascending integers >= 2")
+    if n < 1:
+        raise ParameterError(f"mertens_sum requires n >= 1, got {n}")
     if lam is not None:
         _, lam_pow = _resolve_lambda(n, lam, None)
         inv_lam_pow = float(Fraction(lam_pow.denominator, lam_pow.numerator))
-    if n < 1:
-        raise ParameterError(f"mertens_sum requires n >= 1, got {n}")
     roots = [arith.integer_nth_root(m, n) for m in cps]
     sums = arith._prime_sums(roots + [1] * len(cps), cps + roots, threads)
     powers_upto = arith.prime_powers_exp_ge2(cps[-1])

@@ -19,10 +19,10 @@ continuation is singular at s = 2 at the nearest, so the terms fall like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import ceil, fsum, isfinite, prod
+from typing import NamedTuple
 
 from .errors import CapacityError, ParameterError
 
@@ -36,8 +36,7 @@ TABLE_NODES_MAX = 1 << 22
 _TERMS = 64
 
 
-@dataclass(frozen=True)
-class DickmanTable:
+class DickmanTable(NamedTuple):
     """rho tabulated on the uniform grid u = 0, step, 2*step, ..., <= u_max."""
 
     step: float

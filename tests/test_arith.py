@@ -485,7 +485,10 @@ def test_segment_map_starts_no_more_workers_than_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert arith.prime_count(x, threads=4096) == want
-    assert pools == [1]
+    # a platform without an affinity mask: the CPU count stands in for it
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert arith.prime_count(x, threads=4096) == want
+    assert pools == [1, 1]
 
 
 def test_map_sieve_refuses_past_budget_even_when_empty():

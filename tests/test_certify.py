@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import sys
@@ -404,8 +403,8 @@ def _failing(report, name):
 
 def test_verify_rejects_small_k():
     cert = certify.build_certificate(3, 5005)
-    bad_entry = dataclasses.replace(cert.entries[3], k=6)
-    bad = dataclasses.replace(cert, entries=cert.entries[:3] + (bad_entry,))
+    bad_entry = cert.entries[3]._replace(k=6)
+    bad = cert._replace(entries=cert.entries[:3] + (bad_entry,))
     report = certify.verify_certificate(bad)
     assert not report.passed
     assert _failing(report, "k_lower_bound")
@@ -413,8 +412,8 @@ def test_verify_rejects_small_k():
 
 def test_verify_rejects_bad_j():
     cert = certify.build_certificate(3, 5005)
-    bad_entry = dataclasses.replace(cert.entries[0], j=1)
-    bad = dataclasses.replace(cert, entries=(bad_entry,) + cert.entries[1:])
+    bad_entry = cert.entries[0]._replace(j=1)
+    bad = cert._replace(entries=(bad_entry,) + cert.entries[1:])
     report = certify.verify_certificate(bad)
     assert not report.passed
     assert _failing(report, "j_range")
@@ -422,7 +421,7 @@ def test_verify_rejects_bad_j():
 
 def test_verify_rejects_missing_entry():
     cert = certify.build_certificate(3, 5005)
-    bad = dataclasses.replace(cert, entries=cert.entries[1:])
+    bad = cert._replace(entries=cert.entries[1:])
     report = certify.verify_certificate(bad)
     assert not report.passed
     assert _failing(report, "entries_cover_d")
@@ -430,7 +429,7 @@ def test_verify_rejects_missing_entry():
 
 def test_verify_rejects_tampered_premises():
     cert = certify.build_certificate(3, 5005)
-    bad = dataclasses.replace(cert, premises=cert.premises[1:])
+    bad = cert._replace(premises=cert.premises[1:])
     report = certify.verify_certificate(bad)
     assert not report.passed
     assert _failing(report, "premise_ledger")
@@ -466,7 +465,7 @@ def test_verify_reports_huge_details_for_large_n():
     assert "-bit integer" in i_range.detail
     # an n whose factorial exceeds d fails at once, without building n!
     for n in (10**8, 10**300):
-        report = certify.verify_certificate(dataclasses.replace(weak, n=n))
+        report = certify.verify_certificate(weak._replace(n=n))
         assert _failing(report, "nfact_le_d")
 
 
@@ -502,17 +501,15 @@ def _mutants(cert):
             val = getattr(entry, field)
             for delta in (+1, -1):
                 if val + delta >= 0:
-                    variants.append(dataclasses.replace(entry, **{field: val + delta}))
+                    variants.append(entry._replace(**{field: val + delta}))
         for delta in (c2, -c2):
             if entry.j + delta >= 0:
-                variants.append(dataclasses.replace(entry, j=entry.j + delta))
+                variants.append(entry._replace(j=entry.j + delta))
         root = arith.prime_power_root(entry.q)
         if root:
-            variants.append(dataclasses.replace(entry, q=entry.q * root[0]))
+            variants.append(entry._replace(q=entry.q * root[0]))
         for v in variants:
-            yield dataclasses.replace(
-                cert, entries=cert.entries[:t] + (v,) + cert.entries[t + 1 :]
-            )
+            yield cert._replace(entries=cert.entries[:t] + (v,) + cert.entries[t + 1 :])
 
 
 def test_mutation_kill_5005():

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import os
 import shlex
@@ -111,8 +110,8 @@ def test_certify_reports_a_failed_verification(monkeypatch, capsys, fmt):
     # no certificate the builder makes fails its verifier, so the verifier
     # returns the real report of 5005 with its first check flipped
     real = certify.verify_certificate(certify.build_certificate(3, 5005))
-    first = dataclasses.replace(real.checks[0], passed=False, detail="flipped")
-    flipped = dataclasses.replace(real, passed=False, checks=(first, *real.checks[1:]))
+    first = real.checks[0]._replace(passed=False, detail="flipped")
+    flipped = real._replace(passed=False, checks=(first, *real.checks[1:]))
     monkeypatch.setattr(certify, "verify_certificate", lambda cert: flipped)
     code, out, _ = run(capsys, "certify", "--n", "3", "--d", "5005", "--format", fmt)
     assert code == 2
@@ -378,6 +377,12 @@ def test_sieve_commands_show_a_huge_bound_by_its_bit_length(capsys, argv):
             ("diagnostics", "--n", "3", "--checkpoints", "100000000000", "--lam", "0"),
             1,
             "error: lambda must be positive, got 0",
+        ),
+        # a bad n is named before lambda**n is formed
+        (
+            ("diagnostics", "--n", "-1000000", "--checkpoints", "10", "--lam", "3/2"),
+            1,
+            "error: mertens_sum requires n >= 1, got -1000000",
         ),
     ],
 )
@@ -1077,8 +1082,11 @@ def test_console_script_entry_point():
 
 
 # Each case runs in a fresh interpreter, which then reports on stderr which
-# of the modules that only the sieve and walk paths need it has loaded.
-_REPORT_LOADED = "print(*(m for m in ('numpy', 'concurrent.futures') if m in sys.modules), file=sys.stderr)\n"
+# of the modules that only the sieve and walk paths need it has loaded, and
+# whether dataclasses is among them: every record is a NamedTuple.
+_REPORT_LOADED = (
+    "print(*(m for m in ('numpy', 'concurrent.futures', 'dataclasses') if m in sys.modules), file=sys.stderr)\n"
+)
 _COLD_CASES = [
     (["certify", "--n", "3", "--d", "5005"], 0, ""),
     (["check", "--cert", "{valid}"], 0, ""),
@@ -1144,7 +1152,15 @@ def test_closed_stdout_ends_by_sigpipe():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("argv", [["smallest", "--n", "3"], ["--version"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smallest", "--n", "3"],
+        ["--version"],
+        # the listing outgrows the buffer, so a write inside _emit_json fails
+        ["enumerate", "--n", "3", "--d-max", "1e7", "--format", "json"],
+    ],
+)
 def test_full_stdout_is_an_error_with_exit_1(argv):
     # a buffered stdout first fails to write when it is flushed: main flushes it,
     # so the error is reported, and the interpreter's last flush finds nothing
