@@ -11,8 +11,8 @@ it holds a range to SIEVE_BUDGET, builds the base primes and maps a function
 over its segments in order, and each segment marks through _strike_blocks.
 Prime counts and reciprocal sums are formed per 1 MiB block of marks, as
 the blocks come, and a sum is rounded once per segment: a worker holds one
-block's marks and at most three arrays of that block's primes (about 0.9
-MB each near 1e8), never a segment's primes.
+block's marks and one array of its primes (0.9 MB near 1e8), which takes
+their reciprocals in place, never a segment's primes.
 
 All integer arithmetic uses Python's arbitrary-precision integers, so
 intermediate products such as q**n can never wrap.  Vectorized kernels work
@@ -26,7 +26,7 @@ that certificates need, start without either.
 from __future__ import annotations
 
 import os
-from math import fsum, gcd, isqrt, log2
+from math import fsum, gcd, isqrt, lcm, log2
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import CapacityError, ParameterError
@@ -103,10 +103,10 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
         if n % p == 0:
-            return False
+            return n == p
+    if n < 59 * 59:  # a composite has a prime factor at most its square root
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -297,14 +297,26 @@ def _strike_blocks(size: int, ps: np.ndarray, firsts: np.ndarray) -> Iterator[tu
     """Yield (b, marks) for b = 0, _SIEVE_BLOCK, ... below size: marks, one
     buffer refilled per block, covers the mask indices b, b + 1, ... and is
     False at each index firsts[k] + t * ps[k], t >= 0, and True elsewhere.
-    firsts is updated in place."""
+    firsts is updated in place.  In a sieve of size >= _SIEVE_BLOCK // 4, the
+    leading strides with lcm up to that bound strike one period, copied across
+    each block where every first index lies below its stride."""
     import numpy as np
 
+    strides, period, lead = ps.tolist(), 1, 0
+    while lead < len(strides) and (q := lcm(period, strides[lead])) <= _SIEVE_BLOCK // 4 <= size:
+        period, lead = q, lead + 1
     buf = np.empty(min(size, _SIEVE_BLOCK), dtype=bool)
     for b in range(0, size, _SIEVE_BLOCK):
-        marks = buf[: size - b]
-        marks.fill(True)
-        for p, i in zip(ps.tolist(), firsts.tolist()):
+        marks, starts = buf[: size - b], firsts.tolist()
+        k = lead if lead and period <= len(marks) and all(i < p for p, i in zip(strides, starts[:lead])) else 0
+        (marks[:period] if k else marks).fill(True)
+        for p, i in zip(strides, starts[:k]):
+            marks[i:period:p] = False
+        if k:  # copy the struck period across the block
+            reps = len(marks) // period
+            marks[period : reps * period].reshape(reps - 1, period)[:] = marks[:period]
+            marks[reps * period :] = marks[: len(marks) - reps * period]
+        for p, i in zip(strides[k:], starts[k:]):
             marks[i::p] = False  # a first index past the block slices empty
         firsts -= _SIEVE_BLOCK  # each p's first index at or after the next block
         np.maximum(firsts, firsts % ps, out=firsts)
@@ -339,6 +351,7 @@ def _block_primes(lo: int, hi: int, base_primes: np.ndarray) -> Iterator[np.ndar
         ps *= 2  # in place: a new array would cost a pass over fresh memory
         ps += x
         yield ps
+        del ps  # hold no block's primes while the next block is marked
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
@@ -387,42 +400,41 @@ def prime_power_count(m: int, threads: int = 1) -> int:
     return prime_count(m, threads) + len(prime_powers_exp_ge2(m))
 
 
-def _exact_sum(x: np.ndarray) -> int:
-    """sum(x) * 2**1075 as an exact int, for an array of positive normal
-    floats, without making a Python float per element; x is overwritten.
+def _exact_sums(bits: np.ndarray, starts: np.ndarray, cuts: Sequence[tuple[int, int]]) -> list[int]:
+    """sum(x[a:b]) * 2**1075 as an exact int for each cut (a, b) of an array
+    x of positive normal floats, given as its bits viewed as int64, which are
+    overwritten, and the ascending starts of its runs of equal exponent.
 
-    Read from its bits, each x = M * 2**(e - 1075) with e its biased exponent
-    and M < 2**53 its integer mantissa, the implicit leading bit included, so
-    x * 2**1075 = M << e.  One reduceat pass sums M in int64 over chunks of
-    equal exponent cut every 1024 entries, so each chunk total stays below
-    2**63 and is exact, and the chunk totals shift into one Python int.  Int
-    true division rounds correctly, so _exact_sum(x) / 2**1075 is the
-    correctly rounded sum, as fsum's is, and totals of several arrays add
-    exactly before that one rounding.
+    Each x = M * 2**(e - 1075), e its biased exponent and M < 2**53 its
+    integer mantissa, the implicit leading bit included, so x * 2**1075 =
+    M << e.  A cut sums M in int64 by one reduceat over chunks that start at
+    a, at each run start and every 1024 entries, so each chunk total stays
+    below 2**63 and is exact; they shift into one Python int.  Int true
+    division rounds correctly, so total / 2**1075 is the correctly rounded
+    sum, as fsum's is, and totals of several arrays add before that rounding.
     """
     import numpy as np
 
-    if len(x) == 0:
-        return 0
-    bits = x.view(np.int64)
-    exp = bits >> 52
-    starts = np.union1d(np.flatnonzero(exp[1:] != exp[:-1]) + 1, range(0, len(x), 1024))
-    es = exp[starts].tolist()
+    es = bits[starts] >> 52
     bits &= (1 << 52) - 1
     bits |= 1 << 52
-    return sum(t << e for t, e in zip(np.add.reduceat(bits, starts).tolist(), es))
+    sums = []
+    for a, b in cuts:
+        chunks = np.union1d(np.arange(a, b, 1024), starts[(a < starts) & (starts < b)])
+        totals = np.add.reduceat(bits[:b], chunks).tolist()
+        sums.append(sum(t << e for t, e in zip(totals, es[starts.searchsorted(chunks, "right") - 1].tolist())))
+    return sums
 
 
 def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
     """Sum of 1/p over primes p in (x**(1/n), x].
 
     Each fixed-size segment adds its blocks' reciprocals exactly as one
-    integer (_exact_sum per 1 MiB block of the sieve) and rounds once, which
+    integer (_exact_sums per 1 MiB block of the sieve) and rounds once, which
     equals fsum over the segment, and the segment partials are combined with
     fsum in ascending order, so the result is a deterministic bit pattern
     for fixed (x, n) regardless of thread count.  A worker holds one block's
-    marks (1 MiB) and three arrays of that block's primes, never a
-    segment's.
+    marks (1 MiB) and one array of its primes, never a segment's.
     """
     if x < 2:
         raise ParameterError(f"mertens_sum requires x >= 2, got {x}")
@@ -434,21 +446,24 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
 def _prime_sums(lows: Sequence[int], highs: Sequence[int], threads: int = 1) -> list[PrimeSumResult]:
     """Sum of 1/p and count over the primes in each (lows[i], highs[i]], by one
     map_sieve sweep.  Each block's primes are cut at every interval's ends and
-    each distinct cut's _exact_sum is added to its intervals' integer totals;
-    a segment rounds each interval's total once, so its fsum has the bits of
-    a sweep of that interval alone, whatever the block size."""
+    each distinct cut's _exact_sums total is added to its intervals' integer
+    totals; a segment rounds each total once, so its fsum has the bits of a
+    sweep of that interval alone, whatever the block size."""
 
     def work(lo: int, hi: int, base: np.ndarray) -> list[tuple[float, int]]:
         totals, counts = [0] * len(lows), [0] * len(lows)
-        for ps in _block_primes(lo, hi, base):
-            cuts = zip(ps.searchsorted(lows, "right").tolist(), ps.searchsorted(highs, "right").tolist())
-            # each distinct cut summed once, over fresh reciprocals: _exact_sum overwrites its input
-            part: dict[tuple[int, int], int] = {}
+        for ps in filter(len, _block_primes(lo, hi, base)):
+            cuts = list(zip(ps.searchsorted(lows, "right").tolist(), ps.searchsorted(highs, "right").tolist()))
+            # the exponent of 1/p falls by one where the ascending p pass a power of two
+            ks = range((int(ps[0]) - 1).bit_length(), (int(ps[-1]) - 1).bit_length())
+            starts = ps.searchsorted([0, *(1 << k for k in ks)], "right")
+            for s in range(0, len(ps), 1 << 13):  # in slices, so no temporary has the size of ps
+                ps[s : s + (1 << 13)].view("f8")[:] = 1.0 / ps[s : s + (1 << 13)]
+            part = dict(zip(distinct := list(dict.fromkeys(cuts)), _exact_sums(ps, starts, distinct)))
             for i, (a, b) in enumerate(cuts):
-                if (a, b) not in part:
-                    part[a, b] = _exact_sum(1.0 / ps[a:b])
                 totals[i] += part[a, b]
                 counts[i] += b - a
+            del ps  # so two blocks' primes are never held at once
         return [(t / 2**1075, c) for t, c in zip(totals, counts)]
 
     parts = map_sieve(min(lows) + 1, max(highs) + 1, work, threads)

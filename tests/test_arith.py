@@ -120,6 +120,12 @@ def test_is_prime_against_oracle():
     assert not arith.is_prime(2**31 + 1)
 
 
+# trial division by the primes up to 53 settles every n below 59**2 = 3481
+@pytest.mark.parametrize("n, prime", [(3469, True), (3481, False), (3491, True), (3599, False)])
+def test_is_prime_at_the_end_of_trial_division(n, prime):
+    assert arith.is_prime(n) == prime
+
+
 @pytest.mark.parametrize(
     "psi, p1, p2",
     [
@@ -258,9 +264,25 @@ def test_sieve_segment_in_small_blocks_matches_oracle(half, odd, width, block):
 @example(0, 7, [(3, 5)])
 @example(10, 3, [])
 def test_strike_blocks_match_a_brute_force_mask(size, block, pairs):
-    # first indices anywhere in [0, 3 * size), so some primes start past the first block
+    # first indices anywhere in [0, 3 * size), so some primes start past the
+    # first block and the blocks strike every stride one by one
     ps = [p for p, _ in pairs]
-    firsts = [f % (3 * size) if size else f for _, f in pairs]
+    assert_strike_blocks_match_a_brute_force_mask(size, block, ps, [f % (3 * size) if size else f for _, f in pairs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2000), st.integers(1, 300), st.lists(st.tuples(st.integers(1, 60), st.integers(0, 59)), max_size=8))
+@example(2000, 300, [(1, 0), (3, 1), (3, 2), (5, 4), (2, 0), (7, 3)])
+@example(1000, 40, [(2, 1), (5, 0), (5, 3), (4, 3), (7, 6)])
+def test_strike_blocks_stamp_the_leading_strides_as_a_pattern(size, block, pairs):
+    # each first index below its stride, in every block: when size >= block // 4
+    # the leading strides with lcm up to block // 4 are stamped as a pattern
+    # in every block that holds one period
+    ps = [p for p, _ in pairs]
+    assert_strike_blocks_match_a_brute_force_mask(size, block, ps, [f % p for p, f in pairs])
+
+
+def assert_strike_blocks_match_a_brute_force_mask(size, block, ps, firsts):
     want = [not any(i >= f and (i - f) % p == 0 for p, f in zip(ps, firsts)) for i in range(size)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "_SIEVE_BLOCK", block)
@@ -377,8 +399,13 @@ def test_mertens_deterministic_across_threads():
 
 
 def exact_sum_float(xs) -> float:
-    # _exact_sum's integer total is sum(xs) * 2**1075, rounded by one int division
-    return arith._exact_sum(np.array(xs, dtype=np.float64)) / 2**1075
+    # _exact_sums' integer total is sum(xs) * 2**1075, rounded by one int
+    # division; it takes the starts of the runs of equal exponent, found here
+    # from the floats' bits
+    bits = np.array(xs, dtype=np.float64).view(np.int64)
+    exp = bits >> 52
+    starts = np.flatnonzero(np.diff(exp, prepend=-1))
+    return arith._exact_sums(bits, starts, [(0, len(bits))])[0] / 2**1075
 
 
 def test_exact_sum_rounds_like_fsum_on_ties():

@@ -457,9 +457,10 @@ def test_ihc_marks_in_a_block_not_a_segment():
 
 
 def test_reciprocal_sums_hold_a_block_of_primes_not_a_segment():
-    # a segment's 2**22 integers hold about 270k primes here, 2.2 MB as int64,
-    # and the floats and exponents of their reciprocals as much again each
-    assert traced_peak(lambda: arith.mertens_sum(2 * arith.SEGMENT_SIZE + 5, 3, threads=1)) < 6 * 2**20
+    # a segment's 2**22 integers hold about 270k primes here, 2.2 MB as int64;
+    # one block's primes take about half that, and their reciprocals, the
+    # exponents and the mantissas are formed in that same array
+    assert traced_peak(lambda: arith.mertens_sum(2 * arith.SEGMENT_SIZE + 5, 3, threads=1)) < 4 * 2**20
 
 
 def test_prime_count_counts_marks_in_a_block():
