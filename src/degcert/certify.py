@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from math import factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt
 from typing import Iterator, NamedTuple
 
 from . import arith
@@ -125,11 +125,6 @@ class VerificationReport(NamedTuple):
         return [c for c in self.checks if not c.passed]
 
 
-def binom2(n: int) -> int:
-    """C(n, 2) = n*(n-1)/2."""
-    return n * (n - 1) // 2
-
-
 def threshold_coefficients(n: int, mode: Mode = Mode.FULL) -> tuple[int, int, int]:
     """(a, b, c) of the qualification inequality a*q**n + b*q**(n-1) + c <= d.
 
@@ -140,7 +135,7 @@ def threshold_coefficients(n: int, mode: Mode = Mode.FULL) -> tuple[int, int, in
     fact = factorial(n)
     c = (2**n + 1) * fact
     if mode == Mode.FULL:
-        c2 = binom2(n)
+        c2 = comb(n, 2)
         return c2 - 1, fact - c2, c
     return fact - 1, 0, c
 
@@ -232,7 +227,7 @@ def _witness(n: int, d: int, q: int, fact: int, mode: Mode) -> PrimePowerCertifi
     qn = q**n
     qn1 = q ** (n - 1)
     if mode == Mode.FULL:
-        c2 = binom2(n)
+        c2 = comb(n, 2)
         i = d * pow(qn % c2, -1, c2) % c2
         j = (d - i * qn) * pow(qn1 % fact, -1, fact) % fact
     else:
@@ -276,7 +271,7 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     q_max = fi.largest_prime_power
     # thr > q**n >= 2**e > d: a threshold beyond _show_int's decimals is not built
     e = n * (q_max.bit_length() - 1)
-    thr = None if e >= max(d.bit_length(), 10_000) else _Inequality(n, *threshold_coefficients(n, mode)).thr(q_max)
+    thr = None if e >= max(d.bit_length(), 10_000) else _inequality(n, d, mode).thr(q_max)
     if thr is None or thr > d:
         shown = f"> 2^{e}" if thr is None else _show_int(thr)
         raise DecompositionError(
@@ -337,7 +332,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     fact = factorial(n)
     fact1 = factorial(n - 1)
-    c2 = binom2(n)
+    c2 = comb(n, 2)
     k_min = 2**n + 1
     g = gcd(d, fact)
     add("gcd_d_nfact", "", g == 1, f"gcd(d, n!) = {_show_int(g)}")
@@ -607,7 +602,7 @@ def _walk_counts(ineq: _Inequality, xs: list[int]) -> list[int]:
     them at every later x, and a run (m, i, j) is bisected only for the x
     with m*P[i] <= x < m*P[j-1].
 
-    >>> _walk_counts(_Inequality(3, *threshold_coefficients(3)), [10**4, 2 * 10**4])
+    >>> _walk_counts(_inequality(3, 2 * 10**4), [10**4, 2 * 10**4])
     [1, 5]
     """
     import numpy as np
@@ -758,7 +753,7 @@ def verify_rational_example(d: int, qs: list[int]) -> RationalExampleReport:
         raise ParameterError(f"d must be >= 1, got {d}")
     out = []
     for q in qs:
-        prime_ok = arith.prime_power_root(q) == (q, 1)
+        prime_ok = q <= arith.PSI13 and arith.is_prime(q)
         residue_ok = q % 6 == 1
         diff = d - q**3
         nonneg = diff >= 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from math import fsum
+from math import fsum, isfinite
 from typing import NamedTuple, Sequence
 
 from . import arith, certify
@@ -196,7 +196,8 @@ def convergence_diagnostics(
     threads: int = 1,
 ) -> list[DiagnosticsRow]:
     """Pi(m)/m and the reciprocal prime sum at each checkpoint m, plus the
-    exponent->=2 prime-power tail bounds when a lambda is supplied."""
+    exponent->=2 prime-power tail bounds when a lambda is supplied.  A
+    lambda**(-n) or a tail bound beyond the float range is a ParameterError."""
     cps = list(checkpoints)
     if not cps or cps != sorted(cps) or cps[0] < 2:
         raise ParameterError("checkpoints must be ascending integers >= 2")
@@ -204,7 +205,10 @@ def convergence_diagnostics(
         raise ParameterError(f"mertens_sum requires n >= 1, got {n}")
     if lam is not None:
         _, lam_pow = _resolve_lambda(n, lam, None)
-        inv_lam_pow = float(Fraction(lam_pow.denominator, lam_pow.numerator))
+        try:
+            inv_lam_pow = lam_pow.denominator / lam_pow.numerator
+        except OverflowError:
+            raise ParameterError("lambda**(-n) exceeds the float range") from None
     roots = [arith.integer_nth_root(m, n) for m in cps]
     sums = arith._prime_sums(roots + [1] * len(cps), cps + roots, threads)
     powers_upto = arith.prime_powers_exp_ge2(cps[-1])
@@ -215,6 +219,8 @@ def convergence_diagnostics(
         if lam is not None:
             small = inv_lam_pow * sum(q ** (n - 1) for q in powers if q <= root)
             large = m * fsum(1.0 / q for q in powers if q > root)
+            if not isfinite(small + large):
+                raise ParameterError(f"exp>=2 tail bound at m = {m} exceeds the float range")
             tails = dict(tail_small=small, tail_large=large, ratio_bound=(small + large) / m)
         rows.append(DiagnosticsRow(m, (mert.prime_count + below.prime_count + len(powers)) / m, mert.sum, **tails))
     return rows

@@ -19,7 +19,6 @@ continuation is singular at s = 2 at the nearest, so the terms fall like
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import ceil, fsum, isfinite, prod
 from typing import NamedTuple
@@ -69,11 +68,6 @@ def _horner(coeffs: tuple[float, ...], s):
     return acc
 
 
-def _validate(u: float) -> None:
-    if not 0.0 <= u <= U_MAX_SUPPORTED:
-        raise ParameterError(f"u must be in [0, {U_MAX_SUPPORTED}], got {u}")
-
-
 def rho(u: float, tol: float = 1e-9) -> float:
     """Dickman rho(u) with |result - rho(u)| <= ABS_ERROR_BOUND <= tol.
 
@@ -82,7 +76,8 @@ def rho(u: float, tol: float = 1e-9) -> float:
     >>> abs(rho(2.0, 1e-10) - 0.30685281944005469) < 1e-10
     True
     """
-    _validate(u)
+    if not 0.0 <= u <= U_MAX_SUPPORTED:
+        raise ParameterError(f"u must be in [0, {U_MAX_SUPPORTED}], got {u}")
     if not tol >= TOL_MIN:
         raise ParameterError(f"tol must be >= {TOL_MIN}, got {tol}")
     if u <= 1.0:
@@ -135,9 +130,9 @@ def rho_table(u_max: float, step: float) -> DickmanTable:
 
 def theoretical_density(n: int) -> float:
     """phi(n!)/n! * rho(n): the density of degrees d coprime to n! whose
-    largest prime factor is at most d**(1/n).  phi(n!)/n! is the exact
-    product of (p - 1)/p over the primes p <= n."""
+    largest prime factor is at most d**(1/n).  phi(n!)/n! is prod(p - 1) /
+    prod(p) over the primes p <= n, one correctly rounded integer division."""
     if not 1 <= n <= 10:
         raise ParameterError(f"n must be in [1, 10], got {n}")
-    scale = prod(Fraction(p - 1, p) for p in (2, 3, 5, 7) if p <= n)
-    return float(scale) * rho(float(n))
+    ps = [p for p in (2, 3, 5, 7) if p <= n]
+    return prod(p - 1 for p in ps) / prod(ps) * rho(float(n))

@@ -5,7 +5,7 @@ import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt
 
 import numpy as np
 import pytest
@@ -494,7 +494,7 @@ def test_verify_reports_huge_d_and_q():
 
 def _mutants(cert):
     """All single-field mutations of every entry that keep fields nonnegative."""
-    c2 = certify.binom2(cert.n)
+    c2 = comb(cert.n, 2)
     for t, entry in enumerate(cert.entries):
         variants = []
         for field in ("i", "j", "k", "q"):
@@ -1230,7 +1230,7 @@ def test_decompose_recovers_constructed_coefficients(n, q, i_seed, j_seed, k_see
     fact = factorial(n)
     if gcd(q, fact) != 1:
         return
-    c2 = certify.binom2(n)
+    c2 = comb(n, 2)
     i = i_seed % c2
     j = c2 * (j_seed % ((fact - c2) // c2 + 1))
     k = q * max(k_seed % 10**4 + 1, 1)
@@ -1344,6 +1344,20 @@ def test_rational_example_refuses_a_q_above_psi13():
     assert all(c.passed for c in small)
     assert not big.q_is_prime and not big.passed
     assert big.q_mod_6_is_1 and big.q_divides_k and big.k_ge_38
+
+
+@pytest.mark.parametrize(
+    "q, prime",
+    [
+        (-7, False), (0, False), (1, False), (2, True), (4, False), (7, True), (49, False), (53, True),
+        (59, True), (59**2, False), (3491, True), (7**30, False), (2**61 - 1, True),
+        (PSI12, False), (arith.PSI13, False), (M89, False),
+    ],
+)
+def test_rational_example_proves_q_prime_as_prime_power_root_does(q, prime):
+    # a proved prime q is its own prime-power root; above PSI13 nothing is proved
+    (c,) = certify.verify_rational_example(53599, [q]).checks
+    assert c.q_is_prime is (arith.prime_power_root(q) == (q, 1)) is prime
 
 
 def test_rational_example_never_factors(monkeypatch):

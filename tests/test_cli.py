@@ -920,7 +920,8 @@ _LAMBDA = ["--N", "100", "--mode", "lambda-prime"]
 
 
 # Inputs whose threshold, sum identity or lambda**n would pass 4300 digits,
-# rationals that would, and an n past the float range: each exits by the contract within a few seconds,
+# rationals that would, an n past the float range, and a lambda**(-n) or tail
+# bound past it: each exits by the contract within a few seconds,
 # in a fresh interpreter, so that an input that never finishes fails the case.
 @pytest.mark.parametrize(
     "argv, code, err",
@@ -939,11 +940,19 @@ _LAMBDA = ["--N", "100", "--mode", "lambda-prime"]
         (("diagnostics", "--n", "1e4000", "--checkpoints", "10"), 0, ""),
         (("density", "--n", "1e4000", *_LAMBDA, "--lam", "1"), 0, ""),
         (("smallest", "--n", "1e4000"), 3, "no qualifying degree found"),
+        (("diagnostics", "--n", "3", "--checkpoints", "100", "--lam", "1e-200"), 1, "lambda**(-n) exceeds the float range"),
+        (("diagnostics", "--n", "1", "--checkpoints", "100", "--lam", "1e-310"), 1, "lambda**(-n) exceeds the float range"),
+        (
+            ("diagnostics", "--n", "3", "--checkpoints", "1e8", "--lam", "1e-102", "--format", "json"),
+            1,
+            "exp>=2 tail bound at m = 100000000 exceeds the float range",
+        ),
     ],
     ids=[
         "45-digit d, n = 100", "1001-digit d, n = 3000", "sum identity", "sum identity, i*q + j = 0",
         "lam 1e99999999", "lam -1e5000", "lam 1e2000", "lam 1e2000 json", "lam 3/2, n = 1e6", "lam 3/2, n = 1e8",
         "diagnostics lam 3/2, n = 1e8", "diagnostics, n = 1e4000", "lam 1, n = 1e4000", "smallest, n = 1e4000",
+        "diagnostics lam 1e-200", "diagnostics lam 1e-310, n = 1", "diagnostics lam 1e-102 json",
     ],
 )
 def test_huge_values_exit_by_the_contract(tmp_path, argv, code, err):

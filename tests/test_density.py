@@ -601,6 +601,16 @@ def test_diagnostics_validation():
         convergence_diagnostics(0, [10], lam=Fraction(1))
 
 
+@pytest.mark.parametrize("n, lam", [(3, Fraction(1, 10**200)), (1, Fraction(1, 10**310))])
+def test_diagnostics_refuse_a_lambda_pow_past_the_floats_before_sieving(monkeypatch, n, lam):
+    def no_sieve(*args):
+        raise AssertionError("map_sieve called")
+
+    monkeypatch.setattr(arith, "map_sieve", no_sieve)
+    with pytest.raises(ParameterError, match=r"^lambda\*\*\(-n\) exceeds the float range$"):
+        convergence_diagnostics(n, [100], lam=lam)
+
+
 def test_diagnostics_takes_no_lam_pow():
     with pytest.raises(TypeError):
         convergence_diagnostics(3, [10, 100], lam_pow=Fraction(1))

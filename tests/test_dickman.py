@@ -104,12 +104,20 @@ def test_rho_tightest_tolerance():
 
 
 def test_rho_validation():
-    with pytest.raises(ParameterError):
-        rho(-0.1)
-    with pytest.raises(ParameterError):
-        rho(50.5)
+    # NaN fails every comparison, so only a test that u lies in the range refuses it
+    for u in (-0.1, 50.5, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError, match=r"^u must be in \[0, 50\.0\], got "):
+            rho(u)
     with pytest.raises(ParameterError):
         rho(2.0, 1e-13)
+
+
+def test_rho_table_refuses_a_table_that_does_not_decrease(monkeypatch):
+    # piece 1 made constant: the table would stay flat on (1, 2]
+    pieces = dickman._pieces()
+    monkeypatch.setattr(dickman, "_pieces", lambda: ((0.5,), *pieces[1:]))
+    with pytest.raises(ParameterError, match=r"^internal: table violates monotonicity/positivity$"):
+        rho_table(3.0, 0.25)
 
 
 def test_rho_step_halving_stability():
