@@ -47,9 +47,8 @@ SIEVE_BUDGET = 10**10
 # the least strong pseudoprime to the bases 2..41 (Sorenson & Webster, Math.
 # Comp. 86, 2017) and base 43 rejects it.  No primality above it is proved.
 PSI13 = 3317044064679887385961981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+_MR_WITNESSES = _SMALL_PRIMES[:14]
 
 # Brent's method refuses a round of cycle length beyond this; psi13 needs 2**19.
 BRENT_MAX_R = 1 << 22
@@ -177,8 +176,6 @@ def factorize(d: int) -> FactoredInteger:
     """
     if d < 1:
         raise ParameterError(f"factorize requires d >= 1, got {d}")
-    if d == 1:
-        return FactoredInteger(factors=(), largest_prime_power=1)
     acc: dict[int, int] = {}
     m = d
     for p in _SMALL_PRIMES:
@@ -187,7 +184,7 @@ def factorize(d: int) -> FactoredInteger:
             m //= p
     _factor_into(m, acc)
     pairs = sorted(acc.items())
-    q = max(p**e for p, e in pairs)
+    q = max((p**e for p, e in pairs), default=1)
     return FactoredInteger(factors=tuple(pairs), largest_prime_power=q)
 
 

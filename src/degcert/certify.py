@@ -32,14 +32,14 @@ iroot((N - c) // a, n).  The enumeration therefore walks depth first over
 the products of such prime powers (the classical recursion over the largest
 prime that counts smooth numbers, one batch of numpy bisections per bounded
 chunk) and yields the last prime of each degree in bulk, as a run of the
-prime list, in batches; no integer that cannot qualify is visited.  Every density count of the density
-module runs the same walk: the lambda predicates den * v**n <= num * d are
-an _Inequality with coefficients (den, 0, 0) and scale num.
-scan_qualifying lists the degrees of each yielded batch in a window, so its
-cost is set by the window's upper end, not by its width.  The minimum search
-walks nothing: d = v*t with v its largest prime power qualifies iff t >=
-ceil(thr(v) / v), so a branch and bound over t for each v, in Python
-integers, finds the least degree.
+prime list, in batches; no integer that cannot qualify is visited.  Every
+density count of the density module runs the same walk: the lambda
+predicates den * v**n <= num * d are an _Inequality with coefficients (den,
+0, 0) and scale num.  scan_qualifying lists the degrees of each yielded
+batch in a window, so its cost is set by the window's upper end, not by its
+width.  The minimum search walks nothing: d = v*t with v its largest prime
+power qualifies iff t >= ceil(thr(v) / v), so a branch and bound over t for
+each v, in Python integers, finds the least degree.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class _Inequality(NamedTuple):
         import numpy as np
 
         n, a, b, c, scale, _ = self
-        if len(q) == 0:
+        if len(q) == 0:  # no q[-1], and int64 q**n overflows for n = 10**4000 even when empty
             return np.empty(0, dtype=np.int64)
         if self.thr(int(q[-1])) >= 2**63 or scale >= 2**63:
             q = q.astype(object)
@@ -527,7 +527,7 @@ def _walk(ineq: _Inequality, N: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
         M, Uu, S = (np.concatenate(col) for col in zip(*nodes))
         lim = N // M
         width = np.maximum(P2.searchsorted(lim, side="right") - S, 0)
-        if len(M) + int(width.sum()) <= _CHUNK:
+        if len(M) + int(width.sum()) <= _CHUNK:  # the loop below makes this chunk too, but slower
             return runs, [(M, Uu, S, lim, width)]
         ends = np.append(0, (width + 1).cumsum())
         chunks, r = [], 0
@@ -545,7 +545,7 @@ def _walk(ineq: _Inequality, N: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
         stack += children
         found += runs
         held += sum(len(m) for m, _, _ in runs)
-        if held >= _CHUNK // 4 or not stack:
+        if held >= _CHUNK // 4 or not stack:  # a batch per step made small walks slower
             yield P, *(np.concatenate(col) for col in zip(*found))
             found, held = [], 0
 
@@ -568,24 +568,23 @@ def scan_qualifying(
     """The qualifying degrees in [lo, hi) as a list of one ascending int64
     array, empty when the window is.
 
-    The degrees are the walk's to hi - 1, and each yielded batch is clipped
-    to the runs that reach max(lo, 1), from their primes P[k] >= ceil(lo /
-    m), so the cost is set by hi, not by the window width, and only the
-    window's degrees are kept.  The walk holds hi - 1 to SIEVE_BUDGET even
-    for an empty window, as map_sieve does; it is sequential, and threads
-    cannot change the answer.
+    The degrees are the walk's to hi - 1; lo is clamped into [1, hi], and
+    each yielded batch is clipped to the runs that reach lo, from their
+    primes P[k] >= ceil(lo / m), so the cost is set by hi, not by the window
+    width.  The walk holds hi - 1 to SIEVE_BUDGET even for an empty window,
+    as map_sieve does; it is sequential, and threads cannot change the
+    answer.
 
     >>> [a.tolist() for a in scan_qualifying(3, 12000, 18000)]
     [[12155, 17017, 17765]]
     """
     import numpy as np
 
-    lo, parts = max(lo, 1), [np.empty(0, dtype=np.int64)]
+    lo, parts = min(max(lo, 1), hi), [np.empty(0, dtype=np.int64)]
     for P, m, i, j in _walk(_inequality(n, hi - 1, mode), hi - 1):
-        if lo > 1:  # the runs that reach the window, from their first prime in it
-            keep = m * P[j - 1] >= lo
-            m, i, j = m[keep], i[keep], j[keep]
-            i = np.maximum(i, P.searchsorted(-(-lo // m)))
+        keep = m * P[j - 1] >= lo  # the runs that reach the window, from their first prime in it
+        m, i, j = m[keep], i[keep], j[keep]
+        i = np.maximum(i, P.searchsorted(-(-lo // m)))
         ds = P[_spans(i, j - i)]
         ds *= m.repeat(j - i)
         parts.append(ds)
@@ -616,9 +615,8 @@ def _walk_counts(ineq: _Inequality, xs: list[int]) -> list[int]:
         np.add.at(whole, past, j - i)
         inside = X.searchsorted(m * P[i])
         cut = past - inside  # the number of x inside each run
-        if cut.any():
-            x = _spans(inside, cut)
-            np.add.at(part, x, P.searchsorted(X[x] // m.repeat(cut), side="right") - i.repeat(cut))
+        x = _spans(inside, cut)
+        np.add.at(part, x, P.searchsorted(X[x] // m.repeat(cut), side="right") - i.repeat(cut))
     one = int(ineq.thr(1) <= ineq.scale)  # d = 1, whose v is 1
     return [one + int(t) for t in whole.cumsum() + part]
 

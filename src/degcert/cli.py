@@ -114,9 +114,8 @@ def cmd_certify(args) -> int:
             print(f"  q = {e.q}: i = {e.i}, j = {e.j}, k = {e.k}")
         status = "PASS" if report.passed else "FAIL"
         print(f"verification: {status} ({len(report.checks)} checks)")
-        if not report.passed:
-            for c in report.failures():
-                print(f"  FAIL {c.name} [{c.context}]: {c.detail}")
+        for c in report.failures():
+            print(f"  FAIL {c.name} [{c.context}]: {c.detail}")
         print(f"note: {certify.VerificationReport.CONDITIONAL_NOTE}")
     return EXIT_OK if report.passed else EXIT_PREDICATE_FALSE
 

@@ -117,11 +117,9 @@ def rho_table(u_max: float, step: float) -> DickmanTable:
     for k, coeffs in enumerate(_pieces()[: ceil(u[-1]) - 1], start=1):
         nodes = slice(k * k_out + 1, (k + 1) * k_out + 1)
         values[nodes] = _horner(coeffs, (k + 1) - u[nodes])
-    # Type invariants: exactly 1 on [0, 1], then strictly decreasing and
-    # positive.  The positive series guarantee these up to rounding; fail
-    # loudly rather than return a corrupt table.
-    if not np.all(values[: min(k_out, n_out - 1) + 1] == 1.0):
-        raise ParameterError("internal: table head is not identically 1")
+    # Type invariants: exactly 1 on [0, 1], as no piece writes there, then
+    # strictly decreasing and positive, which the positive series guarantee
+    # up to rounding; fail loudly rather than return a corrupt table.
     tail = values[k_out:]
     if len(tail) > 1 and (np.any(np.diff(tail) >= 0) or np.any(tail <= 0)):
         raise ParameterError("internal: table violates monotonicity/positivity")

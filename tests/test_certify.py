@@ -611,6 +611,27 @@ def test_scan_runs_no_sieve(monkeypatch):
     assert [len(a) for a in parts] == [29850]
 
 
+# (lo, hi): a lo far past hi, empty and reversed windows, a lo below 1
+SCAN_EDGES = [
+    (2**70, 100), (2**64, 10**6), (2**70, 2**20), (10**9, 10**6),
+    (5, 5), (1, 1), (0, 0), (5, -5), (-3, 20000), (12000, 18000),
+]
+
+
+@pytest.mark.parametrize("lo, hi", SCAN_EDGES)
+def test_scan_clamps_lo_into_the_window(lo, hi):
+    # ceil(lo / m) is taken in int64, so a lo past int64 must be clamped to hi first
+    [got] = certify.scan_qualifying(3, lo, hi)
+    want = [d for d in certify.enumerate_qualifying(3, hi - 1) if d >= lo] if hi >= 2 else []
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_scan_holds_the_budget_for_an_empty_window():
+    with pytest.raises(CapacityError):
+        certify.scan_qualifying(3, 2**70, 2**70 + 5)
+
+
 def test_smallest_budget_below_one_is_parameter_error():
     for budget in (0, -5):
         with pytest.raises(ParameterError, match="budget must be >= 1"):

@@ -193,6 +193,19 @@ def test_density_runs_no_sieve(monkeypatch):
     assert empirical_density(4, 2 * 10**7, DensityMode.LAMBDA_PRIME, lam=Fraction(1)).count == 11478
 
 
+def test_repeated_checkpoints_repeat_their_counts():
+    # a checkpoint given twice is a repeated x inside a run of the walk
+    cps = [10**6, 10**6, 5 * 10**6, 10**7, 10**7]
+    r = empirical_density(3, 10**7, DensityMode.PROP16_FULL, checkpoints=cps)
+    assert r.samples == tuple(zip(cps, [1734, 1734, 12930, 29850, 29850]))
+
+    def samples(cps):
+        return empirical_density(3, 10**7, DensityMode.LAMBDA_PRIME, lam=Fraction(1), checkpoints=cps).samples
+
+    once = dict(samples([1, 2, 10**7]))
+    assert samples([1, 1, 2, 10**7]) == tuple((m, once[m]) for m in [1, 1, 2, 10**7])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(3, 5),
