@@ -480,7 +480,7 @@ def largest_prime_power_segment(
     cover sqrt(hi-1).  The value for 1 is 1.
 
     For each prime p <= sqrt(hi-1) and each power pe = p**e < hi, every
-    multiple of pe receives the candidate pe (p alone for prime factors) via
+    multiple of pe receives the candidate pe (p for prime factors) via
     a running maximum; the winning candidate for p is exactly p**v_p.
     Dividing the residue by p on each pass leaves either 1 or a single prime
     > sqrt(hi-1), which is both a maximal prime power and the largest prime
@@ -493,20 +493,11 @@ def largest_prime_power_segment(
     count = hi - lo
     rem = np.arange(lo, hi, dtype=np.int64)
     v = np.ones(count, dtype=np.int64)
-    r = isqrt(hi - 1)
-    for p in base_primes:
-        p = int(p)
-        if p > r:
-            break
+    for p in base_primes[: base_primes.searchsorted(isqrt(hi - 1), "right")].tolist():
         pe = p
-        while pe < hi:
-            start = ((lo + pe - 1) // pe) * pe
-            if start >= hi:
-                break
-            sl = slice(start - lo, count, pe)
-            if pe == p or not want_prime_factor:
-                np.maximum(v[sl], pe, out=v[sl])
-            rem[sl] //= p
+        while (i := -lo % pe) < count:  # the first multiple of pe in the window, if any
+            np.maximum(v[i::pe], p if want_prime_factor else pe, out=v[i::pe])
+            rem[i::pe] //= p
             pe *= p
     np.maximum(v, rem, out=v)
     return v
@@ -521,9 +512,6 @@ def coprime_mask(lo: int, hi: int, n: int) -> np.ndarray:
     import numpy as np
 
     mask = np.ones(hi - lo, dtype=bool)
-    for p in primes_upto(max(n, 1)):
-        p = int(p)
-        start = ((lo + p - 1) // p) * p
-        if start < hi:
-            mask[start - lo :: p] = False
+    for p in primes_upto(max(n, 1)).tolist():
+        mask[-lo % p :: p] = False
     return mask

@@ -28,7 +28,7 @@ buggy builder cannot validate itself.
 The walk, the density counts, the least-degree search and the builder read
 the qualification inequality a*q**n + b*q**(n-1) + c <= d as one value,
 _Inequality.  Every prime power of a qualifying d <= N is at most cap =
-iroot((N - c) // a, n).  The enumeration therefore walks depth first over
+ineq.top(N).  The enumeration therefore walks depth first over
 the products of such prime powers (the classical recursion over the largest
 prime that counts smooth numbers, one batch of numpy bisections per bounded
 chunk) and yields the last prime of each degree in bulk, as a run of the
@@ -155,6 +155,11 @@ class _Inequality(NamedTuple):
     def thr(self, v: int) -> int:
         """a*v**n + b*v**(n-1) + c in exact Python integers, which cannot wrap."""
         return self.a * v**self.n + self.b * v ** (self.n - 1) + self.c
+
+    def top(self, x: int) -> int:
+        """The largest v in [0, x] with a*v**n + c <= scale*x (0 when none,
+        x when x < 0): no v above it has thr(v) <= scale*x."""
+        return min(arith.integer_nth_root(max(self.scale * x - self.c, 0) // self.a, self.n), x)
 
     def ceil(self, q: np.ndarray, top: int, per: np.ndarray | None = None) -> np.ndarray:
         """min(ceil(thr(q) / (scale * per)), top) as int64 for the ascending
@@ -439,8 +444,8 @@ def _walk(ineq: _Inequality, N: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
     the d in [2, N] with gcd(d, n!) = 1 that satisfy the inequality ineq,
     thr(v) <= scale*d.
 
-    P is the int64 array of the primes in (n, cap], cap = min(iroot((scale*N
-    - c) // a, n), N), which bounds every prime power (every prime, under
+    P is the int64 array of the primes in (n, cap], cap = ineq.top(N) (no
+    batch when cap <= n), which bounds every prime power (every prime, under
     prime_factor) of such a d.  m, i, j are int64 arrays of one length: each
     such d is exactly one m[r] * P[k] with i[r] <= k < j[r], over all batches,
     where P[k] is the largest prime of d.  The nodes m = products of prime
@@ -475,11 +480,11 @@ def _walk(ineq: _Inequality, N: int) -> Iterator[tuple[np.ndarray, np.ndarray, n
     """
     import numpy as np
 
-    n, a, _, c, scale, prime_factor = ineq
+    n, prime_factor = ineq.n, ineq.prime_factor
     arith.check_sieve_bound(N)
-    if scale * N < c:
+    cap = ineq.top(N)
+    if cap <= n:
         return
-    cap = min(arith.integer_nth_root((scale * N - c) // a, n), N)
     if cap > 10**8:
         raise CapacityError(f"walk prime bound {cap} exceeds 10^8")
     assert N + 1 < 2**63
@@ -634,10 +639,9 @@ def _least_degree(ineq: _Inequality, best: int) -> int:
     t reaches that target or the least t found (v*t >= best), or once the
     largest powers left cannot lift t to the target.
     """
-    n, a, thr = ineq.n, ineq.a, ineq.thr
+    n, thr = ineq.n, ineq.thr
     ps = []  # the primes in (n, v]
-    # a*v**n < best bounds v, so a huge n stops before it forms v**n
-    for v in range(n + 1, arith.integer_nth_root(best // a, n) + 1):
+    for v in range(n + 1, ineq.top(best - 1) + 1):  # a huge n stops before it forms v**n
         if thr(v) >= best:
             break
         root = arith.prime_power_root(v)
@@ -827,8 +831,9 @@ def _require_objects(value, what: str) -> list[dict]:
 def certificate_from_dict(data: dict) -> Certificate:
     if not isinstance(data, dict):
         raise ParameterError("certificate payload must be a JSON object")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ParameterError(f"unsupported schema_version {data.get('schema_version')!r}")
+    version = data.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True and 1.0 equal 1 too
+        raise ParameterError(f"unsupported schema_version {version!r}")
     if data.get("kind") != "certificate":
         raise ParameterError(f"not a certificate payload: kind = {data.get('kind')!r}")
     try:

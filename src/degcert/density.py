@@ -176,8 +176,7 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
     def work(lo: int, hi: int, base: np.ndarray) -> int:
         import numpy as np
 
-        # thr(p) > a * p**n, so no prime above iroot(hi // a, n) passes below hi
-        ps = base[base.searchsorted(n, "right") : base.searchsorted(arith.integer_nth_root(hi // ineq.a, n), "right")]
+        ps = base[base.searchsorted(n, "right") : base.searchsorted(ineq.top(hi - 1), "right")]
         H = ineq.ceil(ps, hi, per=ps)
         firsts = np.maximum(-(-lo // ps), H) * ps - lo  # offsets from lo
         keep = firsts < hi - lo

@@ -121,7 +121,7 @@ def rho_table(u_max: float, step: float) -> DickmanTable:
     # strictly decreasing and positive, which the positive series guarantee
     # up to rounding; fail loudly rather than return a corrupt table.
     tail = values[k_out:]
-    if len(tail) > 1 and (np.any(np.diff(tail) >= 0) or np.any(tail <= 0)):
+    if np.any(np.diff(tail) >= 0) or np.any(tail <= 0):
         raise ParameterError("internal: table violates monotonicity/positivity")
     return DickmanTable(step=1.0 / k_out, u_max=u_max, values=values, abs_error_bound=ABS_ERROR_BOUND)
 

@@ -554,6 +554,15 @@ def test_largest_prime_power_segment_high_window():
         assert q[off] == brute_lpp(lo + off)
 
 
+def test_largest_prime_factor_segment_high_window():
+    # 2048 wide: many powers below hi have no multiple in the window
+    lo, hi = 10**7, 10**7 + 2048
+    base = arith.primes_upto(isqrt(hi - 1))
+    lpf = arith.largest_prime_power_segment(lo, hi, base, want_prime_factor=True)
+    for off in range(0, 2048, 13):
+        assert lpf[off] == max(p for p, _ in brute_factorize(lo + off))
+
+
 def test_largest_prime_power_segment_rejects_zero_lo():
     base = arith.primes_upto(10)
     with pytest.raises(ParameterError):

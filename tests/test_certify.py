@@ -950,6 +950,44 @@ def test_inequality_ceil_matches_exact_integers(qs, n, a, b, c, scale, top, per)
     assert got.dtype == np.int64 and got.tolist() == want
 
 
+def fits(ineq, v, x):
+    """a*v**n + c <= scale*x, for v, x >= 0; a v >= 2 whose v**n >= 2**(n *
+    (bits(v) - 1)) already passes scale*x is refused before v**n is formed."""
+    if ineq.n * (v.bit_length() - 1) > (ineq.scale * x).bit_length():
+        return False
+    return ineq.a * v**ineq.n + ineq.c <= ineq.scale * x
+
+
+# the certificate inequalities, the lambda inequalities (den, 0, 0) with
+# scale num for lambda**n = num/den, and the stand-in of a huge n
+TOP_INEQUALITIES = {
+    **{f"{mode.value}-n{n}": certify._Inequality(n, *certify.threshold_coefficients(n, mode))
+       for n in range(3, 6) for mode in Mode},
+    **{f"lambda{lam}-n{n}": certify._Inequality(n, lam.denominator, 0, 0, lam.numerator)
+       for n in range(1, 6) for lam in (Fraction(1, 2), Fraction(1), Fraction(10**30, 7))},
+    "huge-n": certify._inequality(10**4000, 100),
+}
+
+
+@pytest.mark.parametrize("ineq", TOP_INEQUALITIES.values(), ids=TOP_INEQUALITIES.keys())
+def test_inequality_top_is_the_largest_v_that_fits(ineq):
+    # a*v**n + c <= scale*x rises with x and falls with v, so the largest
+    # fitting v in [0, x] only moves up as x steps up
+    v = 0
+    for x in range(-3, 3001):
+        if x < 0:
+            assert ineq.top(x) == x
+            continue
+        while v < x and fits(ineq, v + 1, x):
+            v += 1
+        assert ineq.top(x) == (v if fits(ineq, v, x) else 0), x
+    for x in (10**10, 2**62):
+        v = ineq.top(x)
+        assert 0 <= v <= x
+        assert fits(ineq, v, x) or (v == 0 and not fits(ineq, 0, x))
+        assert v == x or not fits(ineq, v + 1, x)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 7), st.sampled_from(list(Mode)), st.floats(0, 1))
 def test_walk_matches_reference_walk(n, mode, u):
@@ -1442,6 +1480,15 @@ def test_deserialization_rejects_bad_schema():
     cert = certify.build_certificate(3, 5005)
     payload = json.loads(certify.certificate_to_json(cert))
     payload["schema_version"] = 99
+    with pytest.raises(ParameterError, match="schema_version"):
+        certify.certificate_from_dict(payload)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+def test_deserialization_takes_only_the_integer_1_as_schema_version(version):
+    # True == 1 and 1.0 == 1 in Python, but neither is the integer 1
+    payload = json.loads(certify.certificate_to_json(certify.build_certificate(3, 5005)))
+    payload["schema_version"] = version
     with pytest.raises(ParameterError, match="schema_version"):
         certify.certificate_from_dict(payload)
 

@@ -175,6 +175,15 @@ def test_check_malformed_shape_is_usage_error(tmp_path, capsys, field, value):
     assert "list of JSON objects" in err
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_check_refuses_a_schema_version_that_only_equals_1(tmp_path, capsys, version):
+    payload = certify.certificate_to_dict(certify.build_certificate(3, 5005))
+    payload["schema_version"] = version
+    code, _, err = _check_payload(tmp_path, capsys, payload)
+    assert code == 1
+    assert "unsupported schema_version" in err
+
+
 @pytest.mark.parametrize("q", [10**60 + 7, 10**309])
 def test_check_huge_entry_fails_verification(tmp_path, capsys, q):
     # exact integer roots: no float overflow near 1e308, no stall for a

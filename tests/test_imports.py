@@ -22,7 +22,9 @@ only the sieves and the walks to the sieve budget: no function but
 arith.map_sieve, certify._walk and certify._walk_counts reads check_sieve_bound.
 A ninth keeps the qualification inequality in one value: no function takes
 parameters named a, b and c together, so its coefficients are passed as one
-certify._Inequality, not by position.
+certify._Inequality, not by position.  A tenth keeps the leading coefficient
+inside that value: no code outside class _Inequality reads an attribute named
+a, so every bound on a prime power comes from _Inequality.top.
 """
 
 import ast
@@ -433,3 +435,37 @@ def test_no_function_takes_the_coefficients_by_position():
 )
 def test_the_coefficient_guard_reports_what_it_should(source, found):
     assert coefficient_parameters(source) == found
+
+
+def leading_coefficient_reads(source: str) -> list[str]:
+    """line N for every read of an attribute named a outside class _Inequality."""
+    tree = ast.parse(source)
+    inside = {
+        id(n) for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "_Inequality" for n in ast.walk(cls)
+    }
+    return [
+        f"line {n.lineno}" for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "a" and isinstance(n.ctx, ast.Load) and id(n) not in inside
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_the_inequality_reads_its_leading_coefficient(path):
+    assert leading_coefficient_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("x = ineq.a\n", ["line 1"]),
+        ("def f(ineq, best):\n    return best // ineq.a\n", ["line 2"]),
+        ("class Other:\n    def thr(self, v):\n        return self.a * v\n", ["line 3"]),
+        ("class _Inequality:\n    def thr(self, v):\n        return self.a * v\n", []),
+        ("class _Inequality:\n    a: int\n\nx = _Inequality(1).a\n", ["line 4"]),
+        ("ineq.a = 1\nn, a, b = ineq\nx = ineq.ab + a\n", []),
+        ("s = 'ineq.a'\n", []),
+    ],
+)
+def test_the_leading_coefficient_guard_reports_what_it_should(source, found):
+    assert leading_coefficient_reads(source) == found
