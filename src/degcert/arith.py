@@ -76,7 +76,7 @@ class PrimeSumResult(NamedTuple):
 def integer_nth_root(x: int, n: int) -> int:
     """Largest integer r with r**n <= x (exact, no float error)."""
     if x < 0 or n < 1:
-        raise ParameterError(f"integer_nth_root requires x >= 0, n >= 1; got {x}, {n}")
+        raise ParameterError(f"integer_nth_root requires x >= 0, n >= 1; got {_show_int(x)}, {_show_int(n)}")
     if n == 1 or x < 2:
         return x
     if n >= x.bit_length():  # x < 2**n, so the root is 1; log2(x) / n could overflow
@@ -175,7 +175,7 @@ def factorize(d: int) -> FactoredInteger:
     Brent's method.  Exact and deterministic for all supported d.
     """
     if d < 1:
-        raise ParameterError(f"factorize requires d >= 1, got {d}")
+        raise ParameterError(f"factorize requires d >= 1, got {_show_int(d)}")
     acc: dict[int, int] = {}
     m = d
     for p in _SMALL_PRIMES:
@@ -236,8 +236,8 @@ def power_root(q: int) -> tuple[int, int] | None:
 
 
 def _show_int(x: int) -> str:
-    """x in decimal, or its bit length when Python would refuse to print it."""
-    return str(x) if x.bit_length() < 10_000 else f"<{x.bit_length()}-bit integer>"
+    """x in decimal, or its sign and bit length when Python would refuse to print it."""
+    return str(x) if x.bit_length() < 10_000 else f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
 
 
 def check_sieve_bound(bound: int) -> None:
@@ -251,7 +251,7 @@ def primes_upto(limit: int) -> np.ndarray:
     import numpy as np
 
     if limit > 10**8:
-        raise CapacityError(f"primes_upto limit {limit} exceeds 10^8; use segments")
+        raise CapacityError(f"primes_upto limit {_show_int(limit)} exceeds 10^8; use segments")
 
     def upto(x: int) -> np.ndarray:  # nested, so a traced primes_upto records one call
         return sieve_segment(2, x + 1, upto(isqrt(x))) if x >= 2 else np.empty(0, dtype=np.int64)
@@ -393,7 +393,7 @@ def prime_power_count(m: int, threads: int = 1) -> int:
     """Number of prime powers p**e <= m with e >= 1: pi(m) plus the powers
     with e >= 2, which need only the primes up to sqrt(m)."""
     if m < 1:
-        raise ParameterError(f"prime_power_count requires m >= 1, got {m}")
+        raise ParameterError(f"prime_power_count requires m >= 1, got {_show_int(m)}")
     return prime_count(m, threads) + len(prime_powers_exp_ge2(m))
 
 
@@ -434,9 +434,9 @@ def mertens_sum(x: int, n: int = 1, threads: int = 1) -> PrimeSumResult:
     marks (1 MiB) and one array of its primes, never a segment's.
     """
     if x < 2:
-        raise ParameterError(f"mertens_sum requires x >= 2, got {x}")
+        raise ParameterError(f"mertens_sum requires x >= 2, got {_show_int(x)}")
     if n < 1:
-        raise ParameterError(f"mertens_sum requires n >= 1, got {n}")
+        raise ParameterError(f"mertens_sum requires n >= 1, got {_show_int(n)}")
     return _prime_sums([integer_nth_root(x, n)], [x], threads)[0]
 
 
@@ -489,7 +489,7 @@ def largest_prime_power_segment(
     import numpy as np
 
     if lo < 1 or hi <= lo:
-        raise ParameterError(f"bad segment [{lo}, {hi}); need 1 <= lo < hi")
+        raise ParameterError(f"bad segment [{_show_int(lo)}, {_show_int(hi)}); need 1 <= lo < hi")
     count = hi - lo
     rem = np.arange(lo, hi, dtype=np.int64)
     v = np.ones(count, dtype=np.int64)

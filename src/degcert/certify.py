@@ -131,7 +131,7 @@ def threshold_coefficients(n: int, mode: Mode = Mode.FULL) -> tuple[int, int, in
     c = (2**n + 1) * n! is also the smallest degree that can qualify.
     """
     if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
+        raise ParameterError(f"n must be >= 3, got {_show_int(n)}")
     fact = factorial(n)
     c = (2**n + 1) * fact
     if mode == Mode.FULL:
@@ -258,9 +258,9 @@ def build_certificate(n: int, d: int, mode: Mode = Mode.FULL) -> Certificate:
     proved, is a DecompositionError, as the verifier would refuse its entry.
     """
     if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
+        raise ParameterError(f"n must be >= 3, got {_show_int(n)}")
     if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+        raise ParameterError(f"d must be >= 1, got {_show_int(d)}")
     # Every witness has d >= k*n! >= (2**n + 1)*n! > 2**n: refuse d < 2**n
     # before n! is built, which for a huge n would not finish.
     if n >= d.bit_length():
@@ -697,7 +697,7 @@ def smallest_qualifying(
     """
     cap = budget if budget is not None else arith.SIEVE_BUDGET
     if cap < 1:
-        raise ParameterError(f"budget must be >= 1, got {cap}")
+        raise ParameterError(f"budget must be >= 1, got {_show_int(cap)}")
     d = _least_degree(_inequality(n, cap, mode), cap + 1)
     if d <= cap:
         return d
@@ -752,7 +752,7 @@ def verify_rational_example(d: int, qs: list[int]) -> RationalExampleReport:
     dividing them all out of d leaves 1.
     """
     if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+        raise ParameterError(f"d must be >= 1, got {_show_int(d)}")
     out = []
     for q in qs:
         prime_ok = q <= arith.PSI13 and arith.is_prime(q)

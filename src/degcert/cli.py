@@ -9,6 +9,7 @@ is meant for trajectory plotting elsewhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PREDICATE_FALSE = 2
 EXIT_CAPACITY = 3
+_BOUND = 10**4300  # every numerator and denominator read stays below it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,32 +37,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """A rational read exactly, refused when its numerator or denominator
-    would have more than 4300 digits, as _integer refuses an integer."""
+    """A rational read exactly, "p/q" or a decimal such as "-2.5e3", refused when its
+    numerator or denominator would have more than 4300 digits; _integer reads through it."""
     try:
-        # a decimal's exponent bounds it before Fraction expands 1e999999999
-        if "/" not in text and not -4300 <= Decimal(text).adjusted() < 4300:
+        if "/" in text:
+            value = Fraction(text)
+        else:
+            float(text)  # refuses misplaced underscores, which Decimal drops ("1__0" would be 10)
+            decimal = Decimal(text)
+            # an exponent past 4300 either way is refused before Fraction expands it; 0e-5000 is 0
+            if decimal.adjusted() >= 4300 or (decimal and decimal.adjusted() < -4300):
+                raise ValueError
+            value = Fraction(decimal)  # ValueError on nan, OverflowError on inf
+        if max(abs(value.numerator), value.denominator) >= _BOUND:
             raise ValueError
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError, InvalidOperation):
+        return value
+    except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
-    if max(abs(value.numerator), value.denominator) >= 10**4300:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
-    return value
 
 
 def _integer(text: str) -> int:
-    """An integer read exactly: e-notation and integral decimals such as
-    "1e8" and "1.0e4" are accepted, "1.00000000001e3" is not."""
-    try:
-        float(text)  # refuses misplaced underscores, which Decimal drops ("1__0" would be 10)
-        value = Decimal(text)
-    except (ValueError, InvalidOperation):
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    # int()'s default limit of 4300 digits; it also keeps int() from expanding 1e999999999
-    if not value.is_finite() or value != value.to_integral_value() or value.adjusted() >= 4300:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(value)
+    """An integer read exactly: a rational without "/" whose denominator is
+    1, so "1e8" and "1.0e4" are accepted, "1.00000000001e3" is not."""
+    with contextlib.suppress(argparse.ArgumentTypeError):
+        if "/" not in text and (value := _parse_fraction(text)).denominator == 1:
+            return value.numerator
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
 def _integers(text: str) -> list[int]:
@@ -92,9 +94,7 @@ def cmd_certify(args) -> int:
         cert = certify.build_certificate(args.n, args.d, certify.Mode(args.mode.upper()))
     except DecompositionError as exc:
         if args.format == "json":
-            _emit_json(
-                "certify", n=args.n, d=args.d, mode=args.mode.upper(), qualifies=False, reason=str(exc)
-            )
+            _emit_json("certify", n=args.n, d=args.d, mode=args.mode.upper(), qualifies=False, reason=str(exc))
         else:
             print(f"degree {args.d} does not qualify: {exc}")
         return EXIT_PREDICATE_FALSE
@@ -141,9 +141,7 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     ds = certify.enumerate_qualifying(args.n, args.d_max, certify.Mode(args.mode.upper()))
     if args.format == "json":
-        _emit_json(
-            "enumerate", n=args.n, mode=args.mode.upper(), d_max=args.d_max, count=len(ds), degrees=ds
-        )
+        _emit_json("enumerate", n=args.n, mode=args.mode.upper(), d_max=args.d_max, count=len(ds), degrees=ds)
     else:
         print("d" if args.format == "csv" else f"{len(ds)} qualifying degrees <= {args.d_max}")
         sys.stdout.writelines(f"{d}\n" for d in ds)
@@ -281,7 +279,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list qualifying degrees up to a bound")
     p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--d-max", dest="d_max", type=_integer, required=True)
+    p.add_argument("--d-max", type=_integer, required=True)
     p.add_argument("--mode", choices=modes, default="full")
     common(p, fmt=("text", "json", "csv"))
     p.set_defaults(fn=cmd_enumerate)
@@ -297,7 +295,7 @@ def build_parser() -> _Parser:
     shape = p.add_mutually_exclusive_group(required=True)
     shape.add_argument("--u", type=float)
     shape.add_argument("--table", action="store_true")
-    p.add_argument("--u-max", dest="u_max", type=float, default=None)
+    p.add_argument("--u-max", type=float, default=None)
     p.add_argument("--step", type=float, default=None)
     common(p, fmt=("text", "json", "csv"))
     p.set_defaults(fn=cmd_dickman)
@@ -308,20 +306,17 @@ def build_parser() -> _Parser:
     density_modes = tuple(m.value.lower().replace("_", "-") for m in density.DensityMode)
     p.add_argument("--mode", choices=density_modes, default="prop16-full")
     p.add_argument("--lam", type=_parse_fraction, help="lambda as a rational, e.g. 4/5")
-    p.add_argument(
-        "--lam-pow",
-        dest="lam_pow",
-        type=_parse_fraction,
-        help="lambda**n as an exact rational, for irrational lambda such as (C(n,2)-1)**(-1/n)",
-    )
+    p.add_argument("--lam-pow", type=_parse_fraction,
+                   help="lambda**n as an exact rational, for irrational lambda such as (C(n,2)-1)**(-1/n)")
     p.add_argument("--checkpoints", type=_integers, help="comma-separated m values")
     common(p, fmt=("text", "json", "csv"))
     p.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("ihc", help="fraction of degrees with certified f_n(d) != 1")
+    p = sub.add_parser("ihc", help="count the degrees with a prime p > n whose inequality holds,"
+                       " a lower bound on the fraction with f_n(d) != 1")
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--N", type=_integer, required=True)
-    p.add_argument("--range-lo", dest="range_lo", type=_integer, default=1)
+    p.add_argument("--range-lo", type=_integer, default=1)
     common(p)
     p.set_defaults(fn=cmd_ihc)
 

@@ -86,6 +86,11 @@ class DiagnosticsRow(NamedTuple):
     ratio_bound: float | None = None
 
 
+def _show_fraction(q: Fraction) -> str:
+    """q as str() writes it, with numerator and denominator each through arith._show_int."""
+    return arith._show_int(q.numerator) + (f"/{arith._show_int(q.denominator)}" if q.denominator > 1 else "")
+
+
 def _resolve_lambda(
     n: int, lam: Fraction | None, lam_pow: Fraction | None
 ) -> tuple[Fraction | None, Fraction]:
@@ -95,7 +100,7 @@ def _resolve_lambda(
     if lam is not None:
         lam = Fraction(lam)
         if lam <= 0:
-            raise ParameterError(f"lambda must be positive, got {lam}")
+            raise ParameterError(f"lambda must be positive, got {_show_fraction(lam)}")
         # a**|n| >= 2**(|n| * (bitlen(a) - 1)), and 2**14285 > 10**4300
         if abs(n) * (max(lam.numerator, lam.denominator).bit_length() - 1) >= 14_285:
             raise ParameterError(too_long)
@@ -103,7 +108,7 @@ def _resolve_lambda(
     else:
         lam_pow = Fraction(lam_pow)
         if lam_pow <= 0:
-            raise ParameterError(f"lambda**n must be positive, got {lam_pow}")
+            raise ParameterError(f"lambda**n must be positive, got {_show_fraction(lam_pow)}")
     if max(lam_pow.numerator, lam_pow.denominator) >= 10**4300:
         raise ParameterError(too_long)
     return lam, lam_pow
@@ -124,12 +129,12 @@ def empirical_density(
     mode whose walk would list the primes beyond 10**8, min(N,
     iroot(lambda**n * N, n)) > 10**8, is a CapacityError."""
     if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+        raise ParameterError(f"n must be >= 1, got {arith._show_int(n)}")
     if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
+        raise ParameterError(f"N must be >= 1, got {arith._show_int(N)}")
     cps = list(checkpoints) if checkpoints is not None else []
     if any(not 1 <= m <= N for m in cps) or cps != sorted(cps):
-        raise ParameterError(f"checkpoints must be ascending within [1, {N}]")
+        raise ParameterError(f"checkpoints must be ascending within [1, {arith._show_int(N)}]")
 
     xs = [*cps, N]
     if mode in (DensityMode.PROP16_FULL, DensityMode.PROP16_WEAK):
@@ -171,7 +176,7 @@ def ihc_fraction(n: int, N: int, range_lo: int = 1, threads: int = 1) -> IhcRepo
     """
     ineq = certify._inequality(n, N)  # refuses n < 3
     if not 1 <= range_lo <= N:
-        raise ParameterError(f"need 1 <= range_lo <= N, got {range_lo}, {N}")
+        raise ParameterError(f"need 1 <= range_lo <= N, got {arith._show_int(range_lo)}, {arith._show_int(N)}")
 
     def work(lo: int, hi: int, base: np.ndarray) -> int:
         import numpy as np
@@ -201,7 +206,7 @@ def convergence_diagnostics(
     if not cps or cps != sorted(cps) or cps[0] < 2:
         raise ParameterError("checkpoints must be ascending integers >= 2")
     if n < 1:
-        raise ParameterError(f"mertens_sum requires n >= 1, got {n}")
+        raise ParameterError(f"mertens_sum requires n >= 1, got {arith._show_int(n)}")
     if lam is not None:
         _, lam_pow = _resolve_lambda(n, lam, None)
         try:

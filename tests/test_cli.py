@@ -1,13 +1,16 @@
 import argparse
+import inspect
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
 import sys
 import tempfile
 import time
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from math import log
 from pathlib import Path
 
@@ -925,6 +928,119 @@ def test_integer_options_read_up_to_4300_digits(capsys, argv, code):
     assert ("not an integer" in err) == (code == 1)
 
 
+def _reference_integer(text):
+    """The integer reader as it was before it read through cli._parse_fraction:
+    float() for the syntax, then Decimal for integrality and the exponent."""
+    try:
+        float(text)  # refuses misplaced underscores, which Decimal drops ("1__0" would be 10)
+        value = Decimal(text)
+    except (ValueError, InvalidOperation):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not value.is_finite() or value != value.to_integral_value() or value.adjusted() >= 4300:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(value)
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except argparse.ArgumentTypeError as exc:
+        return f"refused: {exc}"
+
+
+_ARABIC_INDIC = "".join(map(chr, range(0x660, 0x66A)))
+_EDGE_TOKENS = [
+    "0", "1", "-1", "+3", "007", "5005", "1e8", "1E8", "1e+8", "1.0e4", "1.00000000001e3", "1.5", "1e-3",
+    "100e-2", "0.1e1", "1.", ".5", "-0", "-0.0e0", "1_000", "1__0", "_1", "1_", "1e8_0", "1e_8", "1_e8",
+    "1_000.000", "1._0", "١٢٣", "٣e٢", "1٢", "١_٠", " 5 ", "\t7\n", "\xa09", "\x1c1", "1 0", "", " ", "nan",
+    "-nan", "inf", "-Infinity", "snan", "x", "0x10", "1e", "e5", ".", "4/2", "1/1", "-6/3", "1e4299",
+    "-1e4299", "1e4300", "-1e4300", "9" * 4300, "9" * 4301, "1" + "0" * 4300, "0" * 5000 + "1",
+    "1." + "0" * 4400, "1" + "0" * 4400 + "e-200", "1e99999999", "1e-99999999", "0e-99999999", "0e99999999",
+    "0e4299", "0e4300", "0e-4301", "1e-4300", "5e-4300",
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_TOKENS, ids=[ascii(t)[:24] for t in _EDGE_TOKENS])
+def test_integer_reads_edge_tokens_as_the_reference_does(text):
+    assert _read(cli._integer, text) == _read(_reference_integer, text)
+
+
+_TOKENS = st.one_of(
+    st.text("0123456789" + _ARABIC_INDIC + "_.eE+-/ ", max_size=12),
+    st.builds(
+        "{}{}{}".format,
+        st.one_of(
+            st.sampled_from(["0", "-0", "0.0", "٠", "1", "1.5", "10", "1_0"]),
+            st.text("0123456789" + _ARABIC_INDIC + "_.+- ", max_size=8),
+        ),
+        st.sampled_from(["e", "E", "e+", "E-", "e_"]),
+        st.integers(-5000, 5000),
+    ),
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_TOKENS)
+def test_integer_reads_as_the_reference_does(text):
+    assert _read(cli._integer, text) == _read(_reference_integer, text)
+
+
+def test_the_4300_digit_rule_is_written_once():
+    integer, fraction = (inspect.getsource(f) for f in (cli._integer, cli._parse_fraction))
+    assert "_parse_fraction(" in integer
+    assert not any(word in integer for word in ("float(", "Decimal(", "4300"))
+    assert "10**4300" not in fraction  # built once, as cli._BOUND
+
+
+# A rational is bounded by its value, not by its spelling: a zero spelled with
+# any exponent below 4300 is 0, and a long spelling of a small value is read.
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("0e-5000", 0), ("-0e-99999999", 0), ("1." + "0" * 4400, 1), ("0" * 5000 + "7", 7),
+        ("5e-4300", Fraction(1, 2 * 10**4299)),
+    ],
+    ids=["0e-5000", "-0e-99999999", "1.000...", "000...7", "5e-4300"],
+)
+def test_rationals_are_bounded_by_value(text, value):
+    assert cli._parse_fraction(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["0e4300", "1e4300", "1e-4300", "1." + "0" * 4400 + "1", "1/" + "1" * 4301, "\x1c1", "1__0", "nan", "1/0"]
+)
+def test_rationals_past_the_bound_or_misspelled_are_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match=f"^not a rational number: {re.escape(repr(text))}$"):
+        cli._parse_fraction(text)
+
+
+# Each echoes a 4001-digit integer or rational in a ParameterError (exit 1);
+# arith._show_int writes it as its sign and bit length.
+_HUGE_ECHOES = [
+    ("certify", "--n=-1e4000", "--d", "5"),
+    ("certify", "--n", "3", "--d=-1e4000"),
+    ("smallest", "--n", "3", "--budget=-1e4000"),
+    ("density", "--n=-1e4000", "--N", "10"),
+    ("density", "--n", "3", "--N=-1e4000"),
+    ("enumerate", "--n=-1e4000", "--d-max", "10"),
+    ("verify-q-example", "--d=-1e4000"),
+    ("ihc", "--n", "3", "--N=-1e4000"),
+    ("ihc", "--n", "3", "--N", "10", "--range-lo", "1e4000"),
+    ("diagnostics", "--n=-1e4000", "--checkpoints", "10"),
+    ("density", "--n", "3", "--N", "1e4000", "--checkpoints", "0"),
+    ("density", "--n", "3", "--N", "100", "--mode", "lambda-prime", "--lam=-1e4000"),
+    ("diagnostics", "--n", "3", "--checkpoints", "100", "--lam=-1e4000"),
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_ECHOES, ids=" ".join)
+def test_usage_errors_show_a_huge_number_by_its_bit_length(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "<13288-bit integer>" in err and len(err.encode()) <= 300
+    assert ("-<13288-bit integer>" in err) == any(a.endswith("=-1e4000") for a in argv)
+
+
 _LAMBDA = ["--N", "100", "--mode", "lambda-prime"]
 
 
@@ -1094,6 +1210,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "degcert.cli", "smallest", "--n", "3"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5005"
